@@ -94,22 +94,23 @@ def matching_f1(
 
 def parsing_f1(
     parses: Mapping[Hashable, mrl.MeaningRepresentation | None],
-    gold_mrs: Mapping[Hashable, mrl.MeaningRepresentation],
+    gold_mrs: Mapping[Hashable, mrl.MeaningRepresentation | None],
 ) -> EvalReport:
     """Exact-match parse accuracy over gold-bearing comments.
 
     Precision counts only emitted (non-abstaining) parses; recall counts all
     gold-bearing comments, so abstentions cost recall but not precision.
     """
-    emitted = {k: v for k, v in parses.items() if k in gold_mrs and v is not None}
-    correct = sum(1 for k, v in emitted.items() if v == gold_mrs[k])
-    p, r, f = _prf(correct, len(emitted), len(gold_mrs))
+    gold = {k: v for k, v in gold_mrs.items() if v is not None}
+    emitted = {k: v for k, v in parses.items() if k in gold and v is not None}
+    correct = sum(1 for k, v in emitted.items() if v == gold[k])
+    p, r, f = _prf(correct, len(emitted), len(gold))
     return EvalReport(
         task="parsing",
         precision=p,
         recall=r,
         f1=f,
-        counts={"correct": correct, "emitted": len(emitted), "gold": len(gold_mrs)},
+        counts={"correct": correct, "emitted": len(emitted), "gold": len(gold)},
     )
 
 

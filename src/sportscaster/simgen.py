@@ -73,14 +73,6 @@ class Prng:
         return len(weights) - 1
 
 
-def prng_next(prng: Prng) -> int:
-    return prng.next()
-
-
-def prng_uniform(prng: Prng) -> float:
-    return prng.uniform()
-
-
 def derive_seed(base: int, index: int, stream: int) -> int:
     """Decorrelated per-game seed for a numbered stream (0 world, 1 commentary)."""
     mixed = (base + _GOLDEN * index + 0x632BE59BD9B4E019 * stream) & _MASK

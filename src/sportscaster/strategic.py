@@ -98,25 +98,20 @@ def igsl(
     match out inversely proportional to its ambiguity; updates are synchronous
     (every share in an iteration uses the previous iteration's probabilities).
     """
-    sentences: list[Counter] = []
+    sentences: list[list[str]] = []
     for example in examples:
         if not example.candidates:
             raise EmptyCandidates(
                 f"comment {example.comment.id} has no candidate events"
             )
-        sentences.append(Counter(e.mr.predicate.name for e in example.candidates))
-    predicates = sorted(
-        {p for weights in sentences for p in weights} | set(total_count)
-    )
+        sentences.append([e.mr.predicate.name for e in example.candidates])
+    predicates = sorted({p for names in sentences for p in names} | set(total_count))
     prob = {p: 1.0 for p in predicates}
     for _ in range(max_iter):
         match_count: defaultdict[str, float] = defaultdict(float)
-        for weights in sentences:
-            denominator = sum(prob[p] * n for p, n in weights.items())
-            if denominator <= 0.0:
-                continue
-            for p, n in weights.items():
-                match_count[p] += prob[p] * n / denominator
+        for names in sentences:
+            for p, share in igsl_match_shares(names, prob).items():
+                match_count[p] += share
         updated = {}
         for p in predicates:
             count = total_count.get(p, 0)

@@ -2,9 +2,10 @@
 
 The model is a bundle of three independently trained parts:
 
-  * AlignmentModel: IBM-Model-1 word/production translation table, trained
-    by EM over (sentence, MR) pairs.  Words align to the productions of the
-    MR's derivation plus a NULL production that absorbs function words.
+  * AlignmentModel: IBM-Model-1 word/production translation table, one
+    (production x word) array trained by EM over (sentence, MR) pairs.  Words
+    align to the productions of the MR's derivation plus a NULL production
+    that absorbs function words.
   * TemplateLexicon: per-predicate sentence templates with numbered argument
     slots, plus per-constant surface realizations, both read off the trained
     alignment by argmax assignment.
@@ -26,12 +27,13 @@ import math
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import mrl
+from .corpus import FormatError
 
 Tokens = Sequence[str]
 Pair = tuple[Tokens, mrl.MeaningRepresentation]
@@ -64,11 +66,17 @@ class NoTemplate(LookupError):
 
 @dataclass
 class AlignmentModel:
-    """Word translation table t[production key][word], one dist per key."""
+    """t[row, column] = Pr(word | production): rows follow _COLUMN_KEYS, columns
+    the sorted vocabulary; a production absent from training has a zero row."""
 
-    t: dict[str, dict[str, float]]
+    t: np.ndarray
     vocabulary: tuple[str, ...]
     log_likelihoods: tuple[float, ...] = ()
+
+    @cached_property
+    def columns(self) -> dict[str, int]:
+        """Vocabulary word -> its column in t."""
+        return {word: i for i, word in enumerate(self.vocabulary)}
 
 
 @dataclass
@@ -81,7 +89,7 @@ class TemplateLexicon:
 
 @dataclass
 class LanguageModel:
-    counts: dict[tuple[str, str], Counter] = field(default_factory=dict)
+    counts: dict[tuple[str, ...], Counter] = field(default_factory=dict)
     vocabulary: frozenset[str] = frozenset()
 
     def fit(self, sentences: Iterable[Tokens]) -> "LanguageModel":
@@ -95,7 +103,7 @@ class LanguageModel:
         self.vocabulary = frozenset(words)
         return self
 
-    def probability(self, word: str, context: tuple[str, str]) -> float:
+    def probability(self, word: str, context: tuple[str, ...]) -> float:
         bucket = self.counts.get(context)
         seen = bucket[word] if bucket else 0
         total = sum(bucket.values()) if bucket else 0
@@ -104,7 +112,7 @@ class LanguageModel:
     def sentence_logprob(self, tokens: Tokens) -> float:
         padded = [_START] * (LM_ORDER - 1) + list(tokens) + [_END]
         return sum(
-            math.log(self.probability(padded[i], tuple(padded[i - 2 : i])))
+            math.log(self.probability(padded[i], tuple(padded[i - LM_ORDER + 1 : i])))
             for i in range(LM_ORDER - 1, len(padded))
         )
 
@@ -119,53 +127,49 @@ class TranslationModel:
     lm: LanguageModel
 
 
-def _derivation_keys(mr: mrl.MeaningRepresentation) -> list[str]:
-    return [p.key for p in mrl.derivation(mr)]
-
-
-def _corpus_log_likelihood(
-    prepared: list[tuple[Tokens, list[str]]], t: dict[str, dict[str, float]]
-) -> float:
-    total = 0.0
-    for tokens, keys in prepared:
-        width = len(keys)
-        for word in tokens:
-            total += math.log(
-                sum(t[key].get(word, 0.0) for key in keys) / width
-            )
-    return total
-
-
 def train_alignment(pairs: Sequence[Pair], iterations: int = 25) -> AlignmentModel:
-    """Model-1 EM: uniform init, then expected-count renormalization."""
+    """Model-1 EM: uniform init, then expected-count renormalization.
+
+    The corpus is flattened once into (token, production slot) cells of the
+    table; each E-step gathers them and np.add.at adds in corpus order.
+    """
     if not pairs:
         raise EmptyTrainingSet("no (sentence, mr) pairs to align")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    prepared = [
-        (tuple(tokens), _derivation_keys(mr) + [NULL_KEY]) for tokens, mr in pairs
-    ]
-    vocabulary = tuple(sorted({w for tokens, _ in prepared for w in tokens}))
+    vocabulary = tuple(sorted({w for tokens, _ in pairs for w in tokens}))
     if not vocabulary:
         raise EmptyTrainingSet("training pairs contain no words")
-    uniform = 1.0 / len(vocabulary)
-    keys = sorted({key for _, ks in prepared for key in ks})
-    t = {key: dict.fromkeys(vocabulary, uniform) for key in keys}
-    history = [_corpus_log_likelihood(prepared, t)]
-    for _ in range(iterations):
-        expected: dict[str, defaultdict[str, float]] = {
-            key: defaultdict(float) for key in keys
-        }
-        for tokens, ks in prepared:
-            for word in tokens:
-                denom = sum(t[key].get(word, 0.0) for key in ks)
-                for key in ks:
-                    expected[key][word] += t[key].get(word, 0.0) / denom
-        for key in keys:
-            total = sum(expected[key].values())
-            t[key] = {word: c / total for word, c in sorted(expected[key].items())}
-        history.append(_corpus_log_likelihood(prepared, t))
-    return AlignmentModel(t=t, vocabulary=vocabulary, log_likelihoods=tuple(history))
+    size = len(vocabulary)
+    column = {word: i for i, word in enumerate(vocabulary)}
+    index, widths = _candidate_arrays([mr for _, mr in pairs])
+    lengths = [len(tokens) for tokens, _ in pairs]
+    words = np.array([column[w] for tokens, _ in pairs for w in tokens], dtype=np.intp)
+    rows = np.repeat(index, lengths, axis=0)
+    width = np.repeat(widths, lengths)
+    cells = rows * size + words[:, None]  # flat (row, word) cell per token slot
+    # Builtin sum in first-reach order: the same row totals a dict per row gives.
+    reached, first = np.unique(cells[rows != _PAD_COLUMN], return_index=True)
+    reached = reached[np.lexsort((first, reached // size))]
+    trained, starts = np.unique(reached // size, return_index=True)
+    groups = np.split(reached, starts[1:])
+    # The pad row stays zero, so padded slots add nothing.
+    t = np.zeros((_PAD_COLUMN + 1, size), dtype=np.float64)
+    t[trained] = 1.0 / size
+    history = []
+    for step in range(iterations + 1):
+        gathered = t.take(cells)
+        denominators = gathered.sum(axis=1)
+        history.append(float(np.log(denominators / width).sum()))
+        if step == iterations:
+            break
+        expected = np.zeros(t.size, dtype=np.float64)
+        np.add.at(expected, cells, gathered / denominators[:, None])
+        totals = np.array([sum(expected[group].tolist()) for group in groups])
+        t[trained] = expected.reshape(t.shape)[trained] / totals[:, None]
+    return AlignmentModel(
+        t=t[:_PAD_COLUMN], vocabulary=vocabulary, log_likelihoods=tuple(history)
+    )
 
 
 def extract_templates(pairs: Sequence[Pair], alignment: AlignmentModel) -> TemplateLexicon:
@@ -187,14 +191,9 @@ def extract_templates(pairs: Sequence[Pair], alignment: AlignmentModel) -> Templ
         # and NULL never wins a tie: a fully symmetric table, as on a
         # single-pair corpus, must still yield a slotted, usable template.
         keys = [p.key for p in deriv[1:]] + [deriv[0].key, NULL_KEY]
-        assigned = []
-        for word in tokens:
-            best_key, best = NULL_KEY, -1.0
-            for key in keys:
-                value = alignment.t.get(key, {}).get(word, 0.0)
-                if value > best:
-                    best_key, best = key, value
-            assigned.append(best_key)
+        raw = _raw_table(tokens, alignment)[:, [_COLUMN_INDEX[key] for key in keys]]
+        # argmax takes the first maximum, i.e. the tie order of keys.
+        assigned = [keys[i] for i in raw.argmax(axis=1).tolist()]
         # Argument positions still wanting a slot, queued per constant key.
         open_slots: dict[str, list[int]] = defaultdict(list)
         for position, production in enumerate(deriv[1:], start=1):
@@ -253,7 +252,7 @@ def _candidate_arrays(
     index = np.full((len(mrs), 4), _PAD_COLUMN, dtype=np.intp)
     widths = np.empty(len(mrs), dtype=np.float64)
     for row, mr in enumerate(mrs):
-        keys = _derivation_keys(mr) + [NULL_KEY]
+        keys = [p.key for p in mrl.derivation(mr)] + [NULL_KEY]
         for col, key in enumerate(keys):
             index[row, col] = _COLUMN_INDEX[key]
         widths[row] = len(keys)
@@ -265,15 +264,20 @@ def _full_space_arrays() -> tuple[np.ndarray, np.ndarray]:
     return _candidate_arrays(mrl.enumerate_mrs())
 
 
+def _raw_table(tokens: Tokens, alignment: AlignmentModel) -> np.ndarray:
+    """(word, production column) t values; unknown words and the pad col 0."""
+    columns = np.array([alignment.columns.get(w, -1) for w in tokens], dtype=np.intp)
+    known = columns >= 0
+    raw = np.zeros((len(tokens), _PAD_COLUMN + 1), dtype=np.float64)
+    raw[known, :_PAD_COLUMN] = alignment.t[:, columns[known]].T
+    return raw
+
+
 def _smoothed_table(tokens: Tokens, model: TranslationModel) -> np.ndarray:
     """(word, production column) add-k translation probabilities, pad col 0."""
-    t = model.alignment.t
     denominator = 1.0 + SMOOTHING_K * len(model.alignment.vocabulary)
-    table = np.zeros((len(tokens), _PAD_COLUMN + 1), dtype=np.float64)
-    for wi, word in enumerate(tokens):
-        for ci, key in enumerate(_COLUMN_KEYS):
-            raw = t.get(key, {}).get(word, 0.0)
-            table[wi, ci] = (raw + SMOOTHING_K) / denominator
+    table = (_raw_table(tokens, model.alignment) + SMOOTHING_K) / denominator
+    table[:, _PAD_COLUMN] = 0.0
     return table
 
 
@@ -376,17 +380,17 @@ def _fmt(value: float) -> str:
 
 def save_model(model: TranslationModel, path) -> None:
     lines = ["[alignment]"]
-    for key in sorted(model.alignment.t):
-        for word, prob in sorted(model.alignment.t[key].items()):
+    for key in sorted(_COLUMN_KEYS):
+        probs = model.alignment.t[_COLUMN_INDEX[key]].tolist()
+        for word, prob in zip(model.alignment.vocabulary, probs):
             if prob > 0.0:
                 lines.append(f"{key}\t{word}\t{_fmt(prob)}")
     lines.append("[templates]")
-    for predicate in sorted(model.lexicon.templates):
-        for template, weight in sorted(model.lexicon.templates[predicate].items()):
-            lines.append(f"S\t{predicate}\t{_fmt(weight)}\t{' '.join(template)}")
-    for constant in sorted(model.lexicon.realizations):
-        for tokens, weight in sorted(model.lexicon.realizations[constant].items()):
-            lines.append(f"C\t{constant}\t{_fmt(weight)}\t{' '.join(tokens)}")
+    lexicon = model.lexicon
+    for kind, table in (("S", lexicon.templates), ("C", lexicon.realizations)):
+        for name in sorted(table):
+            for items, weight in sorted(table[name].items()):
+                lines.append(f"{kind}\t{name}\t{_fmt(weight)}\t{' '.join(items)}")
     lines.append("[lm]")
     for context in sorted(model.lm.counts):
         for word, count in sorted(model.lm.counts[context].items()):
@@ -396,14 +400,15 @@ def save_model(model: TranslationModel, path) -> None:
 
 
 def load_model(path) -> TranslationModel:
-    """Inverse of save_model (alignment LL history is not persisted)."""
-    t: dict[str, dict[str, float]] = {}
+    """Inverse of save_model (alignment LL history is not persisted); a
+    malformed line raises FormatError naming its file and line."""
+    entries: list[tuple[int, str, float]] = []
     templates: dict[str, dict[tuple[str, ...], float]] = {}
     realizations: dict[str, dict[tuple[str, ...], float]] = {}
-    counts: dict[tuple[str, str], Counter] = {}
+    counts: dict[tuple[str, ...], Counter] = {}
     section = None
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
@@ -411,27 +416,33 @@ def load_model(path) -> TranslationModel:
                 section = line[1:-1]
                 continue
             fields = line.split("\t")
-            if section == "alignment":
-                key, word, prob = fields
-                t.setdefault(key, {})[word] = float(prob)
-            elif section == "templates":
-                kind, name, weight, body = fields
-                items = tuple(body.split(" "))
-                if kind == "S":
-                    templates.setdefault(name, {})[items] = float(weight)
+            try:
+                if section == "alignment":
+                    key, word, prob = fields
+                    if key not in _COLUMN_INDEX:
+                        raise ValueError(f"unknown production key {key!r}")
+                    entries.append((_COLUMN_INDEX[key], word, float(prob)))
+                elif section == "templates":
+                    kind, name, weight, body = fields
+                    target = templates if kind == "S" else realizations
+                    target.setdefault(name, {})[tuple(body.split(" "))] = float(weight)
+                elif section == "lm":
+                    context, word, count = fields
+                    bucket = counts.setdefault(tuple(context.split(" ")), Counter())
+                    bucket[word] = int(count)
                 else:
-                    realizations.setdefault(name, {})[items] = float(weight)
-            elif section == "lm":
-                context, word, count = fields
-                bucket = counts.setdefault(tuple(context.split(" ")), Counter())
-                bucket[word] = int(count)
-            else:
-                raise ValueError(f"line outside any section in {path}")
-    vocabulary = tuple(sorted({word for dist in t.values() for word in dist}))
+                    raise ValueError("line outside any section")
+            except ValueError as err:
+                raise FormatError(str(path), lineno, str(err)) from None
+    vocabulary = tuple(sorted({word for _, word, _ in entries}))
+    t = np.zeros((len(_COLUMN_KEYS), len(vocabulary)), dtype=np.float64)
+    alignment = AlignmentModel(t=t, vocabulary=vocabulary)
+    for row, word, prob in entries:
+        alignment.t[row, alignment.columns[word]] = prob
     lm_words = {word for bucket in counts.values() for word in bucket}
     lm = LanguageModel(counts=counts, vocabulary=frozenset(lm_words - {_END}))
     return TranslationModel(
-        alignment=AlignmentModel(t=t, vocabulary=vocabulary),
+        alignment=alignment,
         lexicon=TemplateLexicon(templates=templates, realizations=realizations),
         lm=lm,
     )

@@ -191,8 +191,9 @@ def test_criterion_05_em_likelihood_and_concentration():
         monotone = monotone and len(lls) == 26
         monotone = monotone and all(b >= a - 1e-9 for a, b in zip(lls, lls[1:]))
 
-    t = translator.train_alignment(kick_pair, iterations=20).t
-    concentration = t["pink1"]["pink1"]
+    alignment = translator.train_alignment(kick_pair, iterations=20)
+    row = translator._COLUMN_INDEX["pink1"]
+    concentration = float(alignment.t[row, alignment.columns["pink1"]])
     ok = monotone and concentration > 0.9
     assert _verdict(
         5, "em-properties", ok, f"t(pink1|pink1)={concentration:.4f}"

@@ -95,7 +95,7 @@ def test_train_artifacts(corpus_dir, train_dir):
     assert len(matching) - 1 == len(examples)
     # the saved model loads and parses
     model = translator.load_model(train_dir / "model.tsv")
-    assert model.alignment.t
+    assert model.alignment.t.any()
 
 
 def test_train_config_file_with_flag_override(corpus_dir, tmp_path):
@@ -249,6 +249,28 @@ def test_data_error_names_file_and_line(tmp_path, capsys):
     assert run(["generate", str(model_path), str(bad)]) == 2
     err = capsys.readouterr().err
     assert "bad.txt:1:" in err
+
+
+@pytest.mark.parametrize(
+    "line, bad",
+    [
+        (2, "pink1\tpink1"),                # wrong field count
+        (2, "<BOGUS>\tpink1\t0.5"),         # unknown production key
+        (2, "pink1\tpink1\thalf"),          # non-numeric probability
+        (6, "x\tpink1\tmany"),              # non-numeric LM count
+        (1, "pink1\tpink1\t0.5"),           # line outside any section
+    ],
+)
+def test_malformed_model_names_file_and_line(tmp_path, capsys, line, bad):
+    lines = ["[alignment]", "pink1\tpink1\t1", "[templates]",
+             "S\tkick\t1\t<1> kicks", "[lm]", "x\tpink1\t1"]
+    lines[line - 1] = bad
+    model_path = tmp_path / "model.tsv"
+    model_path.write_text("".join(entry + "\n" for entry in lines))
+    sentences = tmp_path / "s.txt"
+    sentences.write_text("pink1 kicks\n")
+    assert run(["parse", str(model_path), str(sentences)]) == 2
+    assert f"model.tsv:{line}:" in capsys.readouterr().err
 
 
 def test_write_report_deterministic(tmp_path):

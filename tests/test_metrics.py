@@ -71,8 +71,8 @@ def test_parsing_near_miss_is_wrong():
 
 
 def test_parsing_ignores_comments_without_gold():
-    gold = {0: mrl.parse_mr("ballstopped")}
-    parses = {0: gold[0], 99: mrl.parse_mr("ballstopped")}
+    gold = {0: mrl.parse_mr("ballstopped"), 7: None}
+    parses = {0: gold[0], 7: mrl.parse_mr("kick(pink1)"), 99: mrl.parse_mr("ballstopped")}
     report = metrics.parsing_f1(parses, gold)
     assert report.f1 == 1.0
 

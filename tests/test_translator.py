@@ -1,7 +1,9 @@
 """Alignment EM, template extraction, scoring, generation, serialization."""
 
 import math
+from collections import defaultdict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,6 +27,63 @@ def _sharp_pairs():
     ]
 
 
+def _table(model):
+    """The array as a dict of dicts: trained productions, nonzero cells."""
+    table = {}
+    for key, row in zip(translator._COLUMN_KEYS, model.t.tolist()):
+        dist = {word: p for word, p in zip(model.vocabulary, row) if p > 0.0}
+        if dist:
+            table[key] = dist
+    return table
+
+
+def _reference_train_alignment(pairs, iterations):
+    """Model-1 EM over a dict of dicts, one loop per token and production."""
+    prepared = [
+        (tuple(tokens), [p.key for p in mrl.derivation(mr)] + [translator.NULL_KEY])
+        for tokens, mr in pairs
+    ]
+    vocabulary = tuple(sorted({w for tokens, _ in prepared for w in tokens}))
+    keys = sorted({key for _, ks in prepared for key in ks})
+    t = {key: dict.fromkeys(vocabulary, 1.0 / len(vocabulary)) for key in keys}
+
+    def log_likelihood():
+        return sum(
+            math.log(sum(t[key].get(word, 0.0) for key in ks) / len(ks))
+            for tokens, ks in prepared
+            for word in tokens
+        )
+
+    history = [log_likelihood()]
+    for _ in range(iterations):
+        expected = {key: defaultdict(float) for key in keys}
+        for tokens, ks in prepared:
+            for word in tokens:
+                denom = sum(t[key].get(word, 0.0) for key in ks)
+                for key in ks:
+                    expected[key][word] += t[key].get(word, 0.0) / denom
+        for key in keys:
+            total = sum(expected[key].values())
+            t[key] = {word: c / total for word, c in sorted(expected[key].items())}
+        history.append(log_likelihood())
+    return t, vocabulary, history
+
+
+def _assert_matches_reference(pairs):
+    model = translator.train_alignment(pairs, iterations=25)
+    t, vocabulary, history = _reference_train_alignment(pairs, 25)
+    assert model.vocabulary == vocabulary
+    assert model.t.shape == (len(translator._COLUMN_KEYS), len(vocabulary))
+    for row, key in enumerate(translator._COLUMN_KEYS):
+        for column, word in enumerate(vocabulary):
+            assert model.t[row, column] == t.get(key, {}).get(word, 0.0), (key, word)
+    assert model.log_likelihoods == pytest.approx(history, rel=1e-12)
+
+
+def test_train_alignment_matches_dict_reference():
+    _assert_matches_reference(_sharp_pairs())
+
+
 def test_train_alignment_empty_raises():
     with pytest.raises(translator.EmptyTrainingSet):
         translator.train_alignment([])
@@ -37,7 +96,7 @@ def test_train_alignment_rejects_zero_iterations():
 
 def test_alignment_distributions_normalized():
     model = translator.train_alignment(_sharp_pairs(), iterations=5)
-    for key, dist in model.t.items():
+    for key, dist in _table(model).items():
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9), key
 
 
@@ -54,7 +113,7 @@ def test_em_disambiguates_two_pair_kick_fixture():
         ("kick pink2".split(), _mr("kick(pink2)")),
     ]
     model = translator.train_alignment(pairs, iterations=20)
-    value = model.t["pink1"]["pink1"]
+    value = _table(model)["pink1"]["pink1"]
     assert value > 0.9
     assert value == pytest.approx(0.9999456036782062, abs=1e-12)
 
@@ -63,8 +122,8 @@ def test_em_single_pair_single_production_split():
     # One word, one production + NULL: the posterior splits evenly, so both
     # normalized distributions put all mass on the word.
     model = translator.train_alignment([(["whistle"], _mr("ballstopped"))], 1)
-    assert model.t["ballstopped"] == {"whistle": 1.0}
-    assert model.t[translator.NULL_KEY] == {"whistle": 1.0}
+    assert _table(model)["ballstopped"] == {"whistle": 1.0}
+    assert _table(model)[translator.NULL_KEY] == {"whistle": 1.0}
 
 
 def test_extract_templates_sharp_pass():
@@ -136,6 +195,15 @@ def test_lm_known_probability():
     assert lm.sentence_prob(["a", "b"]) == pytest.approx(step**3)
 
 
+def test_lm_scores_with_the_order_it_was_fit_with(monkeypatch):
+    monkeypatch.setattr(translator, "LM_ORDER", 2)
+    lm = translator.LanguageModel().fit([["a", "b"], ["a", "a"]])
+    # Bigram counts: <s> -> a 2 of 2; a -> a and a -> </s> 1 of 3 each (the
+    # third is a -> b); |V|+1 = 3 smoothing slots.
+    expected = (2.01 / 2.03) * (1.01 / 3.03) * (1.01 / 3.03)
+    assert lm.sentence_prob(["a", "a"]) == pytest.approx(expected, rel=1e-12)
+
+
 def test_score_floor_for_no_overlap():
     model = translator.train(_sharp_pairs())
     score = translator.score_pair(["sunny", "day"], _mr("kick(pink1)"), model)
@@ -171,7 +239,7 @@ def test_sharp_parse_beats_full_space():
 
 def test_uniform_model_ties_break_canonically():
     vocabulary = ("left", "right")
-    t = {key: {w: 0.5 for w in vocabulary} for key in translator._COLUMN_KEYS}
+    t = np.full((len(translator._COLUMN_KEYS), len(vocabulary)), 0.5)
     model = translator.TranslationModel(
         alignment=translator.AlignmentModel(t=t, vocabulary=vocabulary),
         lexicon=translator.TemplateLexicon(templates={}, realizations={}),
@@ -263,22 +331,28 @@ def test_saved_model_sections_in_order(tmp_path):
 
 _word = st.sampled_from(["red", "blue", "runs", "fast", "goal"])
 _mr_text = st.sampled_from(
-    ["kick(pink1)", "ballstopped", "pass(pink1,pink2)", "playmode(goal_l)"]
+    ["kick(pink1)", "ballstopped", "pass(pink1,pink2)", "playmode(goal_l)",
+     "pass(pink1,pink1)"]
+)
+_corpora = st.lists(
+    st.tuples(st.lists(_word, min_size=1, max_size=4), _mr_text),
+    min_size=1,
+    max_size=6,
 )
 
 
 @settings(max_examples=25, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.lists(_word, min_size=1, max_size=4), _mr_text),
-        min_size=1,
-        max_size=6,
-    )
-)
+@given(_corpora)
 def test_alignment_properties_hold_on_random_corpora(raw_pairs):
     pairs = [(tokens, _mr(text)) for tokens, text in raw_pairs]
     model = translator.train_alignment(pairs, iterations=3)
-    for dist in model.t.values():
+    for dist in _table(model).values():
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
     lls = model.log_likelihoods
     assert all(b >= a - 1e-9 for a, b in zip(lls, lls[1:]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_corpora)
+def test_train_alignment_matches_dict_reference_on_random_corpora(raw_pairs):
+    _assert_matches_reference([(tokens, _mr(text)) for tokens, text in raw_pairs])
