@@ -42,14 +42,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
-
-
 @dataclass(frozen=True)
 class Table:
     """A rectangular report: header row plus value rows."""
@@ -61,8 +53,8 @@ class Table:
 def table_to_tsv(table: Table) -> str:
     lines = ["\t".join(table.columns)]
     for row in table.rows:
-        lines.append("\t".join(_fmt(v) for v in row))
-    return "".join(line + "\n" for line in lines)
+        lines.append("\t".join(corpus.fmt(v) for v in row))
+    return corpus.lines_text(lines)
 
 
 def table_to_json(table: Table) -> str:
@@ -113,11 +105,10 @@ def _run_config(args) -> RunConfig:
 
 
 def run_config_text(config: RunConfig) -> str:
-    lines = [
-        f"{field.name} = {_fmt(getattr(config, field.name))}"
+    return corpus.lines_text(
+        f"{field.name} = {corpus.fmt(getattr(config, field.name))}"
         for field in dataclasses.fields(RunConfig)
-    ]
-    return "".join(line + "\n" for line in lines)
+    )
 
 
 def _prepare_out(args) -> Path | None:
@@ -135,9 +126,8 @@ def _emit(table: Table, out: Path | None, name: str, as_json: bool) -> None:
     if out is None:
         sys.stdout.write(table_to_tsv(table))
     else:
-        fmt = "json" if as_json else "tsv"
         ext = "json" if as_json else "tsv"
-        write_report(table, out / f"{name}.{ext}", fmt)
+        write_report(table, out / f"{name}.{ext}", ext)
 
 
 # ---------------------------------------------------------------------------
@@ -167,34 +157,27 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+_PAIR_COLUMNS = ("game", "events", "comments", "with_candidates",
+                 "mean_candidates", "stddev_candidates", "max_candidates")
+
+
 def _pair_table(games, window_ms: int) -> Table:
+    def row(name, events, comments, counts):
+        stats = corpus.candidate_stats(counts)
+        return (name, events, comments, *(stats[c] for c in _PAIR_COLUMNS[3:]))
+
     rows = []
-    pooled_counts: list[int] = []
-    pooled_comments = 0
+    pooled: list[int] = []
     for game in games:
-        stats = corpus.pairing_stats(game.events, game.comments, window_ms)
-        rows.append((
-            game.name, len(game.events), stats["comments"],
-            stats["with_candidates"], stats["mean_candidates"],
-            stats["stddev_candidates"], stats["max_candidates"],
-        ))
-        pooled_comments += stats["comments"]
-        pooled_counts.extend(
+        counts = [
             len(ex.candidates)
             for ex in corpus.pair_with_window(game.events, game.comments, window_ms)
-        )
-    n = len(pooled_counts)
-    mean = sum(pooled_counts) / n if n else 0.0
-    var = sum((c - mean) ** 2 for c in pooled_counts) / n if n else 0.0
-    rows.append((
-        "TOTAL", sum(len(g.events) for g in games), pooled_comments,
-        n, mean, var**0.5, max(pooled_counts, default=0),
-    ))
-    return Table(
-        ("game", "events", "comments", "with_candidates",
-         "mean_candidates", "stddev_candidates", "max_candidates"),
-        tuple(rows),
-    )
+        ]
+        rows.append(row(game.name, len(game.events), len(game.comments), counts))
+        pooled += counts
+    rows.append(row("TOTAL", sum(len(g.events) for g in games),
+                    sum(len(g.comments) for g in games), pooled))
+    return Table(_PAIR_COLUMNS, tuple(rows))
 
 
 def _cmd_pair(args) -> int:
@@ -215,7 +198,7 @@ def _matching_table(matching: learner.Matching) -> Table:
     return Table(("game", "comment_id", "event_id", "score"), rows)
 
 
-def _alignment_lines(examples, matching: learner.Matching) -> str:
+def _alignment_lines(examples, matching: learner.Matching) -> list[str]:
     """The matching in the external-alignment format `train` can re-ingest."""
     by_key = {ex.key: ex.example for ex in examples}
     lines = []
@@ -224,23 +207,18 @@ def _alignment_lines(examples, matching: learner.Matching) -> str:
         example = by_key[key]
         event = next(c for c in example.candidates if c.id == event_id)
         lines.append(f"{key[0]}\t{key[1]}\t{mrl.serialize_mr(event.mr)}")
-    return "".join(line + "\n" for line in lines)
+    return lines
 
 
 def _load_matching(path) -> dict[tuple[str, int], int]:
     predicted: dict[tuple[str, int], int] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line or (lineno == 1 and line.startswith("game\t")):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise corpus.FormatError(str(path), lineno, "expected 4 fields")
-            try:
-                predicted[(fields[0], int(fields[1]))] = int(fields[2])
-            except ValueError as err:
-                raise corpus.FormatError(str(path), lineno, str(err)) from None
+    for lineno, fields in corpus.read_records(path, 4):
+        if lineno == 1 and fields[0] == "game":
+            continue
+        try:
+            predicted[(fields[0], int(fields[1]))] = int(fields[2])
+        except ValueError as err:
+            raise corpus.FormatError(str(path), lineno, str(err)) from None
     return predicted
 
 
@@ -260,7 +238,7 @@ def _cmd_train(args) -> int:
         )
     theta = None
     if args.superfluous_cv:
-        theta, filtered, result = learner.superfluous_cv(
+        theta, _, result = learner.superfluous_cv(
             examples, THETA_GRID, strategy,
             total_count=total, gold=gold, max_iter=args.max_iter,
         )
@@ -269,10 +247,7 @@ def _cmd_train(args) -> int:
             examples, strategy, args.max_iter,
             total_count=total, gold=gold, initial_pairs=initial_pairs,
         )
-        filtered = learner.Matching({
-            k: v for k, v in result.matching.assignments.items()
-            if k in result.trained_on
-        })
+    filtered = result.trained_matching()
 
     out = _prepare_out(args)
     summary_rows = [("strategy", args.strategy),
@@ -292,9 +267,7 @@ def _cmd_train(args) -> int:
         return 0
     _emit(summary, out, "summary", args.json)
     write_report(_matching_table(result.matching), out / "matching.tsv")
-    (out / "alignment.tsv").write_text(
-        _alignment_lines(examples, filtered), encoding="utf-8"
-    )
+    corpus.write_lines(out / "alignment.tsv", _alignment_lines(examples, filtered))
     (out / "history.tsv").write_text(
         "iter\tmatching_f1\tchanged\n" + learner.report_lines(result),
         encoding="utf-8",
@@ -327,19 +300,10 @@ def _cmd_igsl(args) -> int:
     return 0
 
 
-def _read_lines(path) -> list[tuple[int, str]]:
-    with open(path, encoding="utf-8") as f:
-        return [
-            (lineno, line.rstrip("\n"))
-            for lineno, line in enumerate(f, start=1)
-            if line.strip()
-        ]
-
-
 def _cmd_parse(args) -> int:
     model = translator.load_model(args.model)
     rows = []
-    for _, raw in _read_lines(args.input):
+    for _, raw in corpus.read_lines(args.input):
         tokens = corpus.tokenize(raw, "en")
         ranked = translator.parse_sentence(tokens, model)
         surface = mrl.serialize_mr(ranked[0][0]) if ranked else "NONE"
@@ -353,7 +317,7 @@ def _cmd_parse(args) -> int:
 def _cmd_generate(args) -> int:
     model = translator.load_model(args.model)
     rows = []
-    for lineno, raw in _read_lines(args.input):
+    for lineno, raw in corpus.read_lines(args.input):
         try:
             mr = mrl.parse_mr(raw)
         except mrl.MalformedMR as err:
@@ -570,9 +534,7 @@ def _load_cli_config(path, sub: _Parser) -> dict:
         if action.dest not in ("help", "config")
     }
     overrides = {}
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for lineno, line in corpus.read_lines(path):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

@@ -5,15 +5,17 @@ stream; supervision is ambiguous because a comment is paired with every event
 in the preceding window rather than with a single annotated meaning.  When a
 gold matching is available it maps each comment to the event that actually
 prompted it (or to nothing, for superfluous chatter).
+
+The line-file helpers here (fmt, write_lines, read_lines, read_records) are
+shared by every module that reads or writes tab-separated files.
 """
 
 from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass, field
-from itertools import combinations
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from . import mrl
 from .mrl import MeaningRepresentation
@@ -33,8 +35,53 @@ class DanglingGoldReference(FormatError):
     """A gold entry that names a missing comment or an unmatchable event."""
 
 
-class InsufficientGames(ValueError):
-    pass
+# ---------------------------------------------------------------------------
+# line files: UTF-8 text, one record per `\n`-terminated line, fields
+# separated by tabs; whitespace-only lines are skipped on reading
+
+
+def fmt(value) -> str:
+    """A value as written to files: floats to 12 significant digits,
+    booleans as true/false."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
+
+
+def lines_text(lines: Iterable[str]) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+def write_lines(path, lines: Iterable[str]) -> None:
+    Path(path).write_text(lines_text(lines), encoding="utf-8", newline="\n")
+
+
+def read_lines(path) -> list[tuple[int, str]]:
+    """(line number, text) for each line that is not whitespace-only; the
+    numbers count physical lines, so errors point at the right one."""
+    with open(path, encoding="utf-8") as f:
+        return [
+            (lineno, line.rstrip("\n"))
+            for lineno, line in enumerate(f, start=1)
+            if line.strip()
+        ]
+
+
+def split_fields(path, lineno: int, line: str, n: int) -> list[str]:
+    fields = line.split("\t")
+    if len(fields) != n:
+        raise FormatError(str(path), lineno, f"expected {n} fields, got {len(fields)}")
+    return fields
+
+
+def read_records(path, n: int) -> list[tuple[int, list[str]]]:
+    """(line number, fields) for each non-blank line of an n-field file."""
+    return [
+        (lineno, split_fields(path, lineno, line, n))
+        for lineno, line in read_lines(path)
+    ]
 
 
 @dataclass(frozen=True)
@@ -131,6 +178,19 @@ def pair_with_window(
     return out
 
 
+def candidate_stats(counts: Sequence[int]) -> dict:
+    """Summary of per-comment candidate counts (population stddev)."""
+    n = len(counts)
+    mean = sum(counts) / n if n else 0.0
+    var = sum((c - mean) ** 2 for c in counts) / n if n else 0.0
+    return {
+        "with_candidates": n,
+        "max_candidates": max(counts, default=0),
+        "mean_candidates": mean,
+        "stddev_candidates": var**0.5,
+    }
+
+
 def pairing_stats(
     events: Iterable[GameEvent],
     comments: Iterable[Comment],
@@ -139,16 +199,9 @@ def pairing_stats(
     """Per-game pairing summary used by reports."""
     comments = list(comments)
     examples = pair_with_window(events, comments, window_ms)
-    counts = [len(ex.candidates) for ex in examples]
-    n = len(counts)
-    mean = sum(counts) / n if n else 0.0
-    var = sum((c - mean) ** 2 for c in counts) / n if n else 0.0
     return {
         "comments": len(comments),
-        "with_candidates": n,
-        "max_candidates": max(counts) if counts else 0,
-        "mean_candidates": mean,
-        "stddev_candidates": var**0.5,
+        **candidate_stats([len(ex.candidates) for ex in examples]),
     }
 
 
@@ -192,36 +245,10 @@ def pooled_gold(games: Iterable[Game]) -> dict[tuple[str, int], int | None]:
     return gold
 
 
-def cv_splits(corpus: Corpus, k_train: int) -> list[tuple[list[Game], list[Game]]]:
-    """All C(n, k_train) train/test partitions in lexicographic index order."""
-    n = len(corpus.games)
-    if not 1 <= k_train < n:
-        raise InsufficientGames(
-            f"need 1 <= k_train < {n} games, got k_train={k_train}"
-        )
-    splits = []
-    for chosen in combinations(range(n), k_train):
-        chosen_set = set(chosen)
-        train = [corpus.games[i] for i in chosen]
-        test = [corpus.games[i] for i in range(n) if i not in chosen_set]
-        splits.append((train, test))
-    return splits
-
-
-def _read_lines(path: Path) -> list[str]:
-    text = path.read_text(encoding="utf-8")
-    if text.endswith("\n"):
-        text = text[:-1]
-    return text.split("\n") if text else []
-
-
 def _load_events(path: Path) -> tuple[GameEvent, ...]:
     events = []
     last_time = -1
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise FormatError(str(path), lineno, f"expected 2 fields, got {len(parts)}")
+    for lineno, parts in read_records(path, 2):
         try:
             time_ms = int(parts[0])
         except ValueError:
@@ -241,10 +268,7 @@ def _load_events(path: Path) -> tuple[GameEvent, ...]:
 
 def _load_comments(path: Path) -> tuple[Comment, ...]:
     comments = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise FormatError(str(path), lineno, f"expected 3 fields, got {len(parts)}")
+    for lineno, parts in read_records(path, 3):
         try:
             time_ms = int(parts[0])
         except ValueError:
@@ -263,10 +287,7 @@ def _load_gold(
     window_ms: int,
 ) -> GoldMatch:
     matches: dict[int, int | None] = {}
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise FormatError(str(path), lineno, f"expected 2 fields, got {len(parts)}")
+    for lineno, parts in read_records(path, 2):
         try:
             comment_id = int(parts[0])
         except ValueError:
@@ -299,11 +320,7 @@ def load_corpus(manifest_path: str | Path, window_ms: int = DEFAULT_WINDOW_MS) -
     manifest = Path(manifest_path)
     base = manifest.parent
     games = []
-    for lineno, line in enumerate(_read_lines(manifest), start=1):
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise FormatError(str(manifest), lineno, f"expected 4 fields, got {len(parts)}")
-        name, events_rel, comments_rel, gold_rel = parts
+    for _, (name, events_rel, comments_rel, gold_rel) in read_records(manifest, 4):
         events = _load_events(base / events_rel)
         comments = _load_comments(base / comments_rel)
         gold = None
@@ -323,18 +340,13 @@ def write_corpus(corpus: Corpus, out_dir: str | Path) -> Path:
         comments_name = f"{game.name}.comments.tsv"
         gold_name = f"{game.name}.gold.tsv" if game.gold is not None else "-"
 
-        event_lines = [
-            f"{e.time_ms}\t{mrl.serialize_mr(e.mr)}" for e in game.events
-        ]
-        (out / events_name).write_text(
-            "".join(line + "\n" for line in event_lines), encoding="utf-8"
+        write_lines(
+            out / events_name,
+            (f"{e.time_ms}\t{mrl.serialize_mr(e.mr)}" for e in game.events),
         )
-
-        comment_lines = [
-            f"{c.time_ms}\t{c.language}\t{c.raw}" for c in game.comments
-        ]
-        (out / comments_name).write_text(
-            "".join(line + "\n" for line in comment_lines), encoding="utf-8"
+        write_lines(
+            out / comments_name,
+            (f"{c.time_ms}\t{c.language}\t{c.raw}" for c in game.comments),
         )
 
         if game.gold is not None:
@@ -344,16 +356,12 @@ def write_corpus(corpus: Corpus, out_dir: str | Path) -> Path:
                 event_id = game.gold.matches[comment_id]
                 surface = "NONE" if event_id is None else mrl.serialize_mr(by_id[event_id].mr)
                 gold_lines.append(f"{comment_id}\t{surface}")
-            (out / gold_name).write_text(
-                "".join(line + "\n" for line in gold_lines), encoding="utf-8"
-            )
+            write_lines(out / gold_name, gold_lines)
 
         manifest_lines.append(
             f"{game.name}\t{events_name}\t{comments_name}\t{gold_name}"
         )
 
     manifest = out / "manifest.tsv"
-    manifest.write_text(
-        "".join(line + "\n" for line in manifest_lines), encoding="utf-8"
-    )
+    write_lines(manifest, manifest_lines)
     return manifest

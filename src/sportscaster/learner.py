@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import metrics, mrl, strategic, translator
-from .corpus import FormatError, GameExample
+from .corpus import FormatError, GameExample, fmt, lines_text, read_records
 from .simgen import Prng
 
 Key = tuple[str, int]
@@ -98,6 +98,14 @@ class DisambiguationResult:
     iterations_run: int
     history: list[IterationRecord] = field(default_factory=list)
     trained_on: frozenset[Key] = frozenset()
+
+    def trained_matching(self) -> Matching:
+        """The matching restricted to the pairs the final model trained on."""
+        return Matching({
+            key: value
+            for key, value in self.matching.assignments.items()
+            if key in self.trained_on
+        })
 
 
 def initial_training_set(examples: Sequence[GameExample]) -> list[Pair]:
@@ -287,6 +295,8 @@ def retrain_loop(
             raise MissingStrategicModel(
                 f"{strategy.kind} needs per-predicate event totals"
             )
+        # IGSL reads only the candidate sets, so one run serves every iteration
+        strategic_model = strategic.igsl([ex.example for ex in examples], total_count)
 
     pairs = (
         list(initial_pairs)
@@ -302,10 +312,6 @@ def retrain_loop(
     history: list[IterationRecord] = []
     iterations = 0
     for iteration in range(1, max_iter + 1):
-        if strategy.kind in _IGSL_KINDS:
-            strategic_model = strategic.igsl(
-                [ex.example for ex in examples], total_count
-            )
         new_matching = _assign_best(examples, model, strategy, strategic_model)
         iterations = iteration
         if matching is None:
@@ -343,20 +349,12 @@ def init_from_external(
     """
     wanted: dict[Key, mrl.MeaningRepresentation] = {}
     warnings = 0
-    with open(path, encoding="utf-8") as f:
-        for number, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise FormatError(str(path), number, "expected 3 tab-separated fields")
-            game, comment_id, surface = fields
-            try:
-                key: Key = (game, int(comment_id))
-                wanted[key] = mrl.parse_mr(surface)
-            except (ValueError, mrl.MalformedMR) as err:
-                raise FormatError(str(path), number, str(err)) from err
+    for number, (game, comment_id, surface) in read_records(path, 3):
+        try:
+            key: Key = (game, int(comment_id))
+            wanted[key] = mrl.parse_mr(surface)
+        except (ValueError, mrl.MalformedMR) as err:
+            raise FormatError(str(path), number, str(err)) from err
     by_key = {ex.key: ex.example for ex in examples}
     pairs: list[Pair] = []
     for key, mr in wanted.items():
@@ -479,20 +477,13 @@ def superfluous_cv(
         prune_fraction=best_theta,
         em_iterations=em_iterations,
     )
-    filtered = Matching(
-        {
-            key: value
-            for key, value in final.matching.assignments.items()
-            if key in final.trained_on
-        }
-    )
-    return best_theta, filtered, final
+    return best_theta, final.trained_matching(), final
 
 
 def report_lines(result: DisambiguationResult) -> str:
     """Per-iteration `iter  matching_f1  changed` TSV block."""
     lines = []
     for record in result.history:
-        f1 = "-" if record.matching_f1 is None else f"{record.matching_f1:.12g}"
+        f1 = "-" if record.matching_f1 is None else fmt(record.matching_f1)
         lines.append(f"{record.iteration}\t{f1}\t{record.changed}")
-    return "".join(line + "\n" for line in lines)
+    return lines_text(lines)

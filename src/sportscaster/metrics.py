@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from . import mrl
-from .corpus import Game
+from .corpus import Game, fmt, lines_text
 
 Tokens = Sequence[str]
 
@@ -241,22 +241,18 @@ def expand_references(
     return refs
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
-
-
 def report_to_tsv(report: EvalReport) -> str:
     lines = [f"task\t{report.task}"]
     for name in ("precision", "recall", "f1", "bleu", "nist"):
         value = getattr(report, name)
         if value is not None:
-            lines.append(f"{name}\t{_fmt(value)}")
+            lines.append(f"{name}\t{fmt(value)}")
     for name in sorted(report.counts):
         lines.append(f"count.{name}\t{report.counts[name]}")
     for split in sorted(report.breakdown):
         for name in sorted(report.breakdown[split]):
-            lines.append(f"{split}.{name}\t{_fmt(report.breakdown[split][name])}")
-    return "".join(line + "\n" for line in lines)
+            lines.append(f"{split}.{name}\t{fmt(report.breakdown[split][name])}")
+    return lines_text(lines)
 
 
 def report_to_text(report: EvalReport) -> str:
@@ -264,15 +260,15 @@ def report_to_text(report: EvalReport) -> str:
     for name in ("precision", "recall", "f1", "bleu", "nist"):
         value = getattr(report, name)
         if value is not None:
-            parts.append(f"  {name:<9} {_fmt(value)}")
+            parts.append(f"  {name:<9} {fmt(value)}")
     if report.counts:
         counts = ", ".join(f"{k}={report.counts[k]}" for k in sorted(report.counts))
         parts.append(f"  counts    {counts}")
     for split in sorted(report.breakdown):
         values = report.breakdown[split]
-        inner = ", ".join(f"{k}={_fmt(values[k])}" for k in sorted(values))
+        inner = ", ".join(f"{k}={fmt(values[k])}" for k in sorted(values))
         parts.append(f"  {split}: {inner}")
-    return "".join(p + "\n" for p in parts)
+    return lines_text(parts)
 
 
 def report_to_json(report: EvalReport) -> str:

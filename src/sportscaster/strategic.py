@@ -1,16 +1,17 @@
 """Strategic generation: which event types are worth talking about.
 
-Two estimators produce a per-predicate probability of being commented on:
-estimate_from_matching counts matched events directly from a disambiguated
-matching, while igsl needs no matching at all: it distributes each
-sentence's single match over its candidate event types in proportion to the
-current probabilities and iterates to a fixed point (synchronous updates,
-min(.,1) clamp).
+igsl estimates a per-predicate probability of being commented on without
+any matching: it distributes each sentence's single match over its
+candidate event types in proportion to the current probabilities and
+iterates to a fixed point (synchronous updates, min(.,1) clamp).
 
 select_event and assemble_sportscast turn a strategic model into an actual
 transcript: stage 1 picks among co-occurring events by normalized
 probability, stage 2 keeps the pick with its own probability, and the
 tactical generator verbalizes it.
+
+save_strategic and load_strategic keep the model in `strategic.tsv`, one
+`predicate TAB probability TAB events` line per event type.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from . import mrl, translator
-from .corpus import AmbiguousExample, GameEvent
+from .corpus import AmbiguousExample, FormatError, GameEvent, fmt, read_records, write_lines
 from .simgen import Prng
 
 DEFAULT_MAX_ITER = 50
@@ -44,29 +45,6 @@ class StrategicModel:
 def count_event_types(events: Iterable[GameEvent]) -> dict[str, int]:
     counts: Counter = Counter(e.mr.predicate.name for e in events)
     return dict(counts)
-
-
-def estimate_from_matching(
-    matched_events: Iterable[tuple[str, GameEvent]],
-    events: Iterable[tuple[str, GameEvent]],
-) -> StrategicModel:
-    """Fraction of events of each type matched to at least one sentence.
-
-    Both arguments carry (game name, event) so multi-game traces keep their
-    events distinct; an event matched by several sentences counts once.
-    """
-    total: Counter = Counter(event.mr.predicate.name for _, event in events)
-    unique: dict[tuple[str, int], str] = {}
-    for game, event in matched_events:
-        unique[(game, event.id)] = event.mr.predicate.name
-    matched_counts: Counter = Counter(unique.values())
-    prob = {
-        predicate: (matched_counts[predicate] / count if count else 0.0)
-        for predicate, count in total.items()
-    }
-    for predicate in matched_counts:
-        prob.setdefault(predicate, 0.0)  # matched but absent from trace: 0/0
-    return StrategicModel(prob=prob, total_count=dict(total))
 
 
 def igsl_match_shares(
@@ -186,23 +164,21 @@ def assemble_sportscast(
 def save_strategic(model: StrategicModel, path) -> None:
     grammar_order = [p.name for p in mrl.PREDICATES if p.name in model.prob]
     extras = sorted(set(model.prob) - set(grammar_order))
-    lines = [
-        f"{predicate}\t{model.prob[predicate]:.12g}\t{model.total_count.get(predicate, 0)}"
+    write_lines(path, (
+        f"{predicate}\t{fmt(model.prob[predicate])}\t{model.total_count.get(predicate, 0)}"
         for predicate in grammar_order + extras
-    ]
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("".join(line + "\n" for line in lines))
+    ))
 
 
 def load_strategic(path) -> StrategicModel:
+    """Inverse of save_strategic; a malformed line raises FormatError naming
+    its file and line."""
     prob: dict[str, float] = {}
     total: dict[str, int] = {}
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            predicate, p, count = line.split("\t")
+    for lineno, (predicate, p, count) in read_records(path, 3):
+        try:
             prob[predicate] = float(p)
             total[predicate] = int(count)
+        except ValueError as err:
+            raise FormatError(str(path), lineno, str(err)) from None
     return StrategicModel(prob=prob, total_count=total)

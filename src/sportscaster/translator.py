@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import mrl
-from .corpus import FormatError
+from .corpus import FormatError, fmt, read_lines, split_fields, write_lines
 
 Tokens = Sequence[str]
 Pair = tuple[Tokens, mrl.MeaningRepresentation]
@@ -374,8 +374,7 @@ def generate_topk(
     return scored[:k]
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
+_SECTION_FIELDS = {"alignment": 3, "templates": 4, "lm": 3}
 
 
 def save_model(model: TranslationModel, path) -> None:
@@ -384,19 +383,18 @@ def save_model(model: TranslationModel, path) -> None:
         probs = model.alignment.t[_COLUMN_INDEX[key]].tolist()
         for word, prob in zip(model.alignment.vocabulary, probs):
             if prob > 0.0:
-                lines.append(f"{key}\t{word}\t{_fmt(prob)}")
+                lines.append(f"{key}\t{word}\t{fmt(prob)}")
     lines.append("[templates]")
     lexicon = model.lexicon
     for kind, table in (("S", lexicon.templates), ("C", lexicon.realizations)):
         for name in sorted(table):
             for items, weight in sorted(table[name].items()):
-                lines.append(f"{kind}\t{name}\t{_fmt(weight)}\t{' '.join(items)}")
+                lines.append(f"{kind}\t{name}\t{fmt(weight)}\t{' '.join(items)}")
     lines.append("[lm]")
     for context in sorted(model.lm.counts):
         for word, count in sorted(model.lm.counts[context].items()):
             lines.append(f"{' '.join(context)}\t{word}\t{count}")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("".join(line + "\n" for line in lines))
+    write_lines(path, lines)
 
 
 def load_model(path) -> TranslationModel:
@@ -407,33 +405,29 @@ def load_model(path) -> TranslationModel:
     realizations: dict[str, dict[tuple[str, ...], float]] = {}
     counts: dict[tuple[str, ...], Counter] = {}
     section = None
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                section = line[1:-1]
-                continue
-            fields = line.split("\t")
-            try:
-                if section == "alignment":
-                    key, word, prob = fields
-                    if key not in _COLUMN_INDEX:
-                        raise ValueError(f"unknown production key {key!r}")
-                    entries.append((_COLUMN_INDEX[key], word, float(prob)))
-                elif section == "templates":
-                    kind, name, weight, body = fields
-                    target = templates if kind == "S" else realizations
-                    target.setdefault(name, {})[tuple(body.split(" "))] = float(weight)
-                elif section == "lm":
-                    context, word, count = fields
-                    bucket = counts.setdefault(tuple(context.split(" ")), Counter())
-                    bucket[word] = int(count)
-                else:
-                    raise ValueError("line outside any section")
-            except ValueError as err:
-                raise FormatError(str(path), lineno, str(err)) from None
+    for lineno, line in read_lines(path):
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1]
+            continue
+        if section not in _SECTION_FIELDS:
+            raise FormatError(str(path), lineno, "line outside any section")
+        fields = split_fields(path, lineno, line, _SECTION_FIELDS[section])
+        try:
+            if section == "alignment":
+                key, word, prob = fields
+                if key not in _COLUMN_INDEX:
+                    raise ValueError(f"unknown production key {key!r}")
+                entries.append((_COLUMN_INDEX[key], word, float(prob)))
+            elif section == "templates":
+                kind, name, weight, body = fields
+                target = templates if kind == "S" else realizations
+                target.setdefault(name, {})[tuple(body.split(" "))] = float(weight)
+            else:
+                context, word, count = fields
+                bucket = counts.setdefault(tuple(context.split(" ")), Counter())
+                bucket[word] = int(count)
+        except ValueError as err:
+            raise FormatError(str(path), lineno, str(err)) from None
     vocabulary = tuple(sorted({word for _, word, _ in entries}))
     t = np.zeros((len(_COLUMN_KEYS), len(vocabulary)), dtype=np.float64)
     alignment = AlignmentModel(t=t, vocabulary=vocabulary)

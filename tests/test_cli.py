@@ -273,6 +273,32 @@ def test_malformed_model_names_file_and_line(tmp_path, capsys, line, bad):
     assert f"model.tsv:{line}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line, bad",
+    [
+        (2, "kick\t0.5"),                  # wrong field count
+        (2, "kick\t0.5\t3\t1"),            # wrong field count
+        (2, "kick\thalf\t3"),              # non-numeric probability
+        (3, "pass\t0.25\tmany"),           # non-numeric count
+    ],
+)
+def test_malformed_strategic_names_file_and_line(
+    corpus_dir, tmp_path, capsys, line, bad
+):
+    lines = ["ballstopped\t0\t5", "kick\t0.5\t3", "pass\t0.25\t4"]
+    lines[line - 1] = bad
+    strategic_path = tmp_path / "strategic.tsv"
+    strategic_path.write_text("".join(entry + "\n" for entry in lines))
+    model_path = tmp_path / "model.tsv"
+    pairs = [(("pink1", "kicks"), mrl.parse_mr("kick ( pink1 )"))]
+    translator.save_model(translator.train(pairs, iterations=2), model_path)
+    assert run([
+        "sportscast", str(model_path), str(strategic_path),
+        "--manifest", str(corpus_dir / "manifest.tsv"),
+    ]) == 2
+    assert f"strategic.tsv:{line}:" in capsys.readouterr().err
+
+
 def test_write_report_deterministic(tmp_path):
     table = Table(("name", "value"), (("pi", 3.14159265358979), ("flag", True)))
     a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"

@@ -1,10 +1,8 @@
-from math import comb
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sportscaster import corpus, mrl, simgen
+from sportscaster import mrl, simgen
 from sportscaster.corpus import (
     AmbiguousExample,
     Comment,
@@ -13,8 +11,6 @@ from sportscaster.corpus import (
     Game,
     GameEvent,
     GoldMatch,
-    InsufficientGames,
-    cv_splits,
     load_corpus,
     make_comment,
     pair_with_window,
@@ -121,24 +117,6 @@ def test_pooled_examples_and_gold_use_composite_keys():
     assert pooled_gold([g1, g2]) == {("alpha", 0): 0, ("beta", 0): None}
 
 
-def test_cv_splits_enumerate_combinations():
-    games = tuple(
-        Game(f"g{i}", (_event(0, 0),), (_comment(100, 0),), None) for i in range(4)
-    )
-    c = corpus.Corpus(games)
-    three = cv_splits(c, 3)
-    assert len(three) == 4
-    assert all(len(train) == 3 and len(test) == 1 for train, test in three)
-    one = cv_splits(c, 1)
-    assert all(len(test) == 3 for _, test in one)
-    assert [train[0].name for train, _ in one] == ["g0", "g1", "g2", "g3"]
-    total = sum(len(cv_splits(c, k)) for k in (1, 2, 3))
-    assert total == comb(4, 1) + comb(4, 2) + comb(4, 3) == 14
-    for k in (0, 4, 5):
-        with pytest.raises(InsufficientGames):
-            cv_splits(c, k)
-
-
 def _write_game(tmp_path, events_text, comments_text, gold_text=None):
     (tmp_path / "g.events.tsv").write_text(events_text, encoding="utf-8")
     (tmp_path / "g.comments.tsv").write_text(comments_text, encoding="utf-8")
@@ -154,15 +132,29 @@ def _write_game(tmp_path, events_text, comments_text, gold_text=None):
 
 
 def test_load_corpus_happy_path(tmp_path):
-    manifest = _write_game(
-        tmp_path,
+    plain = (
         "10000\tpass ( pink1 , pink2 )\n12000\tballstopped\n",
         "11000\ten\tPink1 passes to Pink2\n12500\ten\twhat a day\n",
-        "0\tpass ( pink1 , pink2 )\n1\tNONE\n",
     )
-    loaded = load_corpus(manifest)
-    game = loaded.games[0]
+    # whitespace-only lines are skipped; ids count records, not lines
+    blanks = (
+        "\n10000\tpass ( pink1 , pink2 )\n \t\n\n12000\tballstopped\n\n",
+        "11000\ten\tPink1 passes to Pink2\n\n  \n12500\ten\twhat a day\n\n",
+    )
+    games = []
+    for events_text, comments_text in (plain, blanks):
+        manifest = _write_game(
+            tmp_path,
+            events_text,
+            comments_text,
+            "0\tpass ( pink1 , pink2 )\n1\tNONE\n",
+        )
+        games.append(load_corpus(manifest).games[0])
+    assert games[1] == games[0]
+    game = games[0]
     assert game.name == "g"
+    assert [e.id for e in game.events] == [0, 1]
+    assert [c.id for c in game.comments] == [0, 1]
     assert [e.time_ms for e in game.events] == [10000, 12000]
     assert mrl.serialize_mr(game.events[0].mr) == "pass ( pink1 , pink2 )"
     assert game.comments[0].tokens == ("pink1", "passes", "to", "pink2")
@@ -186,6 +178,13 @@ def test_load_errors_name_file_and_line(tmp_path):
     with pytest.raises(FormatError) as err:
         load_corpus(manifest)
     assert err.value.line == 2  # decreasing timestamps
+
+    manifest = _write_game(
+        tmp_path, "5000\tballstopped\n\n1000\tballstopped\n", "11000\ten\thi\n"
+    )
+    with pytest.raises(FormatError) as err:
+        load_corpus(manifest)
+    assert err.value.line == 3  # physical line, blank line included
 
     (tmp_path / "manifest.tsv").write_text("g\tonly-two-fields\n", encoding="utf-8")
     with pytest.raises(FormatError):

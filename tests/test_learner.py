@@ -208,6 +208,24 @@ def test_retrain_igsl_strategies(clean, kind):
     assert metrics.matching_f1(result.matching.event_ids(), gold).f1 == 1.0
 
 
+def test_retrain_runs_igsl_once_per_loop(clean, monkeypatch):
+    _, examples, gold, total = clean
+    calls = []
+    real_igsl = strategic.igsl
+
+    def counting_igsl(*args, **kwargs):
+        calls.append(args)
+        return real_igsl(*args, **kwargs)
+
+    monkeypatch.setattr(strategic, "igsl", counting_igsl)
+    result = learner.retrain_loop(
+        examples, ScoringStrategy("nist_igsl"), total_count=total, gold=gold
+    )
+    assert result.iterations_run > 1
+    assert len(calls) == 1
+    assert result.strategic == real_igsl([ex.example for ex in examples], total)
+
+
 def test_retrain_igsl_requires_totals(clean):
     _, examples, _, _ = clean
     with pytest.raises(learner.MissingStrategicModel):

@@ -22,34 +22,6 @@ def _example(comment_id, *events):
     return AmbiguousExample(comment, tuple(events))
 
 
-def test_estimate_all_matched():
-    events = [("g", _event(i * 1000, f"pass(pink{i + 1},pink{i + 2})", i)) for i in range(4)]
-    model = strategic.estimate_from_matching(events, events)
-    assert model.prob["pass"] == 1.0
-    assert model.total_count["pass"] == 4
-
-
-def test_estimate_three_of_six_turnovers():
-    events = [
-        ("g", _event(i * 1000, f"turnover(pink{i + 1},purple{i + 1})", i))
-        for i in range(6)
-    ]
-    model = strategic.estimate_from_matching([events[0], events[2], events[4]], events)
-    assert model.prob["turnover"] == 0.5
-
-
-def test_estimate_event_matched_twice_counts_once():
-    events = [("g", _event(1000, "kick(pink1)", 0)), ("g", _event(2000, "kick(pink2)", 1))]
-    model = strategic.estimate_from_matching([events[0], events[0]], events)
-    assert model.prob["kick"] == 0.5
-
-
-def test_estimate_unmatched_type_is_zero():
-    events = [("g", _event(1000, "ballstopped", 0))]
-    model = strategic.estimate_from_matching([], events)
-    assert model.prob["ballstopped"] == 0.0
-
-
 def test_igsl_unambiguous_exact_frequencies():
     kicks = [_event(t * 1000, f"kick(pink{t})", t) for t in range(1, 4)]
     passes = [_event(t * 1000, "pass(pink1,pink2)", t) for t in range(4, 6)]
