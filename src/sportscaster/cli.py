@@ -534,13 +534,7 @@ def _load_cli_config(path, sub: _Parser) -> dict:
         if action.dest not in ("help", "config")
     }
     overrides = {}
-    for lineno, line in corpus.read_lines(path):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise corpus.FormatError(str(path), lineno, "expected key = value")
-        key, value = (part.strip() for part in line.split("=", 1))
+    for lineno, key, value in corpus.key_values(corpus.read_lines(path), path):
         if key not in defaults:
             raise corpus.FormatError(str(path), lineno, f"unknown key {key!r}")
         try:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import mrl
 from .mrl import MeaningRepresentation
@@ -24,8 +24,12 @@ DEFAULT_WINDOW_MS = 5000
 
 
 class FormatError(ValueError):
-    def __init__(self, file: str, line: int, reason: str) -> None:
-        super().__init__(f"{file}:{line}: {reason}")
+    """A bad line: `<file>:<line>: <reason>`, or `line <line>: <reason>` for
+    text that came from no file."""
+
+    def __init__(self, file: str | Path | None, line: int, reason: str) -> None:
+        where = f"line {line}" if file is None else f"{file}:{line}"
+        super().__init__(f"{where}: {reason}")
         self.file = file
         self.line = line
         self.reason = reason
@@ -82,6 +86,21 @@ def read_records(path, n: int) -> list[tuple[int, list[str]]]:
         (lineno, split_fields(path, lineno, line, n))
         for lineno, line in read_lines(path)
     ]
+
+
+def key_values(
+    lines: Iterable[tuple[int, str]], path: str | Path | None = None
+) -> Iterator[tuple[int, str, str]]:
+    """(line number, key, value) for each `key = value` line of a settings
+    file; `#` starts a comment, and lines left empty are skipped."""
+    for lineno, line in lines:
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise FormatError(path, lineno, "expected key = value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        yield lineno, key, value
 
 
 @dataclass(frozen=True)

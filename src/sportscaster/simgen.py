@@ -25,9 +25,11 @@ from .corpus import (
     DEFAULT_WINDOW_MS,
     Comment,
     Corpus,
+    FormatError,
     Game,
     GameEvent,
     GoldMatch,
+    key_values,
     make_comment,
     resolve_gold_event,
 )
@@ -359,12 +361,13 @@ class SimulationSpec:
     name_prefix: str = "game"
 
 
-def parse_config(text: str) -> SimulationSpec:
+def parse_config(text: str, path: str | Path | None = None) -> SimulationSpec:
     """Parse a `key = value` configuration; later lines override earlier ones.
 
     `template.<pred>` and `surface.<token>` lines accumulate; the first such
     line for a key replaces that key's default list.  Template and surface
-    values are word sequences, optionally followed by `| weight`.
+    values are word sequences, optionally followed by `| weight`.  A bad line
+    raises FormatError naming `path` (the file the text came from) and line.
     """
     world = default_world()
     profile = default_profile()
@@ -380,60 +383,56 @@ def parse_config(text: str) -> SimulationSpec:
     predicate_names = {p.name for p in mrl.PREDICATES}
     constant_tokens = {c.token for c in mrl.CONSTANTS}
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected key = value")
-        key, value = (part.strip() for part in line.split("=", 1))
-
-        if key == "seed":
-            world_fields["seed"] = int(value)
-        elif key == "duration_ms":
-            world_fields["duration_ms"] = int(value)
-        elif key == "mean_event_gap_ms":
-            world_fields["mean_event_gap_ms"] = int(value)
-        elif key.startswith("weight."):
-            name = key[len("weight."):]
-            if name not in predicate_names:
-                raise ValueError(f"config line {lineno}: unknown predicate {name!r}")
-            weights[name] = float(value)
-        elif key == "commentator_seed":
-            profile_fields["seed"] = int(value)
-        elif key == "language":
-            profile_fields["language"] = value
-        elif key == "superfluous_rate":
-            profile_fields["superfluous_rate"] = float(value)
-        elif key == "lag_ms_min":
-            lo, hi = profile_fields.get("lag_ms_range", profile.lag_ms_range)
-            profile_fields["lag_ms_range"] = (int(value), hi)
-        elif key == "lag_ms_max":
-            lo, hi = profile_fields.get("lag_ms_range", profile.lag_ms_range)
-            profile_fields["lag_ms_range"] = (lo, int(value))
-        elif key == "superfluous_words":
-            profile_fields["superfluous_vocabulary"] = tuple(value.split())
-        elif key.startswith("comment_prob."):
-            name = key[len("comment_prob."):]
-            if name not in predicate_names:
-                raise ValueError(f"config line {lineno}: unknown predicate {name!r}")
-            comment_prob[name] = float(value)
-        elif key.startswith("template.") or key.startswith("surface."):
-            prefix, name = key.split(".", 1)
-            valid = predicate_names if prefix == "template" else constant_tokens
-            if name not in valid:
-                raise ValueError(f"config line {lineno}: unknown {prefix} key {name!r}")
-            words, weight = _parse_weighted_words(value, lineno)
-            if name not in replaced_lexicon_keys:
-                lexicon[name] = []
-                replaced_lexicon_keys.add(name)
-            lexicon[name].append((words, weight))
-        elif key == "games":
-            games = int(value)
-        elif key == "name_prefix":
-            name_prefix = value
-        else:
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
+    for lineno, key, value in key_values(enumerate(text.splitlines(), start=1), path):
+        try:
+            if key == "seed":
+                world_fields["seed"] = int(value)
+            elif key == "duration_ms":
+                world_fields["duration_ms"] = int(value)
+            elif key == "mean_event_gap_ms":
+                world_fields["mean_event_gap_ms"] = int(value)
+            elif key.startswith("weight."):
+                name = key[len("weight."):]
+                if name not in predicate_names:
+                    raise ValueError(f"unknown predicate {name!r}")
+                weights[name] = float(value)
+            elif key == "commentator_seed":
+                profile_fields["seed"] = int(value)
+            elif key == "language":
+                profile_fields["language"] = value
+            elif key == "superfluous_rate":
+                profile_fields["superfluous_rate"] = float(value)
+            elif key == "lag_ms_min":
+                lo, hi = profile_fields.get("lag_ms_range", profile.lag_ms_range)
+                profile_fields["lag_ms_range"] = (int(value), hi)
+            elif key == "lag_ms_max":
+                lo, hi = profile_fields.get("lag_ms_range", profile.lag_ms_range)
+                profile_fields["lag_ms_range"] = (lo, int(value))
+            elif key == "superfluous_words":
+                profile_fields["superfluous_vocabulary"] = tuple(value.split())
+            elif key.startswith("comment_prob."):
+                name = key[len("comment_prob."):]
+                if name not in predicate_names:
+                    raise ValueError(f"unknown predicate {name!r}")
+                comment_prob[name] = float(value)
+            elif key.startswith("template.") or key.startswith("surface."):
+                prefix, name = key.split(".", 1)
+                valid = predicate_names if prefix == "template" else constant_tokens
+                if name not in valid:
+                    raise ValueError(f"unknown {prefix} key {name!r}")
+                words, weight = _parse_weighted_words(value)
+                if name not in replaced_lexicon_keys:
+                    lexicon[name] = []
+                    replaced_lexicon_keys.add(name)
+                lexicon[name].append((words, weight))
+            elif key == "games":
+                games = int(value)
+            elif key == "name_prefix":
+                name_prefix = value
+            else:
+                raise ValueError(f"unknown key {key!r}")
+        except ValueError as err:
+            raise FormatError(path, lineno, str(err)) from None
 
     world = replace(world, event_type_weights=weights, **world_fields)
     profile = replace(
@@ -442,20 +441,20 @@ def parse_config(text: str) -> SimulationSpec:
     return SimulationSpec(world, profile, games, name_prefix)
 
 
-def _parse_weighted_words(value: str, lineno: int) -> Template:
+def _parse_weighted_words(value: str) -> Template:
     if "|" in value:
         words_part, weight_part = value.rsplit("|", 1)
         try:
             weight = float(weight_part)
         except ValueError:
-            raise ValueError(f"config line {lineno}: bad weight {weight_part!r}") from None
+            raise ValueError(f"bad weight {weight_part!r}") from None
     else:
         words_part, weight = value, 1.0
     words = tuple(words_part.split())
     if not words:
-        raise ValueError(f"config line {lineno}: empty phrase")
+        raise ValueError("empty phrase")
     return words, weight
 
 
 def load_config(path: str | Path) -> SimulationSpec:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    return parse_config(Path(path).read_text(encoding="utf-8"), path)

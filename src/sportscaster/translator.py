@@ -13,7 +13,9 @@ The model is a bundle of three independently trained parts:
 
 Parsing ranks candidate MRs by the per-token-normalized Model-1 likelihood;
 generation instantiates templates and ranks by the noisy-channel product
-(LM probability times template and realization weights).
+(LM probability times template and realization weights).  It searches the
+template/realization combinations best-first under an upper bound that
+factors per slot, and scores only those that can still reach the top k.
 
 Scoring is implemented once, vectorized over candidates; score_pair is the
 single-candidate view of the same arithmetic, so restricted and full-space
@@ -22,13 +24,14 @@ rankings can never disagree.
 
 from __future__ import annotations
 
-import itertools
+import heapq
 import math
 import re
+import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -91,6 +94,14 @@ class TemplateLexicon:
 class LanguageModel:
     counts: dict[tuple[str, ...], Counter] = field(default_factory=dict)
     vocabulary: frozenset[str] = frozenset()
+    # Derived from counts and vocabulary by _index: the count total of each
+    # context, and each word's largest probability over all contexts.
+    totals: dict[tuple[str, ...], int] = field(init=False, repr=False, compare=False)
+    ceilings: dict[str, float] = field(init=False, repr=False, compare=False)
+    unseen: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._index()
 
     def fit(self, sentences: Iterable[Tokens]) -> "LanguageModel":
         words: set[str] = set()
@@ -101,12 +112,24 @@ class LanguageModel:
                 context = tuple(padded[i - LM_ORDER + 1 : i])
                 self.counts.setdefault(context, Counter())[padded[i]] += 1
         self.vocabulary = frozenset(words)
+        self._index()
         return self
+
+    def _index(self) -> None:
+        self.totals = {context: sum(bucket.values()) for context, bucket in self.counts.items()}
+        # probability() of any word in a context with no counts.
+        self.unseen = LM_K / (LM_K * (len(self.vocabulary) + 1))
+        self.ceilings = {}
+        for context, bucket in self.counts.items():
+            for word in bucket:
+                p = self.probability(word, context)
+                if p > self.ceilings.get(word, self.unseen):
+                    self.ceilings[word] = p
 
     def probability(self, word: str, context: tuple[str, ...]) -> float:
         bucket = self.counts.get(context)
         seen = bucket[word] if bucket else 0
-        total = sum(bucket.values()) if bucket else 0
+        total = self.totals.get(context, 0)
         return (seen + LM_K) / (total + LM_K * (len(self.vocabulary) + 1))
 
     def sentence_logprob(self, tokens: Tokens) -> float:
@@ -328,48 +351,139 @@ def parse_sentence(
     return [(mrs[i], scores[i]) for i in order]
 
 
-def _slot_positions(template: tuple[str, ...]) -> list[int]:
-    positions = []
-    for item in template:
-        match = _SLOT_RE.match(item)
-        if match:
-            positions.append(int(match.group(1)))
-    return positions
+@lru_cache(maxsize=1 << 16)
+def _template_items(
+    template: tuple[str, ...],
+) -> tuple[tuple[str | int, ...], tuple[int, ...], tuple[str, ...]]:
+    """The template with each "<i>" slot marker replaced by the int i, its
+    slot positions in order, and its literal tokens."""
+    items = tuple(
+        int(match.group(1)) if (match := _SLOT_RE.match(item)) else item
+        for item in template
+    )
+    slots = tuple(item for item in items if isinstance(item, int))
+    literals = tuple(item for item in items if not isinstance(item, int))
+    return items, slots, literals
+
+
+# Relative slack on the generation bound.  The bound is a product of
+# ceilings, the score exp(sum of logs) times a product of weights; the two
+# roundings differ by about 1e-12 relative at most (eps times the number of
+# terms and the size of the log sum), far inside this.
+_BOUND_SLACK = 1.0 + 1e-9
+# Below the smallest normal float rounding is no longer relative, so a k-th
+# best score under this prunes nothing.
+_PRUNE_FLOOR = sys.float_info.min
+
+
+class _Plan(NamedTuple):
+    """One template of a generate_topk call, ready for the search."""
+
+    items: tuple[str | int, ...]
+    weight: float
+    part: float  # template weight x ceilings of the literal tokens and </s>
+    slots: tuple[int, ...]
+    choices: list[list[tuple[float, tuple[str, ...], float]]]  # per slot
+
+    def bound(self, indices: tuple[int, ...]) -> float:
+        value = self.part
+        for options, i in zip(self.choices, indices):
+            value *= options[i][0]
+        return value
 
 
 def generate_topk(
     mr: mrl.MeaningRepresentation, model: TranslationModel, k: int = 5
 ) -> list[tuple[tuple[str, ...], float]]:
-    """Noisy-channel generation: all template/realization combos, best k."""
+    """Noisy-channel generation: the k best template/realization combinations.
+
+    A combination scores LM probability x template weight x realization
+    weights, ranked by (-score, tokens); two combinations that realize the
+    same sentence are both kept.  Its upper bound takes each token's LM
+    probability at the token's ceiling over all contexts, so it factors into
+    a template part (weight, literal tokens, </s>) and one part per slot
+    (realization weight, realization tokens).  A best-first search over each
+    template's slot choices, sorted by their part (Huang & Chiang, 2005),
+    pops combinations in bound order and scores them until the best bound
+    left, with _BOUND_SLACK, is below the k-th best score: no combination
+    left can then reach the top k, so the result is that of scoring all.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     templates = model.lexicon.templates.get(mr.predicate.name)
     if not templates:
         raise NoTemplate(mr.predicate.name)
-    scored: list[tuple[tuple[str, ...], float]] = []
-    for template, template_weight in sorted(templates.items()):
-        slots = _slot_positions(template)
-        choices = []
-        for position in slots:
+    lm = model.lm
+    ceilings, unseen = lm.ceilings, lm.unseen
+    ranked: dict[tuple[int, bool], list[tuple[float, tuple[str, ...], float]]] = {}
+
+    def choices(position: int, with_tokens: bool):
+        """(bound part, tokens, weight) per realization, best part first."""
+        if (position, with_tokens) not in ranked:
             constant = mr.args[position - 1].token
             realizations = model.lexicon.realizations.get(constant)
             if not realizations:
                 realizations = {(constant,): 1.0}  # unseen constant: its own token
-            choices.append(sorted(realizations.items()))
-        for combo in itertools.product(*choices):
-            by_position = dict(zip(slots, combo))
-            realized: list[str] = []
-            for item in template:
-                match = _SLOT_RE.match(item)
-                if match:
-                    realized.extend(by_position[int(match.group(1))][0])
-                else:
-                    realized.append(item)
-            weight = template_weight
-            for _, realization_weight in combo:
-                weight *= realization_weight
-            score = model.lm.sentence_prob(realized) * weight
-            scored.append((tuple(realized), score))
+            options = []
+            for tokens, weight in realizations.items():
+                part = weight
+                if with_tokens:
+                    for token in tokens:
+                        part *= ceilings.get(token, unseen)
+                options.append((part, tokens, weight))
+            options.sort(key=lambda option: (-option[0], option[1]))
+            ranked[position, with_tokens] = options
+        return ranked[position, with_tokens]
+
+    plans = []
+    frontier = []  # (-bound, plan number, choice index per slot)
+    for template, template_weight in templates.items():
+        items, slots, literals = _template_items(template)
+        part = template_weight
+        for token in literals:
+            part *= ceilings.get(token, unseen)
+        part *= ceilings.get(_END, unseen)
+        # A position filled twice realizes one choice twice; its realization
+        # tokens are then left out of the bound (every ceiling is <= 1).
+        distinct = len(set(slots)) == len(slots)
+        plan = _Plan(items, template_weight, part, slots, [choices(p, distinct) for p in slots])
+        indices = (0,) * len(slots)
+        frontier.append((-plan.bound(indices), len(plans), indices))
+        plans.append(plan)
+    heapq.heapify(frontier)
+
+    scored: list[tuple[tuple[str, ...], float]] = []
+    best: list[float] = []  # min-heap of the k best scores so far
+    while frontier:
+        negated, number, indices = frontier[0]
+        if len(best) == k and best[0] >= _PRUNE_FLOOR and -negated * _BOUND_SLACK < best[0]:
+            break
+        heapq.heappop(frontier)
+        plan = plans[number]
+        chosen = {}
+        weight = plan.weight
+        for position, options, i in zip(plan.slots, plan.choices, indices):
+            chosen[position] = options[i][1]
+            weight *= options[i][2]
+        realized: list[str] = []
+        for item in plan.items:
+            if isinstance(item, int):
+                realized.extend(chosen[item])
+            else:
+                realized.append(item)
+        score = lm.sentence_prob(realized) * weight
+        scored.append((tuple(realized), score))
+        if len(best) < k:
+            heapq.heappush(best, score)
+        else:
+            heapq.heappushpop(best, score)
+        # Successors increment one slot at or after the last incremented one,
+        # so each index vector is reached from exactly one parent.
+        last = max((s for s, i in enumerate(indices) if i), default=0)
+        for s in range(last, len(indices)):
+            if indices[s] + 1 < len(plan.choices[s]):
+                successor = indices[:s] + (indices[s] + 1,) + indices[s + 1 :]
+                heapq.heappush(frontier, (-plan.bound(successor), number, successor))
     scored.sort(key=lambda item: (-item[1], item[0]))
     return scored[:k]
 

@@ -240,6 +240,21 @@ def test_exit_codes():
     assert run(["--help"]) == 0
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("seed = abc\n", "sim.cfg:1:"),
+        ("games = 2\nduration_ms = 10x\n", "sim.cfg:2:"),
+    ],
+)
+def test_simulate_config_value_names_file_and_line(tmp_path, capsys, text, where):
+    config = tmp_path / "sim.cfg"
+    config.write_text(text)
+    rc = run(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert where in capsys.readouterr().err
+
+
 def test_data_error_names_file_and_line(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("kick ( pink1\n")

@@ -1,13 +1,15 @@
 """Alignment EM, template extraction, scoring, generation, serialization."""
 
+import itertools
 import math
 from collections import defaultdict
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sportscaster import mrl, translator
+from sportscaster import corpus, learner, mrl, simgen, translator
 
 
 def _mr(text):
@@ -298,6 +300,38 @@ def test_template_weight_rescale_keeps_rankings():
     assert base == rescaled
 
 
+def test_lm_context_totals_follow_a_second_fit():
+    lm = translator.LanguageModel().fit([["a", "b"]])
+    lm.fit([["a", "c"], ["b"]])
+    smoothing = translator.LM_K * (len(lm.vocabulary) + 1)
+    for context, bucket in lm.counts.items():
+        for word in set(lm.vocabulary) | {"</s>"}:
+            expected = (bucket[word] + translator.LM_K) / (sum(bucket.values()) + smoothing)
+            assert lm.probability(word, context) == expected
+
+
+def test_lm_probability_survives_save_load(tmp_path):
+    model = translator.train(_sharp_pairs())
+    path = tmp_path / "model.tsv"
+    translator.save_model(model, path)
+    loaded = translator.load_model(path).lm
+    words = set(model.lm.vocabulary) | {"</s>", "unseen"}
+    contexts = list(model.lm.counts) + [("never", "seen")]
+    for context in contexts:
+        for word in words:
+            assert loaded.probability(word, context) == model.lm.probability(word, context)
+    assert loaded.ceilings == model.lm.ceilings
+    assert loaded.unseen == model.lm.unseen
+
+
+def test_lm_ceilings_bound_every_context():
+    lm = translator.train(_sharp_pairs()).lm
+    words = set(lm.vocabulary) | {"</s>", "unseen"}
+    for context in list(lm.counts) + [("never", "seen")]:
+        for word in words:
+            assert lm.probability(word, context) <= lm.ceilings.get(word, lm.unseen)
+
+
 def test_save_load_round_trip(tmp_path):
     model = translator.train(_sharp_pairs())
     path = tmp_path / "model.tsv"
@@ -356,3 +390,202 @@ def test_alignment_properties_hold_on_random_corpora(raw_pairs):
 @given(_corpora)
 def test_train_alignment_matches_dict_reference_on_random_corpora(raw_pairs):
     _assert_matches_reference([(tokens, _mr(text)) for tokens, text in raw_pairs])
+
+
+def _reference_generate_topk(mr, model, k=5):
+    """Exhaustive generation: score every template/realization combination."""
+    templates = model.lexicon.templates.get(mr.predicate.name)
+    if not templates:
+        raise translator.NoTemplate(mr.predicate.name)
+    scored = []
+    for template, template_weight in sorted(templates.items()):
+        slots = [int(item[1:-1]) for item in template if translator._SLOT_RE.match(item)]
+        choices = []
+        for position in slots:
+            constant = mr.args[position - 1].token
+            realizations = model.lexicon.realizations.get(constant)
+            if not realizations:
+                realizations = {(constant,): 1.0}
+            choices.append(sorted(realizations.items()))
+        for combo in itertools.product(*choices):
+            by_position = dict(zip(slots, combo))
+            realized = []
+            for item in template:
+                if translator._SLOT_RE.match(item):
+                    realized.extend(by_position[int(item[1:-1])][0])
+                else:
+                    realized.append(item)
+            weight = template_weight
+            for _, realization_weight in combo:
+                weight *= realization_weight
+            score = model.lm.sentence_prob(realized) * weight
+            scored.append((tuple(realized), score))
+    scored.sort(key=lambda item: (-item[1], item[0]))
+    return scored[:k]
+
+
+_KS = (1, 2, 5, 50)
+
+
+def _assert_generation_matches_reference(mr, model):
+    try:
+        every = _reference_generate_topk(mr, model, k=10**9)
+    except translator.NoTemplate:
+        with pytest.raises(translator.NoTemplate):
+            translator.generate_topk(mr, model, 1)
+        return
+    for k in _KS:
+        assert translator.generate_topk(mr, model, k) == every[:k], (mr, k)
+
+
+_POOL = ["kick(pink1)", "ballstopped", "pass(pink1,pink2)", "playmode(goal_l)",
+         "pass(pink1,pink1)", "pass(pink2,pink1)", "kick(purple7)", "steal(purple4)"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(_corpora)
+def test_generate_topk_matches_exhaustive_reference_on_random_corpora(raw_pairs):
+    model = translator.train([(tokens, _mr(text)) for tokens, text in raw_pairs], 3)
+    for text in _POOL:
+        _assert_generation_matches_reference(_mr(text), model)
+
+
+@pytest.fixture(scope="module")
+def noisy_model():
+    """The iteration-0 model of an 8-game simulated family: trained on every
+    (comment, candidate event) pair, 112 ballstopped templates; with the MRs
+    of its candidate events."""
+    world = replace(simgen.default_world(), seed=0)
+    profile = replace(simgen.default_profile(), seed=1000, superfluous_rate=1 / 9)
+    games = simgen.simulate_corpus(world, profile, 8).games
+    examples = corpus.pooled_examples(games)
+    model = translator.train(learner.initial_training_set(examples))
+    mrs = {c.mr for ex in examples for c in ex.example.candidates}
+    return model, sorted(mrs, key=mrl.serialize_mr)
+
+
+def test_generate_topk_matches_exhaustive_reference_on_noisy_model(noisy_model):
+    model, mrs = noisy_model
+    assert max(len(t) for t in model.lexicon.templates.values()) >= 100
+    for mr in mrs:
+        _assert_generation_matches_reference(mr, model)
+
+
+def _lexicon_model(templates, realizations, lm):
+    return translator.TranslationModel(
+        alignment=translator.AlignmentModel(
+            t=np.zeros((len(translator._COLUMN_KEYS), 0)), vocabulary=()
+        ),
+        lexicon=translator.TemplateLexicon(templates, realizations),
+        lm=lm,
+    )
+
+
+def _tied_model(lm):
+    """Templates and realizations whose combinations tie in score, and two
+    combinations that realize the same sentence with the same score."""
+    return _lexicon_model(
+        {
+            "kick": {
+                ("<1>", "keeper", "kicks"): 0.25,
+                ("<1>", "kicks"): 0.25,
+                ("<1>", "boots"): 0.25,
+                ("<1>", "to", "<1>"): 0.25,
+            },
+            "pass": {
+                ("<1>", "to", "<2>"): 0.5,
+                ("<2>", "from", "<1>"): 0.5,
+            },
+            "ballstopped": {("the", "ball", "stops"): 0.5, ("ball", "stops"): 0.5},
+        },
+        {
+            "pink1": {("the",): 0.5, ("the", "keeper"): 0.5},
+            "pink2": {("a",): 0.5, ("b",): 0.5},
+        },
+        lm,
+    )
+
+
+@pytest.mark.parametrize(
+    "lm",
+    [
+        translator.LanguageModel(),  # every probability is 1: scores are weights
+        translator.LanguageModel().fit([["the", "keeper", "kicks"], ["a", "to", "b"]]),
+    ],
+    ids=["flat", "fitted"],
+)
+def test_generate_topk_keeps_ties_and_duplicates(lm):
+    model = _tied_model(lm)
+    for text in ["kick(pink1)", "kick(purple7)", "pass(pink1,pink2)",
+                 "pass(pink2,pink2)", "ballstopped"]:
+        _assert_generation_matches_reference(_mr(text), model)
+    top = translator.generate_topk(_mr("kick(pink1)"), model, 50)
+    assert [tokens for tokens, _ in top].count(("the", "keeper", "kicks")) == 2
+    assert len({score for _, score in top}) < len(top)
+
+
+def test_generate_topk_with_a_position_filled_twice():
+    """A template that names a slot twice realizes the last choice in both
+    places but multiplies in both choices' weights; the first choice's
+    tokens are not in the sentence, so they cannot count in the bound."""
+    model = _lexicon_model(
+        {"block": {("<1>", "to", "<1>"): 1.0, ("the", "to", "the"): 0.05}},
+        {"pink3": {("zz",): 0.9, ("the",): 0.1}},
+        translator.LanguageModel().fit([["the", "to", "the"]] * 5),
+    )
+    _assert_generation_matches_reference(_mr("block(pink3)"), model)
+    ((tokens, score),) = translator.generate_topk(_mr("block(pink3)"), model, 1)
+    assert tokens == ("the", "to", "the")
+    assert score == pytest.approx(0.09, rel=0.05)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_corpora)
+def test_generation_bound_is_admissible(raw_pairs):
+    """Every combination of a learned lexicon scores at most its bound, both
+    multiplied out in generate_topk's order."""
+    model = translator.train([(tokens, _mr(text)) for tokens, text in raw_pairs], 3)
+    lm = model.lm
+
+    def times_ceilings(value, tokens):
+        for token in tokens:
+            value *= lm.ceilings.get(token, lm.unseen)
+        return value
+
+    for text in _POOL:
+        mr = _mr(text)
+        for template, weight in model.lexicon.templates.get(mr.predicate.name, {}).items():
+            items, slots, literals = translator._template_items(template)
+            part = times_ceilings(times_ceilings(weight, literals), ["</s>"])
+            choices = []
+            for position in slots:
+                constant = mr.args[position - 1].token
+                realizations = model.lexicon.realizations.get(constant) or {(constant,): 1.0}
+                choices.append(list(realizations.items()))
+            for combo in itertools.product(*choices):
+                chosen = dict(zip(slots, combo))
+                realized = []
+                for item in items:
+                    realized.extend(chosen[item][0] if isinstance(item, int) else [item])
+                combined, bound = weight, part
+                for tokens, realization_weight in combo:
+                    combined *= realization_weight
+                    bound *= times_ceilings(realization_weight, tokens)
+                score = lm.sentence_prob(realized) * combined
+                assert score <= bound * translator._BOUND_SLACK
+
+
+def test_generate_topk_scores_fewer_than_every_combination(noisy_model, monkeypatch):
+    model, _ = noisy_model
+    mr = _mr("ballstopped")
+    combinations = len(_reference_generate_topk(mr, model, k=10**9))
+    calls = []
+    sentence_prob = translator.LanguageModel.sentence_prob
+
+    def counting(self, tokens):
+        calls.append(tokens)
+        return sentence_prob(self, tokens)
+
+    monkeypatch.setattr(translator.LanguageModel, "sentence_prob", counting)
+    translator.generate_topk(mr, model, 1)
+    assert 0 < len(calls) < combinations
