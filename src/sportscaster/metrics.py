@@ -100,18 +100,39 @@ def parsing_f1(
 
     Precision counts only emitted (non-abstaining) parses; recall counts all
     gold-bearing comments, so abstentions cost recall but not precision.
+    The counts also sort every gold-bearing comment into exactly one of
+    correct, argument_permutation (the gold's predicate and arguments in
+    another order), wrong_arguments (the gold's predicate), wrong_predicate
+    and abstained, and count chatter_parsed: comments whose gold is None
+    that still got a parse.
     """
     gold = {k: v for k, v in gold_mrs.items() if v is not None}
     emitted = {k: v for k, v in parses.items() if k in gold and v is not None}
-    correct = sum(1 for k, v in emitted.items() if v == gold[k])
-    p, r, f = _prf(correct, len(emitted), len(gold))
-    return EvalReport(
-        task="parsing",
-        precision=p,
-        recall=r,
-        f1=f,
-        counts={"correct": correct, "emitted": len(emitted), "gold": len(gold)},
+    outcomes = Counter(_parse_outcome(v, gold[k]) for k, v in emitted.items())
+    p, r, f = _prf(outcomes["correct"], len(emitted), len(gold))
+    counts = {name: outcomes[name] for name in _EMITTED_OUTCOMES}
+    counts.update(
+        abstained=len(gold) - len(emitted),
+        chatter_parsed=sum(
+            1 for k, v in gold_mrs.items() if v is None and parses.get(k) is not None
+        ),
+        emitted=len(emitted),
+        gold=len(gold),
     )
+    return EvalReport(task="parsing", precision=p, recall=r, f1=f, counts=counts)
+
+
+_EMITTED_OUTCOMES = ("correct", "argument_permutation", "wrong_arguments", "wrong_predicate")
+
+
+def _parse_outcome(parse: mrl.MeaningRepresentation, gold: mrl.MeaningRepresentation) -> str:
+    if parse == gold:
+        return "correct"
+    if parse.predicate != gold.predicate:
+        return "wrong_predicate"
+    if sorted(a.token for a in parse.args) == sorted(a.token for a in gold.args):
+        return "argument_permutation"
+    return "wrong_arguments"
 
 
 def _ngram_counts(tokens: Tokens, n: int) -> Counter:

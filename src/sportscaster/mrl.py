@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 PLAYER = "PLAYER"
 PLAYMODE = "PLAYMODE"
@@ -68,6 +68,16 @@ class MeaningRepresentation:
                     f"arg {position + 1} of {self.predicate.name} must be "
                     f"{sort}, got {arg.sort} ({arg.token})"
                 )
+
+    @cached_property
+    def surface(self) -> str:
+        """Canonical surface form: ``pred ( a1 , a2 )``, or bare ``pred`` at
+        arity 0.  Built on first use and kept in the instance ``__dict__``;
+        equality and hashing stay on the fields."""
+        if not self.args:
+            return self.predicate.name
+        inner = " , ".join(a.token for a in self.args)
+        return f"{self.predicate.name} ( {inner} )"
 
 
 class MalformedMR(ValueError):
@@ -155,11 +165,11 @@ def production_by_key(key: str) -> Production:
 
 
 def serialize_mr(mr: MeaningRepresentation) -> str:
-    """Canonical surface form: ``pred ( a1 , a2 )``, or bare ``pred`` at arity 0."""
-    if not mr.args:
-        return mr.predicate.name
-    inner = " , ".join(a.token for a in mr.args)
-    return f"{mr.predicate.name} ( {inner} )"
+    """Canonical surface form: ``pred ( a1 , a2 )``, or bare ``pred`` at arity 0.
+
+    Built once per MR object (MeaningRepresentation.surface), so the shared
+    enumerate_mrs() objects pay for it once per process."""
+    return mr.surface
 
 
 def parse_mr(text: str) -> MeaningRepresentation:

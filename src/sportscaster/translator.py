@@ -9,9 +9,13 @@ The model is a bundle of three independently trained parts:
   * TemplateLexicon: per-predicate sentence templates with numbered argument
     slots, plus per-constant surface realizations, both read off the trained
     alignment by argmax assignment.
-  * LanguageModel: an add-k trigram model over the training sentences.
+  * LanguageModel: an add-k trigram model over the training sentences.  When
+    it is fit or loaded it tabulates the log-probability of every seen
+    n-gram, one floor per seen context and one for unseen contexts, so
+    scoring a sentence adds up table entries.
 
-Parsing ranks candidate MRs by the per-token-normalized Model-1 likelihood;
+Parsing ranks candidate MRs by the per-token-normalized Model-1 likelihood,
+ties broken by canonical surface form (serialize_mr, built once per MR);
 generation instantiates templates and ranks by the noisy-channel product
 (LM probability times template and realization weights).  It searches the
 template/realization combinations best-first under an upper bound that
@@ -95,15 +99,22 @@ class LanguageModel:
     counts: dict[tuple[str, ...], Counter] = field(default_factory=dict)
     vocabulary: frozenset[str] = frozenset()
     # Derived from counts and vocabulary by _index: the count total of each
-    # context, and each word's largest probability over all contexts.
+    # context, each word's largest probability over all contexts, and the
+    # log-probability tables sentence_logprob reads: one entry per seen
+    # (context..., word) n-gram, one floor per seen context for its unseen
+    # words, and log_unseen for a context with no counts.
     totals: dict[tuple[str, ...], int] = field(init=False, repr=False, compare=False)
     ceilings: dict[str, float] = field(init=False, repr=False, compare=False)
     unseen: float = field(init=False, repr=False, compare=False)
+    log_grams: dict[tuple[str, ...], float] = field(init=False, repr=False, compare=False)
+    log_floors: dict[tuple[str, ...], float] = field(init=False, repr=False, compare=False)
+    log_unseen: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._index()
 
     def fit(self, sentences: Iterable[Tokens]) -> "LanguageModel":
+        """Add the sentences' n-gram counts; the vocabulary grows by their words."""
         words: set[str] = set()
         for sentence in sentences:
             words.update(sentence)
@@ -111,18 +122,23 @@ class LanguageModel:
             for i in range(LM_ORDER - 1, len(padded)):
                 context = tuple(padded[i - LM_ORDER + 1 : i])
                 self.counts.setdefault(context, Counter())[padded[i]] += 1
-        self.vocabulary = frozenset(words)
+        self.vocabulary = self.vocabulary | words
         self._index()
         return self
 
     def _index(self) -> None:
         self.totals = {context: sum(bucket.values()) for context, bucket in self.counts.items()}
+        smoothing = LM_K * (len(self.vocabulary) + 1)
         # probability() of any word in a context with no counts.
-        self.unseen = LM_K / (LM_K * (len(self.vocabulary) + 1))
-        self.ceilings = {}
+        self.unseen = LM_K / smoothing
+        self.log_unseen = math.log(self.unseen)
+        self.ceilings, self.log_grams, self.log_floors = {}, {}, {}
         for context, bucket in self.counts.items():
+            # probability() of a word this context has not seen.
+            self.log_floors[context] = math.log(LM_K / (self.totals[context] + smoothing))
             for word in bucket:
                 p = self.probability(word, context)
+                self.log_grams[context + (word,)] = math.log(p)
                 if p > self.ceilings.get(word, self.unseen):
                     self.ceilings[word] = p
 
@@ -133,10 +149,13 @@ class LanguageModel:
         return (seen + LM_K) / (total + LM_K * (len(self.vocabulary) + 1))
 
     def sentence_logprob(self, tokens: Tokens) -> float:
+        """Sum of log probability() over the padded sentence, read from the
+        tables _index builds and added left to right."""
         padded = [_START] * (LM_ORDER - 1) + list(tokens) + [_END]
+        grams, floors, unseen = self.log_grams, self.log_floors, self.log_unseen
         return sum(
-            math.log(self.probability(padded[i], tuple(padded[i - LM_ORDER + 1 : i])))
-            for i in range(LM_ORDER - 1, len(padded))
+            grams[gram] if gram in grams else floors.get(gram[:-1], unseen)
+            for gram in zip(*(padded[i:] for i in range(LM_ORDER)))
         )
 
     def sentence_prob(self, tokens: Tokens) -> float:
@@ -338,6 +357,9 @@ def parse_sentence(
 ) -> list[tuple[mrl.MeaningRepresentation, float]]:
     """Rank candidate MRs (the full space when none are given), or abstain.
 
+    The order is (-score, serialize_mr); candidates equal on both, such as
+    a repeated MR, keep their input order.
+
     Abstention: an empty result whenever even the best candidate scores at
     the all-NULL floor, i.e. the sentence shares nothing with the model.
     """
@@ -347,7 +369,11 @@ def parse_sentence(
     scores = score_candidates(tokens, mrs, model)
     if max(scores) <= null_floor(model) * (1.0 + 1e-9):
         return []
-    order = sorted(range(len(mrs)), key=lambda i: (-scores[i], mrl.serialize_mr(mrs[i])))
+    # Two stable sorts, the secondary key first, each keyed by a C-level
+    # list lookup.
+    surfaces = [mrl.serialize_mr(mr) for mr in mrs]
+    order = sorted(range(len(mrs)), key=surfaces.__getitem__)
+    order.sort(key=scores.__getitem__, reverse=True)
     return [(mrs[i], scores[i]) for i in order]
 
 
@@ -489,6 +515,25 @@ def generate_topk(
 
 
 _SECTION_FIELDS = {"alignment": 3, "templates": 4, "lm": 3}
+_ARITY = {p.name: p.arity for p in mrl.PREDICATES}
+
+
+def _check_template(predicate: str, template: tuple[str, ...]) -> None:
+    """Raise ValueError unless the template belongs to a grammar predicate and
+    names each of its slots <1>..<arity> exactly once, as every template
+    extract_templates keeps does."""
+    if predicate not in _ARITY:
+        raise ValueError(f"unknown predicate {predicate!r}")
+    arity = _ARITY[predicate]
+    _, slots, _ = _template_items(template)
+    for slot in slots:
+        if not 1 <= slot <= arity:
+            raise ValueError(f"slot <{slot}> outside 1..{arity} for {predicate}")
+        if slots.count(slot) > 1:
+            raise ValueError(f"slot <{slot}> named twice")
+    for slot in range(1, arity + 1):
+        if slot not in slots:
+            raise ValueError(f"missing slot <{slot}>")
 
 
 def save_model(model: TranslationModel, path) -> None:
@@ -534,8 +579,13 @@ def load_model(path) -> TranslationModel:
                 entries.append((_COLUMN_INDEX[key], word, float(prob)))
             elif section == "templates":
                 kind, name, weight, body = fields
+                items = tuple(body.split(" "))
+                if kind == "S":
+                    _check_template(name, items)
+                elif kind != "C":
+                    raise ValueError(f"unknown line kind {kind!r}, expected S or C")
                 target = templates if kind == "S" else realizations
-                target.setdefault(name, {})[tuple(body.split(" "))] = float(weight)
+                target.setdefault(name, {})[items] = float(weight)
             else:
                 context, word, count = fields
                 bucket = counts.setdefault(tuple(context.split(" ")), Counter())

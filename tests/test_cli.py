@@ -221,6 +221,9 @@ def test_evaluate_reports(corpus_dir, train_dir, tmp_path):
     assert "\nf1\t" in matching
     parsing = (out / "report_parsing.tsv").read_text()
     assert parsing.startswith("task\tparsing\n")
+    for name in ("argument_permutation", "wrong_arguments", "wrong_predicate",
+                 "abstained", "chatter_parsed"):
+        assert f"\ncount.{name}\t" in parsing
     generation = (out / "report_generation.tsv").read_text()
     assert "bleu\t" in generation and "nist\t" in generation
     jout = tmp_path / "evalj"
@@ -274,6 +277,12 @@ def test_data_error_names_file_and_line(tmp_path, capsys):
         (2, "pink1\tpink1\thalf"),          # non-numeric probability
         (6, "x\tpink1\tmany"),              # non-numeric LM count
         (1, "pink1\tpink1\t0.5"),           # line outside any section
+        (4, "S\tkick\t1\t<2> kicks"),       # slot outside 1..arity
+        (4, "S\tkick\t1\t<0> kicks"),       # slot outside 1..arity
+        (4, "S\tpass\t1\t<1> to <1>"),      # slot named twice
+        (4, "S\tpass\t1\t<1> passes"),      # missing slot
+        (4, "X\tkick\t1\t<1> kicks"),       # line kind other than S/C
+        (4, "S\tdribble\t1\t<1> dribbles"), # predicate not in the grammar
     ],
 )
 def test_malformed_model_names_file_and_line(tmp_path, capsys, line, bad):

@@ -77,6 +77,46 @@ def test_parsing_ignores_comments_without_gold():
     assert report.f1 == 1.0
 
 
+def test_parsing_error_breakdown_counts_every_category():
+    mr = mrl.parse_mr
+    gold = {
+        0: mr("pass(pink1,pink2)"),   # correct
+        1: mr("pass(pink1,pink2)"),   # argument permutation
+        2: mr("turnover(pink1,purple2)"),  # wrong arguments, reordered too
+        3: mr("kick(pink3)"),         # wrong arguments
+        4: mr("kick(pink3)"),         # wrong predicate
+        5: mr("ballstopped"),         # abstained
+        6: mr("steal(pink4)"),        # abstained: no entry at all
+        7: None,                      # chatter parsed
+        8: None,                      # chatter, abstained
+    }
+    parses = {
+        0: mr("pass(pink1,pink2)"),
+        1: mr("pass(pink2,pink1)"),
+        2: mr("turnover(purple2,pink2)"),
+        3: mr("kick(pink4)"),
+        4: mr("block(pink3)"),
+        5: None,
+        7: mr("kick(pink1)"),
+        8: None,
+        99: mr("ballstopped"),        # not a comment of the gold set
+    }
+    counts = metrics.parsing_f1(parses, gold).counts
+    assert counts == {
+        "correct": 1,
+        "argument_permutation": 1,
+        "wrong_arguments": 2,
+        "wrong_predicate": 1,
+        "abstained": 2,
+        "chatter_parsed": 1,
+        "emitted": 5,
+        "gold": 7,
+    }
+    tsv = metrics.report_to_tsv(metrics.parsing_f1(parses, gold))
+    assert "count.argument_permutation\t1\n" in tsv
+    assert "count.chatter_parsed\t1\n" in tsv
+
+
 def test_bleu_identity():
     segments = [("a b c d e".split(), ["a b c d e".split()])]
     assert metrics.bleu_document(segments) == pytest.approx(1.0)

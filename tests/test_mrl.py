@@ -99,6 +99,28 @@ def test_serialize_canonical_forms():
     assert serialize_mr(parse_mr(" ballstopped ")) == "ballstopped"
 
 
+def _reference_serialize_mr(mr):
+    """The surface form built from the fields on every call."""
+    if not mr.args:
+        return mr.predicate.name
+    inner = " , ".join(a.token for a in mr.args)
+    return f"{mr.predicate.name} ( {inner} )"
+
+
+def test_cached_surface_equals_the_join_and_leaves_eq_and_hash_alone():
+    for mr in enumerate_mrs():
+        expected = _reference_serialize_mr(mr)
+        assert serialize_mr(mr) == expected
+        copy = parse_mr(expected)
+        assert copy is not mr and "surface" not in vars(copy)
+        hashed = hash(copy)
+        assert copy == mr
+        assert serialize_mr(copy) == expected
+        assert "surface" in vars(copy)
+        assert hash(copy) == hashed == hash(mr)
+        assert copy == mr and copy == parse_mr(expected)
+
+
 def test_constructor_validates_arity_and_sort():
     kick = mrl.PREDICATES[3]
     pink1 = next(c for c in mrl.CONSTANTS if c.token == "pink1")

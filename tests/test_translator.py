@@ -2,8 +2,10 @@
 
 import itertools
 import math
+import tempfile
 from collections import defaultdict
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,6 +326,24 @@ def test_lm_probability_survives_save_load(tmp_path):
     assert loaded.unseen == model.lm.unseen
 
 
+def test_lm_refit_survives_save_load(tmp_path):
+    lm = translator.LanguageModel().fit([["a", "b"]]).fit([["c"]])
+    assert lm.vocabulary == {"a", "b", "c"}
+    model = replace(translator.train(_sharp_pairs()), lm=lm)
+    path = tmp_path / "model.tsv"
+    translator.save_model(model, path)
+    loaded = translator.load_model(path).lm
+    assert loaded.vocabulary == lm.vocabulary
+    words = set(lm.vocabulary) | {"</s>", "unseen"}
+    for context in list(lm.counts) + [("never", "seen")]:
+        for word in words:
+            assert loaded.probability(word, context) == lm.probability(word, context)
+    assert loaded.log_grams == lm.log_grams
+    assert loaded.log_floors == lm.log_floors
+    assert loaded.log_unseen == lm.log_unseen
+    assert loaded.ceilings == lm.ceilings
+
+
 def test_lm_ceilings_bound_every_context():
     lm = translator.train(_sharp_pairs()).lm
     words = set(lm.vocabulary) | {"</s>", "unseen"}
@@ -390,6 +410,111 @@ def test_alignment_properties_hold_on_random_corpora(raw_pairs):
 @given(_corpora)
 def test_train_alignment_matches_dict_reference_on_random_corpora(raw_pairs):
     _assert_matches_reference([(tokens, _mr(text)) for tokens, text in raw_pairs])
+
+
+def _reference_sentence_logprob(lm, tokens):
+    """The per-token formula: log probability() of each padded token, summed."""
+    order = translator.LM_ORDER
+    padded = [translator._START] * (order - 1) + list(tokens) + [translator._END]
+    return sum(
+        math.log(lm.probability(padded[i], tuple(padded[i - order + 1 : i])))
+        for i in range(order - 1, len(padded))
+    )
+
+
+# Includes words no corpus has, so queries reach unseen words and contexts.
+_query = st.lists(st.sampled_from(["red", "blue", "runs", "fast", "goal", "offside"]),
+                  max_size=6)
+
+
+def _assert_lm_tables_match_reference(first, second, queries):
+    model = translator.train([(tokens, _mr(text)) for tokens, text in first], 1)
+    model.lm.fit([tokens for tokens, _ in second])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.tsv"
+        translator.save_model(model, path)
+        loaded = translator.load_model(path).lm
+    for lm in (model.lm, loaded):
+        for tokens in queries + [tokens for tokens, _ in first + second]:
+            assert lm.sentence_logprob(tokens) == _reference_sentence_logprob(lm, tokens)
+    assert loaded == model.lm
+    assert loaded.log_grams == model.lm.log_grams
+    assert loaded.log_floors == model.lm.log_floors
+    assert loaded.log_unseen == model.lm.log_unseen
+
+
+@settings(max_examples=25, deadline=None)
+@given(_corpora, _corpora, st.lists(_query, min_size=1, max_size=5))
+def test_sentence_logprob_matches_reference(first, second, queries):
+    _assert_lm_tables_match_reference(first, second, queries)
+
+
+@settings(max_examples=10, deadline=None)
+@given(_corpora, _corpora, st.lists(_query, min_size=1, max_size=5))
+def test_sentence_logprob_matches_reference_as_a_bigram_model(first, second, queries):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(translator, "LM_ORDER", 2)
+        _assert_lm_tables_match_reference(first, second, queries)
+
+
+def _reference_parse_sentence(tokens, model, candidates=None):
+    """Ranking with one (-score, serialize_mr) sort key."""
+    mrs = mrl.enumerate_mrs() if candidates is None else tuple(candidates)
+    if not mrs:
+        return []
+    scores = translator.score_candidates(tokens, mrs, model)
+    if max(scores) <= translator.null_floor(model) * (1.0 + 1e-9):
+        return []
+    order = sorted(range(len(mrs)), key=lambda i: (-scores[i], mrl.serialize_mr(mrs[i])))
+    return [(mrs[i], scores[i]) for i in order]
+
+
+def _assert_parse_matches_reference(tokens, model, candidates=None):
+    ranked = translator.parse_sentence(tokens, model, candidates)
+    reference = _reference_parse_sentence(tokens, model, candidates)
+    assert ranked == reference
+    # Equal candidates keep their input order: the same objects, in place.
+    assert [id(mr) for mr, _ in ranked] == [id(mr) for mr, _ in reference]
+
+
+_PARSE_SENTENCES = ["pink1 kicks to pink2", "pink2 boots it", "the ball is dead",
+                    "pink3 kicks to pink1 it", "sunny day", ""]
+
+
+@pytest.fixture(scope="module")
+def sharp_model():
+    return translator.train(_sharp_pairs())
+
+
+def test_parse_sentence_matches_reference_on_the_full_space(sharp_model, noisy_model):
+    for model in (sharp_model, noisy_model[0]):
+        for text in _PARSE_SENTENCES:
+            _assert_parse_matches_reference(text.split(), model)
+
+
+_TIE_POOL = ["pass(pink1,pink2)", "pass(pink2,pink1)", "pass(pink1,pink1)",
+             "kick(pink1)", "kick(pink2)", "badPass(pink3,pink1)",
+             "badPass(pink1,pink3)", "ballstopped", "playmode(goal_l)"]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.sampled_from(_TIE_POOL), max_size=12),
+       st.sampled_from(_PARSE_SENTENCES))
+def test_parse_sentence_matches_reference_on_candidate_tuples(sharp_model, texts, sentence):
+    # Each text parses to a new object, so repeats are equal but distinct.
+    candidates = tuple(_mr(text) for text in texts)
+    _assert_parse_matches_reference(sentence.split(), sharp_model, candidates)
+
+
+def test_parse_sentence_keeps_duplicates_and_permutation_ties_in_input_order(sharp_model):
+    candidates = tuple(_mr(text) for text in
+                       ["kick(pink1)", "pass(pink2,pink1)", "pass(pink1,pink2)",
+                        "pass(pink2,pink1)", "pass(pink1,pink2)"])
+    tokens = "pink1 kicks to pink2".split()
+    ranked = translator.parse_sentence(tokens, sharp_model, candidates)
+    assert [id(mr) for mr, _ in ranked] == [id(candidates[i]) for i in (2, 4, 1, 3, 0)]
+    assert ranked[0][1] == ranked[3][1] > ranked[4][1]
+    _assert_parse_matches_reference(tokens, sharp_model, candidates)
 
 
 def _reference_generate_topk(mr, model, k=5):
