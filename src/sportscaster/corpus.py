@@ -148,9 +148,6 @@ class GoldMatch:
 
     matches: dict[int, int | None] = field(default_factory=dict)
 
-    def event_for(self, comment_id: int) -> int | None:
-        return self.matches.get(comment_id)
-
 
 @dataclass(frozen=True)
 class Game:

@@ -4,11 +4,13 @@ An MR is a single atomic formula such as ``pass ( pink1 , pink2 )``: one
 predicate applied to sorted constants.  The grammar is a small fixed CFG
 embedded below; every well-formed MR has a unique top-down left-most
 derivation, which downstream alignment code treats as the MR's production
-sequence.
+sequence.  A sentence template names argument i by the slot marker ``<i>``;
+template_items and check_template hold the one rule for those markers.
 """
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -160,10 +162,6 @@ def production_for_constant(constant: Constant) -> Production:
     return _PRODUCTION_BY_KEY[constant.token]
 
 
-def production_by_key(key: str) -> Production:
-    return _PRODUCTION_BY_KEY[key]
-
-
 def serialize_mr(mr: MeaningRepresentation) -> str:
     """Canonical surface form: ``pred ( a1 , a2 )``, or bare ``pred`` at arity 0.
 
@@ -240,6 +238,42 @@ def parse_mr(text: str) -> MeaningRepresentation:
         tok, at = tokens[cursor]
         raise MalformedMR(f"unexpected trailing {tok!r}", at)
     return MeaningRepresentation(predicate, tuple(args))
+
+
+_SLOT_RE = re.compile(r"<(\d+)>\Z")
+
+
+@lru_cache(maxsize=1 << 16)
+def template_items(
+    template: tuple[str, ...],
+) -> tuple[tuple[str | int, ...], tuple[int, ...], tuple[str, ...]]:
+    """The template with each "<i>" slot marker replaced by the int i, its
+    slot positions in order, and its literal tokens."""
+    items = tuple(
+        int(match.group(1)) if (match := _SLOT_RE.match(item)) else item
+        for item in template
+    )
+    slots = tuple(item for item in items if isinstance(item, int))
+    literals = tuple(item for item in items if not isinstance(item, int))
+    return items, slots, literals
+
+
+def check_template(predicate: str, template: tuple[str, ...]) -> None:
+    """Raise ValueError unless the template belongs to a grammar predicate and
+    names each of its slots <1>..<arity> exactly once.  Every template the
+    package learns, loads or simulates from obeys this rule."""
+    if predicate not in _PREDICATE_BY_NAME:
+        raise ValueError(f"unknown predicate {predicate!r}")
+    arity = _PREDICATE_BY_NAME[predicate].arity
+    _, slots, _ = template_items(template)
+    for slot in slots:
+        if not 1 <= slot <= arity:
+            raise ValueError(f"slot <{slot}> outside 1..{arity} for {predicate}")
+        if slots.count(slot) > 1:
+            raise ValueError(f"slot <{slot}> named twice")
+    for slot in range(1, arity + 1):
+        if slot not in slots:
+            raise ValueError(f"missing slot <{slot}>")
 
 
 def derivation(mr: MeaningRepresentation) -> tuple[Production, ...]:

@@ -121,10 +121,6 @@ class CommentatorProfile:
             raise ValueError("lag_ms_range must satisfy 0 <= min <= max")
 
 
-def _slot_marker(position: int) -> str:
-    return f"<{position}>"
-
-
 def _validate_templates(profile: CommentatorProfile) -> None:
     for predicate in mrl.PREDICATES:
         if profile.comment_prob.get(predicate.name, 0.0) <= 0.0:
@@ -132,14 +128,13 @@ def _validate_templates(profile: CommentatorProfile) -> None:
         templates = profile.lexicon.get(predicate.name, [])
         if not templates:
             raise EmptyLexicon(f"no template for commentable predicate {predicate.name}")
-        wanted = {_slot_marker(i + 1) for i in range(predicate.arity)}
         for words, _ in templates:
-            slots = [w for w in words if w.startswith("<") and w.endswith(">")]
-            if set(slots) != wanted or len(slots) != predicate.arity:
+            try:
+                mrl.check_template(predicate.name, words)
+            except ValueError as err:
                 raise ValueError(
-                    f"template for {predicate.name} must use exactly slots "
-                    f"{sorted(wanted)}: {' '.join(words)}"
-                )
+                    f"template for {predicate.name} {' '.join(words)!r}: {err}"
+                ) from None
 
 
 def simulate_events(config: WorldConfig) -> list[GameEvent]:
@@ -182,17 +177,16 @@ def _realize(
     template: tuple[str, ...],
     mr: mrl.MeaningRepresentation,
 ) -> list[str]:
-    surfaces: dict[str, tuple[str, ...]] = {}
-    for position, arg in enumerate(mr.args, start=1):
+    surfaces = []
+    for arg in mr.args:
         options = profile.lexicon.get(arg.token, [((arg.token,), 1.0)])
-        chosen = options[prng.weighted_index([w for _, w in options])]
-        surfaces[_slot_marker(position)] = chosen[0]
+        surfaces.append(options[prng.weighted_index([w for _, w in options])][0])
     words: list[str] = []
-    for token in template:
-        if token in surfaces:
-            words.extend(surfaces[token])
+    for item in mrl.template_items(template)[0]:
+        if isinstance(item, int):
+            words.extend(surfaces[item - 1])
         else:
-            words.append(token)
+            words.append(item)
     return words
 
 
@@ -366,7 +360,8 @@ def parse_config(text: str, path: str | Path | None = None) -> SimulationSpec:
 
     `template.<pred>` and `surface.<token>` lines accumulate; the first such
     line for a key replaces that key's default list.  Template and surface
-    values are word sequences, optionally followed by `| weight`.  A bad line
+    values are word sequences, optionally followed by `| weight`; a template
+    must name each slot <1>..<arity> once (mrl.check_template).  A bad line
     raises FormatError naming `path` (the file the text came from) and line.
     """
     world = default_world()
@@ -421,6 +416,8 @@ def parse_config(text: str, path: str | Path | None = None) -> SimulationSpec:
                 if name not in valid:
                     raise ValueError(f"unknown {prefix} key {name!r}")
                 words, weight = _parse_weighted_words(value)
+                if prefix == "template":
+                    mrl.check_template(name, words)
                 if name not in replaced_lexicon_keys:
                     lexicon[name] = []
                     replaced_lexicon_keys.add(name)

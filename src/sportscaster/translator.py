@@ -19,7 +19,7 @@ ties broken by canonical surface form (serialize_mr, built once per MR);
 generation instantiates templates and ranks by the noisy-channel product
 (LM probability times template and realization weights).  It searches the
 template/realization combinations best-first under an upper bound that
-factors per slot, and scores only those that can still reach the top k.
+factors per argument, and scores only those that can still reach the top k.
 
 Scoring is implemented once, vectorized over candidates; score_pair is the
 single-candidate view of the same arithmetic, so restricted and full-space
@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import heapq
 import math
-import re
 import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -57,8 +56,6 @@ _END = "</s>"
 _COLUMN_KEYS = tuple(p.key for p in mrl.PRODUCTIONS) + (NULL_KEY,)
 _COLUMN_INDEX = {key: i for i, key in enumerate(_COLUMN_KEYS)}
 _PAD_COLUMN = len(_COLUMN_KEYS)
-
-_SLOT_RE = re.compile(r"<(\d+)>\Z")
 
 
 class EmptyTrainingSet(ValueError):
@@ -88,7 +85,8 @@ class AlignmentModel:
 
 @dataclass
 class TemplateLexicon:
-    # predicate name -> template (tokens and "<i>" slot markers) -> weight
+    # predicate name -> template (tokens and "<i>" slot markers, each slot
+    # named once, as mrl.check_template requires) -> weight
     templates: dict[str, dict[tuple[str, ...], float]]
     # constant token -> surface realization tokens -> weight
     realizations: dict[str, dict[tuple[str, ...], float]]
@@ -221,8 +219,9 @@ def extract_templates(pairs: Sequence[Pair], alignment: AlignmentModel) -> Templ
     recorded as that constant's surface realization.  Runs are matched to
     argument positions in order (so pass(pink1,pink1) consumes its two slots
     left to right); a run with no remaining slot stays in the template as
-    literal text.  Templates missing any argument slot are discarded: they
-    cannot generate the full MR.
+    literal text.  A template that fails mrl.check_template is discarded:
+    one missing an argument slot cannot generate the full MR, and one with a
+    literal word that reads as a slot marker could not be loaded back.
     """
     template_counts: dict[str, Counter] = defaultdict(Counter)
     realization_counts: dict[str, Counter] = defaultdict(Counter)
@@ -241,7 +240,6 @@ def extract_templates(pairs: Sequence[Pair], alignment: AlignmentModel) -> Templ
         for position, production in enumerate(deriv[1:], start=1):
             open_slots[production.key].append(position)
         items: list[str] = []
-        filled = 0
         i = 0
         while i < len(tokens):
             key = assigned[i]
@@ -252,15 +250,18 @@ def extract_templates(pairs: Sequence[Pair], alignment: AlignmentModel) -> Templ
                 realization_counts[key][tokens[i:j]] += 1
                 if open_slots[key]:
                     items.append(f"<{open_slots[key].pop(0)}>")
-                    filled += 1
                 else:
                     items.extend(tokens[i:j])
                 i = j
             else:
                 items.append(tokens[i])
                 i += 1
-        if filled == mr.predicate.arity:
-            template_counts[mr.predicate.name][tuple(items)] += 1
+        template = tuple(items)
+        try:
+            mrl.check_template(mr.predicate.name, template)
+        except ValueError:
+            continue
+        template_counts[mr.predicate.name][template] += 1
 
     def normalize(counts: Counter) -> dict:
         total = sum(counts.values())
@@ -377,21 +378,6 @@ def parse_sentence(
     return [(mrs[i], scores[i]) for i in order]
 
 
-@lru_cache(maxsize=1 << 16)
-def _template_items(
-    template: tuple[str, ...],
-) -> tuple[tuple[str | int, ...], tuple[int, ...], tuple[str, ...]]:
-    """The template with each "<i>" slot marker replaced by the int i, its
-    slot positions in order, and its literal tokens."""
-    items = tuple(
-        int(match.group(1)) if (match := _SLOT_RE.match(item)) else item
-        for item in template
-    )
-    slots = tuple(item for item in items if isinstance(item, int))
-    literals = tuple(item for item in items if not isinstance(item, int))
-    return items, slots, literals
-
-
 # Relative slack on the generation bound.  The bound is a product of
 # ceilings, the score exp(sum of logs) times a product of weights; the two
 # roundings differ by about 1e-12 relative at most (eps times the number of
@@ -402,37 +388,25 @@ _BOUND_SLACK = 1.0 + 1e-9
 _PRUNE_FLOOR = sys.float_info.min
 
 
-class _Plan(NamedTuple):
-    """One template of a generate_topk call, ready for the search."""
-
-    items: tuple[str | int, ...]
-    weight: float
-    part: float  # template weight x ceilings of the literal tokens and </s>
-    slots: tuple[int, ...]
-    choices: list[list[tuple[float, tuple[str, ...], float]]]  # per slot
-
-    def bound(self, indices: tuple[int, ...]) -> float:
-        value = self.part
-        for options, i in zip(self.choices, indices):
-            value *= options[i][0]
-        return value
-
-
 def generate_topk(
     mr: mrl.MeaningRepresentation, model: TranslationModel, k: int = 5
 ) -> list[tuple[tuple[str, ...], float]]:
     """Noisy-channel generation: the k best template/realization combinations.
 
-    A combination scores LM probability x template weight x realization
-    weights, ranked by (-score, tokens); two combinations that realize the
-    same sentence are both kept.  Its upper bound takes each token's LM
-    probability at the token's ceiling over all contexts, so it factors into
-    a template part (weight, literal tokens, </s>) and one part per slot
-    (realization weight, realization tokens).  A best-first search over each
-    template's slot choices, sorted by their part (Huang & Chiang, 2005),
-    pops combinations in bound order and scores them until the best bound
-    left, with _BOUND_SLACK, is below the k-th best score: no combination
-    left can then reach the top k, so the result is that of scoring all.
+    Every template must name each argument slot <1>..<arity> exactly once
+    (mrl.check_template): extract_templates keeps only such templates and
+    load_model rejects any other.  A combination is one template plus one
+    realization per argument; it scores LM probability x template weight x
+    realization weights, ranked by (-score, tokens); two combinations that
+    realize the same sentence are both kept.  Its upper bound takes each
+    token's LM probability at the token's ceiling over all contexts, so it
+    factors into a template part (weight, literal tokens, </s>) and one part
+    per argument (realization weight, realization tokens).  A best-first
+    search over each template's argument choices, sorted by their part
+    (Huang & Chiang, 2005), pops combinations in bound order and scores them
+    until the best bound left, with _BOUND_SLACK, is below the k-th best
+    score: no combination left can then reach the top k, so the result is
+    that of scoring all.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -441,41 +415,35 @@ def generate_topk(
         raise NoTemplate(mr.predicate.name)
     lm = model.lm
     ceilings, unseen = lm.ceilings, lm.unseen
-    ranked: dict[tuple[int, bool], list[tuple[float, tuple[str, ...], float]]] = {}
+    # (bound part, tokens, weight) per realization of each argument, best
+    # part first; an unseen constant is realized as its own token.
+    choices = []
+    for arg in mr.args:
+        options = []
+        realizations = model.lexicon.realizations.get(arg.token) or {(arg.token,): 1.0}
+        for tokens, weight in realizations.items():
+            part = weight
+            for token in tokens:
+                part *= ceilings.get(token, unseen)
+            options.append((part, tokens, weight))
+        options.sort(key=lambda option: (-option[0], option[1]))
+        choices.append(options)
 
-    def choices(position: int, with_tokens: bool):
-        """(bound part, tokens, weight) per realization, best part first."""
-        if (position, with_tokens) not in ranked:
-            constant = mr.args[position - 1].token
-            realizations = model.lexicon.realizations.get(constant)
-            if not realizations:
-                realizations = {(constant,): 1.0}  # unseen constant: its own token
-            options = []
-            for tokens, weight in realizations.items():
-                part = weight
-                if with_tokens:
-                    for token in tokens:
-                        part *= ceilings.get(token, unseen)
-                options.append((part, tokens, weight))
-            options.sort(key=lambda option: (-option[0], option[1]))
-            ranked[position, with_tokens] = options
-        return ranked[position, with_tokens]
+    def bound(part: float, indices: tuple[int, ...]) -> float:
+        for options, i in zip(choices, indices):
+            part *= options[i][0]
+        return part
 
-    plans = []
-    frontier = []  # (-bound, plan number, choice index per slot)
-    for template, template_weight in templates.items():
-        items, slots, literals = _template_items(template)
-        part = template_weight
-        for token in literals:
+    plans = []  # (items, template weight, template part) per template
+    frontier = []  # (-bound, plan number, choice index per argument)
+    start = (0,) * len(choices)
+    for template, weight in templates.items():
+        items, _, literals = mrl.template_items(template)
+        part = weight
+        for token in literals + (_END,):
             part *= ceilings.get(token, unseen)
-        part *= ceilings.get(_END, unseen)
-        # A position filled twice realizes one choice twice; its realization
-        # tokens are then left out of the bound (every ceiling is <= 1).
-        distinct = len(set(slots)) == len(slots)
-        plan = _Plan(items, template_weight, part, slots, [choices(p, distinct) for p in slots])
-        indices = (0,) * len(slots)
-        frontier.append((-plan.bound(indices), len(plans), indices))
-        plans.append(plan)
+        frontier.append((-bound(part, start), len(plans), start))
+        plans.append((items, weight, part))
     heapq.heapify(frontier)
 
     scored: list[tuple[tuple[str, ...], float]] = []
@@ -485,16 +453,13 @@ def generate_topk(
         if len(best) == k and best[0] >= _PRUNE_FLOOR and -negated * _BOUND_SLACK < best[0]:
             break
         heapq.heappop(frontier)
-        plan = plans[number]
-        chosen = {}
-        weight = plan.weight
-        for position, options, i in zip(plan.slots, plan.choices, indices):
-            chosen[position] = options[i][1]
-            weight *= options[i][2]
+        items, weight, part = plans[number]
         realized: list[str] = []
-        for item in plan.items:
+        for item in items:
             if isinstance(item, int):
-                realized.extend(chosen[item])
+                _, tokens, realization_weight = choices[item - 1][indices[item - 1]]
+                realized.extend(tokens)
+                weight *= realization_weight
             else:
                 realized.append(item)
         score = lm.sentence_prob(realized) * weight
@@ -503,37 +468,18 @@ def generate_topk(
             heapq.heappush(best, score)
         else:
             heapq.heappushpop(best, score)
-        # Successors increment one slot at or after the last incremented one,
-        # so each index vector is reached from exactly one parent.
-        last = max((s for s, i in enumerate(indices) if i), default=0)
-        for s in range(last, len(indices)):
-            if indices[s] + 1 < len(plan.choices[s]):
-                successor = indices[:s] + (indices[s] + 1,) + indices[s + 1 :]
-                heapq.heappush(frontier, (-plan.bound(successor), number, successor))
+        # Successors increment one index at or after the last incremented
+        # one, so each index vector is reached from exactly one parent.
+        last = max((a for a, i in enumerate(indices) if i), default=0)
+        for a in range(last, len(indices)):
+            if indices[a] + 1 < len(choices[a]):
+                successor = indices[:a] + (indices[a] + 1,) + indices[a + 1 :]
+                heapq.heappush(frontier, (-bound(part, successor), number, successor))
     scored.sort(key=lambda item: (-item[1], item[0]))
     return scored[:k]
 
 
 _SECTION_FIELDS = {"alignment": 3, "templates": 4, "lm": 3}
-_ARITY = {p.name: p.arity for p in mrl.PREDICATES}
-
-
-def _check_template(predicate: str, template: tuple[str, ...]) -> None:
-    """Raise ValueError unless the template belongs to a grammar predicate and
-    names each of its slots <1>..<arity> exactly once, as every template
-    extract_templates keeps does."""
-    if predicate not in _ARITY:
-        raise ValueError(f"unknown predicate {predicate!r}")
-    arity = _ARITY[predicate]
-    _, slots, _ = _template_items(template)
-    for slot in slots:
-        if not 1 <= slot <= arity:
-            raise ValueError(f"slot <{slot}> outside 1..{arity} for {predicate}")
-        if slots.count(slot) > 1:
-            raise ValueError(f"slot <{slot}> named twice")
-    for slot in range(1, arity + 1):
-        if slot not in slots:
-            raise ValueError(f"missing slot <{slot}>")
 
 
 def save_model(model: TranslationModel, path) -> None:
@@ -581,7 +527,7 @@ def load_model(path) -> TranslationModel:
                 kind, name, weight, body = fields
                 items = tuple(body.split(" "))
                 if kind == "S":
-                    _check_template(name, items)
+                    mrl.check_template(name, items)
                 elif kind != "C":
                     raise ValueError(f"unknown line kind {kind!r}, expected S or C")
                 target = templates if kind == "S" else realizations

@@ -248,6 +248,10 @@ def test_exit_codes():
     [
         ("seed = abc\n", "sim.cfg:1:"),
         ("games = 2\nduration_ms = 10x\n", "sim.cfg:2:"),
+        ("games = 2\ntemplate.pass = <1> passes\n", "sim.cfg:2:"),      # missing slot
+        ("template.kick = <1> kicks <1>\n", "sim.cfg:1:"),             # slot named twice
+        ("template.kick = <01> kicks <1>\n", "sim.cfg:1:"),            # <01> is slot 1
+        ("template.kick = <2> kicks\n", "sim.cfg:1:"),                 # slot outside 1..arity
     ],
 )
 def test_simulate_config_value_names_file_and_line(tmp_path, capsys, text, where):

@@ -158,8 +158,8 @@ def test_load_corpus_happy_path(tmp_path):
     assert [e.time_ms for e in game.events] == [10000, 12000]
     assert mrl.serialize_mr(game.events[0].mr) == "pass ( pink1 , pink2 )"
     assert game.comments[0].tokens == ("pink1", "passes", "to", "pink2")
-    assert game.gold.event_for(0) == 0
-    assert game.gold.event_for(1) is None
+    assert game.gold.matches.get(0) == 0
+    assert game.gold.matches.get(1) is None
 
 
 def test_load_errors_name_file_and_line(tmp_path):
@@ -210,7 +210,7 @@ def test_gold_resolution_is_window_sensitive(tmp_path):
         tmp_path, "4000\tkick ( pink1 )\n", "10000\ten\tboot\n", "0\tkick ( pink1 )\n"
     )
     loaded = load_corpus(manifest, window_ms=7000)
-    assert loaded.games[0].gold.event_for(0) == 0
+    assert loaded.games[0].gold.matches.get(0) == 0
     with pytest.raises(DanglingGoldReference):
         load_corpus(manifest, window_ms=5000)
 

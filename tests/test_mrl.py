@@ -137,7 +137,8 @@ def test_derivation_shapes():
     assert len(deriv) == 3
     assert deriv[0].lhs == "*S" and deriv[0].key == "pass"
     assert [p.key for p in deriv[1:]] == ["pink1", "pink2"]
-    assert derivation(parse_mr("ballstopped")) == (mrl.production_by_key("ballstopped"),)
+    ballstopped = parse_mr("ballstopped")
+    assert derivation(ballstopped) == (mrl.production_for_predicate(ballstopped.predicate),)
 
 
 def test_enumeration_count_matches_arithmetic():

@@ -132,14 +132,14 @@ def test_certain_commentary_is_a_bijection_with_recall_one():
     events = simulate_events(_world(event_type_weights={"kick": 2.0, "pass": 1.0}))
     comments, gold = commentate(events, _chatty_profile())
     assert len(comments) == len(events)
-    matched = {gold.event_for(c.id) for c in comments}
+    matched = {gold.matches.get(c.id) for c in comments}
     assert None not in matched
     examples = corpus.pair_with_window(events, list(comments), 5000)
     by_comment = {ex.comment.id: ex for ex in examples}
     hits = sum(
         1
         for c in comments
-        if gold.event_for(c.id) in {e.id for e in by_comment[c.id].candidates}
+        if gold.matches.get(c.id) in {e.id for e in by_comment[c.id].candidates}
     )
     assert hits == len(comments)  # recall 1.0 when every lag fits the window
 
@@ -149,7 +149,7 @@ def test_gold_events_always_precede_their_comments():
     comments, gold = commentate(events, _chatty_profile(superfluous_rate=0.15))
     by_id = {e.id: e for e in events}
     for c in comments:
-        ev = gold.event_for(c.id)
+        ev = gold.matches.get(c.id)
         if ev is not None:
             assert 0 <= c.time_ms - by_id[ev].time_ms <= 5000
 
@@ -164,7 +164,7 @@ def test_selective_commentary_mentions_only_enabled_predicates():
     by_id = {e.id: e for e in events}
     assert comments
     for c in comments:
-        assert by_id[gold.event_for(c.id)].mr.predicate.name == "pass"
+        assert by_id[gold.matches.get(c.id)].mr.predicate.name == "pass"
 
 
 def test_superfluous_fraction_matches_binomial_rate():
@@ -173,12 +173,12 @@ def test_superfluous_fraction_matches_binomial_rate():
     )
     rate = 0.18
     comments, gold = commentate(events, _chatty_profile(superfluous_rate=rate))
-    hollow = sum(1 for c in comments if gold.event_for(c.id) is None)
+    hollow = sum(1 for c in comments if gold.matches.get(c.id) is None)
     normal = len(comments) - hollow
     assert normal >= 1500
     sd = math.sqrt(normal * rate * (1 - rate))
     assert abs(hollow - normal * rate) < 4 * sd
-    assert all(len(c.tokens) in range(3, 8) for c in comments if gold.event_for(c.id) is None)
+    assert all(len(c.tokens) in range(3, 8) for c in comments if gold.matches.get(c.id) is None)
 
 
 def test_superfluous_rate_needs_vocabulary():
@@ -202,6 +202,18 @@ def test_template_slots_must_match_arity():
     events = simulate_events(_world(event_type_weights={"pass": 1.0}))
     with pytest.raises(ValueError):
         commentate(events, _chatty_profile(lexicon=lexicon))
+
+
+def test_template_slots_follow_the_shared_rule():
+    # "<01>" names slot 1; "<x>" is not a slot marker, so it is text.
+    lexicon = dict(default_profile().lexicon)
+    lexicon["kick"] = [(("<01>", "kicks", "<x>"), 1.0)]
+    events = simulate_events(_world(duration_ms=20_000))
+    comments, _ = commentate(events, _chatty_profile(lexicon=lexicon))
+    assert comments
+    for comment in comments:
+        assert comment.tokens[0] in mrl.PLAYER_TOKENS
+        assert comment.tokens[1:] == ("kicks", "<x>")
 
 
 def test_ambiguity_grows_with_event_density():
