@@ -30,8 +30,6 @@ from . import corpus, learner, metrics, mrl, simgen, strategic, translator
 
 THETA_GRID = (0.0, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40)
 
-STRATEGY_CHOICES = learner.STRATEGY_KINDS
-
 
 class _UsageError(Exception):
     pass
@@ -86,7 +84,7 @@ class RunConfig:
     strategy: str = "parse_score"
     window_ms: int = 5000
     max_iter: int = 10
-    seed: int = 0
+    seed: int | str = 0
     games: int = 4
     topk: int = 5
     superfluous_cv: bool = False
@@ -148,6 +146,10 @@ def _cmd_simulate(args) -> int:
     if not args.out:
         raise _UsageError("simulate: --out DIR is required")
     result = simgen.simulate_corpus(world, profile, games, spec.name_prefix)
+    # echo what ran; without --seed the spec's own world and commentator seeds did
+    args.games = len(result.games)
+    if args.seed is None:
+        args.seed = ""
     out = _prepare_out(args)
     manifest = corpus.write_corpus(result, out)
     total_events = sum(len(g.events) for g in result.games)
@@ -223,6 +225,11 @@ def _load_matching(path) -> dict[tuple[str, int], int]:
 
 
 def _cmd_train(args) -> int:
+    # only a scored strategy's own loop has a first iteration to seed
+    if args.init_alignment and args.superfluous_cv:
+        raise _UsageError("train: --init-alignment has no effect with --superfluous-cv")
+    if args.init_alignment and args.strategy in ("random", "gold"):
+        raise _UsageError(f"train: --init-alignment has no effect on {args.strategy}")
     loaded = corpus.load_corpus(args.manifest, args.window_ms)
     examples = corpus.pooled_examples(loaded.games, args.window_ms)
     gold = corpus.pooled_gold(loaded.games) or None
@@ -477,7 +484,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p = sub("train", help="disambiguate and train a translation model")
     common(p)
-    p.add_argument("--strategy", choices=STRATEGY_CHOICES, default="parse_score")
+    p.add_argument("--strategy", choices=learner.STRATEGY_KINDS, default="parse_score")
     p.add_argument("--max-iter", type=int, default=10, dest="max_iter")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--init-alignment", default="", dest="init_alignment",

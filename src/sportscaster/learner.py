@@ -1,20 +1,23 @@
 """Disambiguation by retraining: turn ambiguous supervision into a model.
 
-The shared loop: train on every (sentence, candidate) pair, then repeatedly
-re-score each sentence's candidates with the current model, keep only the
-best pair per sentence, and retrain from scratch, until the matching stops
-moving.  Strategies differ solely in how a (sentence, MR) pair is scored:
+One loop serves every strategy.  Each iteration picks one candidate per
+sentence, prunes the lowest-scoring fraction of the picks, and retrains the
+translation model from scratch on the rest, until an iteration picks what
+the one before it did or max_iter iterations have run.  A scored strategy
+first trains on every (sentence, candidate) pair, or on external seed
+pairs, and then picks each sentence's best candidate under the current
+model:
 
-  random       one-shot uniform candidate pick (lower baseline)
   parse_score  Model-1 parse likelihood of the pair
   nist_gen     NIST between the sentence and the MR's best generation
   meteor_gen   METEOR between the sentence and the MR's best generation
   nist_igsl    nist_gen times the IGSL probability of the MR's type
   meteor_igsl  meteor_gen times the IGSL probability of the MR's type
-  gold         train straight on the gold matching (upper baseline)
 
-superfluous_cv additionally prunes the lowest-scoring fraction of assigned
-pairs each iteration, picking the fraction by internal cross-validation, so
+The baselines, random (one uniform pick per sentence) and gold (the gold
+matching), fix their picks up front and train on them once.
+
+superfluous_cv picks the pruning fraction by internal cross-validation, so
 sentences that describe nothing (superfluous commentary) stop polluting the
 training set.
 """
@@ -36,17 +39,17 @@ from .simgen import Prng
 Key = tuple[str, int]
 Pair = tuple[tuple[str, ...], mrl.MeaningRepresentation]
 
-STRATEGY_KINDS = (
-    "random",
-    "parse_score",
-    "nist_gen",
-    "meteor_gen",
-    "nist_igsl",
-    "meteor_igsl",
-    "gold",
-)
-_IGSL_KINDS = frozenset({"nist_igsl", "meteor_igsl"})
-_GENERATION_KINDS = frozenset({"nist_gen", "meteor_gen", "nist_igsl", "meteor_igsl"})
+# scored kind -> (name of the `metrics` function comparing the sentence with
+# the MR's best generation, None to score the parse likelihood instead;
+# whether the score is weighted by the IGSL probability of the MR's type)
+_SCORED_KINDS: dict[str, tuple[str | None, bool]] = {
+    "parse_score": (None, False),
+    "nist_gen": ("nist", False),
+    "meteor_gen": ("meteor", False),
+    "nist_igsl": ("nist", True),
+    "meteor_igsl": ("meteor", True),
+}
+STRATEGY_KINDS = ("random", *_SCORED_KINDS, "gold")
 DEFAULT_MAX_ITER = 10
 VALIDATION_FRACTION = 0.2
 
@@ -95,9 +98,12 @@ class DisambiguationResult:
     matching: Matching
     model: translator.TranslationModel
     strategic: strategic.StrategicModel | None
-    iterations_run: int
-    history: list[IterationRecord] = field(default_factory=list)
+    history: list[IterationRecord]
     trained_on: frozenset[Key] = frozenset()
+
+    @property
+    def iterations_run(self) -> int:
+        return len(self.history)
 
     def trained_matching(self) -> Matching:
         """The matching restricted to the pairs the final model trained on."""
@@ -129,11 +135,12 @@ def evaluate_candidate(
     _generation_cache: dict | None = None,
 ) -> float:
     kind = strategy.kind
-    if kind == "parse_score":
-        return translator.score_pair(tokens, mr, model)
-    if kind not in _GENERATION_KINDS:
+    if kind not in _SCORED_KINDS:
         raise ValueError(f"strategy {kind!r} does not score candidates")
-    if kind in _IGSL_KINDS and strategic_model is None:
+    metric, weighted = _SCORED_KINDS[kind]
+    if metric is None:
+        return translator.score_pair(tokens, mr, model)
+    if weighted and strategic_model is None:
         raise MissingStrategicModel(f"{kind} needs a strategic model")
     cache_key = mrl.serialize_mr(mr)
     if _generation_cache is not None and cache_key in _generation_cache:
@@ -147,11 +154,8 @@ def evaluate_candidate(
             _generation_cache[cache_key] = generated
     if generated is None:
         return 0.0
-    if kind.startswith("nist"):
-        score = metrics.nist(list(tokens), list(generated))
-    else:
-        score = metrics.meteor(list(tokens), list(generated))
-    if kind in _IGSL_KINDS:
+    score = getattr(metrics, metric)(list(tokens), list(generated))
+    if weighted:
         score *= strategic_model.probability(mr.predicate.name)
     return score
 
@@ -207,14 +211,6 @@ def _prune_keys(matching: Matching, prune_fraction: float) -> frozenset[Key]:
     )
 
 
-def _score_f1(
-    matching: Matching, gold: Mapping[Key, int | None] | None
-) -> float | None:
-    if gold is None:
-        return None
-    return metrics.matching_f1(matching.event_ids(), gold).f1
-
-
 def _random_matching(examples: Sequence[GameExample], seed: int) -> Matching:
     """One uniform draw per example, in pooled example order."""
     prng = Prng(seed)
@@ -227,8 +223,11 @@ def _random_matching(examples: Sequence[GameExample], seed: int) -> Matching:
 
 
 def _gold_matching(
-    examples: Sequence[GameExample], gold: Mapping[Key, int | None]
+    examples: Sequence[GameExample], gold: Mapping[Key, int | None] | None
 ) -> Matching:
+    """Each example's gold event, where it is one of the candidates."""
+    if gold is None:
+        raise ValueError("gold strategy requires the gold matching")
     assignments = {}
     for ex in examples:
         event_id = gold.get(ex.key)
@@ -236,6 +235,8 @@ def _gold_matching(
             continue
         if any(c.id == event_id for c in ex.example.candidates):
             assignments[ex.key] = (event_id, 1.0)
+    if not assignments:
+        raise EmptyTrainingSet("gold matching covers no example")
     return Matching(assignments)
 
 
@@ -248,93 +249,64 @@ def retrain_loop(
     gold: Mapping[Key, int | None] | None = None,
     initial_pairs: Sequence[Pair] | None = None,
     prune_fraction: float = 0.0,
-    em_iterations: int = 25,
 ) -> DisambiguationResult:
     """The retraining disambiguation loop (see module docstring).
 
     gold serves two roles: the `gold` strategy trains on it directly, and for
     all strategies it fills the per-iteration F1 column of the history.
+    initial_pairs replaces the all-candidates first training of a scored
+    strategy; the baselines never read it.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not examples:
         raise EmptyTrainingSet("no ambiguous examples")
 
+    fixed: Matching | None = None
+    model = strategic_model = None
     if strategy.kind == "random":
-        matching = _random_matching(examples, strategy.seed)
-        kept = _prune_keys(matching, prune_fraction)
-        model = translator.train(
-            _pairs_from_matching(examples, matching, kept), em_iterations
-        )
-        record = IterationRecord(1, len(matching.assignments), _score_f1(matching, gold))
-        return DisambiguationResult(
-            matching, model, None, 1, [record], trained_on=kept
-        )
-
-    if strategy.kind == "gold":
-        if gold is None:
-            raise ValueError("gold strategy requires the gold matching")
-        matching = _gold_matching(examples, gold)
-        pairs = _pairs_from_matching(
-            examples, matching, frozenset(matching.assignments)
-        )
-        if not pairs:
-            raise EmptyTrainingSet("gold matching covers no example")
-        model = translator.train(pairs, em_iterations)
-        record = IterationRecord(1, len(matching.assignments), _score_f1(matching, gold))
-        return DisambiguationResult(
-            matching,
-            model,
-            None,
-            1,
-            [record],
-            trained_on=frozenset(matching.assignments),
-        )
-
-    strategic_model = None
-    if strategy.kind in _IGSL_KINDS:
-        if total_count is None:
-            raise MissingStrategicModel(
-                f"{strategy.kind} needs per-predicate event totals"
+        fixed = _random_matching(examples, strategy.seed)
+    elif strategy.kind == "gold":
+        fixed = _gold_matching(examples, gold)
+    else:
+        if _SCORED_KINDS[strategy.kind][1]:
+            if total_count is None:
+                raise MissingStrategicModel(
+                    f"{strategy.kind} needs per-predicate event totals"
+                )
+            # IGSL reads only the candidate sets, so one run serves every iteration
+            strategic_model = strategic.igsl(
+                [ex.example for ex in examples], total_count
             )
-        # IGSL reads only the candidate sets, so one run serves every iteration
-        strategic_model = strategic.igsl([ex.example for ex in examples], total_count)
+        model = translator.train(
+            initial_training_set(examples) if initial_pairs is None else initial_pairs
+        )
 
-    pairs = (
-        list(initial_pairs)
-        if initial_pairs is not None
-        else initial_training_set(examples)
-    )
-    if not pairs:
-        raise EmptyTrainingSet("empty initial training pairs")
-    model = translator.train(pairs, em_iterations)
-
-    matching: Matching | None = None
+    matching = Matching()
     kept: frozenset[Key] = frozenset()
+    previous: dict[Key, int] = {}
     history: list[IterationRecord] = []
-    iterations = 0
     for iteration in range(1, max_iter + 1):
-        new_matching = _assign_best(examples, model, strategy, strategic_model)
-        iterations = iteration
-        if matching is None:
-            changed = len(new_matching.assignments)
-        else:
-            previous = matching.event_ids()
-            changed = sum(
-                1
-                for key, event_id in new_matching.event_ids().items()
-                if previous.get(key) != event_id
-            )
-        history.append(
-            IterationRecord(iteration, changed, _score_f1(new_matching, gold))
+        picked = (
+            _assign_best(examples, model, strategy, strategic_model)
+            if fixed is None
+            else fixed
         )
-        if matching is not None and new_matching == matching:
+        event_ids = picked.event_ids()
+        changed = sum(
+            1 for key, event_id in event_ids.items() if previous.get(key) != event_id
+        )
+        f1 = None if gold is None else metrics.matching_f1(event_ids, gold).f1
+        history.append(IterationRecord(iteration, changed, f1))
+        if changed == 0:
             break
-        matching = new_matching
+        matching, previous = picked, event_ids
         kept = _prune_keys(matching, prune_fraction)
-        model = translator.train(
-            _pairs_from_matching(examples, matching, kept), em_iterations
-        )
+        model = translator.train(_pairs_from_matching(examples, matching, kept))
+        if fixed is not None:
+            break
     return DisambiguationResult(
-        matching, model, strategic_model, iterations, history, trained_on=kept
+        matching, model, strategic_model, history, trained_on=kept
     )
 
 
@@ -438,7 +410,6 @@ def superfluous_cv(
     total_count: Mapping[str, int] | None = None,
     gold: Mapping[Key, int | None] | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
-    em_iterations: int = 25,
 ) -> tuple[float, Matching, DisambiguationResult]:
     """Choose a pruning fraction by internal CV, then retrain on everything.
 
@@ -463,7 +434,6 @@ def superfluous_cv(
             total_count=total_count,
             gold=None,
             prune_fraction=theta,
-            em_iterations=em_iterations,
         )
         score = _validation_score(result, train, validation)
         if score > best_score:
@@ -475,7 +445,6 @@ def superfluous_cv(
         total_count=total_count,
         gold=gold,
         prune_fraction=best_theta,
-        em_iterations=em_iterations,
     )
     return best_theta, final.trained_matching(), final
 

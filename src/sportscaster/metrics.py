@@ -28,6 +28,7 @@ from .corpus import Game, fmt, lines_text
 
 Tokens = Sequence[str]
 
+_NIST_MAX_N = 5
 # Brevity exponent: exp(beta * ln^2(2/3)) = 0.5.
 _NIST_BETA = math.log(0.5) / math.log(2 / 3) ** 2
 
@@ -177,12 +178,12 @@ def bleu_document(
     return brevity * math.exp(log_precision)
 
 
-def nist(candidate: Tokens, reference: Tokens, max_n: int = 5) -> float:
+def nist(candidate: Tokens, reference: Tokens) -> float:
     """Additive n-gram precision with uniform weights and quadratic-log brevity."""
     if not candidate or not reference:
         raise ValueError("candidate and reference must be nonempty")
     score = 0.0
-    for n in range(1, max_n + 1):
+    for n in range(1, _NIST_MAX_N + 1):
         cand_counts = _ngram_counts(candidate, n)
         n_cand = sum(cand_counts.values())
         if n_cand == 0:

@@ -127,7 +127,6 @@ def assemble_sportscast(
     translation: translator.TranslationModel,
     k: int = 5,
     prng: Prng | None = None,
-    tick_ms: int = TICK_MS,
 ) -> tuple[list[tuple[int, mrl.MeaningRepresentation, tuple[str, ...]]], list[str]]:
     """Walk the timeline in ticks, verbalizing stochastically chosen events.
 
@@ -142,7 +141,7 @@ def assemble_sportscast(
     skipped: list[str] = []
     by_tick: dict[int, list[GameEvent]] = defaultdict(list)
     for event in events:
-        by_tick[event.time_ms // tick_ms].append(event)
+        by_tick[event.time_ms // TICK_MS].append(event)
     for tick in sorted(by_tick):
         chosen = select_event(by_tick[tick], model, prng)
         if chosen is None:
@@ -157,7 +156,7 @@ def assemble_sportscast(
             sentence = candidates[prng.weighted_index(scores)][0]
         else:
             sentence = candidates[0][0]
-        transcript.append((tick * tick_ms, chosen.mr, sentence))
+        transcript.append((tick * TICK_MS, chosen.mr, sentence))
     return transcript, skipped
 
 

@@ -480,6 +480,15 @@ def generate_topk(
 
 
 _SECTION_FIELDS = {"alignment": 3, "templates": 4, "lm": 3}
+_CONSTANT_TOKENS = frozenset(c.token for c in mrl.CONSTANTS)
+
+
+def _probability(text: str) -> float:
+    """A model-file probability or weight: a finite number in (0, 1]."""
+    value = float(text)
+    if not 0.0 < value <= 1.0:  # NaN fails the comparison too
+        raise ValueError(f"{text!r} is not a number in (0, 1]")
+    return value
 
 
 def save_model(model: TranslationModel, path) -> None:
@@ -522,7 +531,7 @@ def load_model(path) -> TranslationModel:
                 key, word, prob = fields
                 if key not in _COLUMN_INDEX:
                     raise ValueError(f"unknown production key {key!r}")
-                entries.append((_COLUMN_INDEX[key], word, float(prob)))
+                entries.append((_COLUMN_INDEX[key], word, _probability(prob)))
             elif section == "templates":
                 kind, name, weight, body = fields
                 items = tuple(body.split(" "))
@@ -530,12 +539,16 @@ def load_model(path) -> TranslationModel:
                     mrl.check_template(name, items)
                 elif kind != "C":
                     raise ValueError(f"unknown line kind {kind!r}, expected S or C")
+                elif name not in _CONSTANT_TOKENS:
+                    raise ValueError(f"unknown constant {name!r}")
                 target = templates if kind == "S" else realizations
-                target.setdefault(name, {})[items] = float(weight)
+                target.setdefault(name, {})[items] = _probability(weight)
             else:
                 context, word, count = fields
                 bucket = counts.setdefault(tuple(context.split(" ")), Counter())
                 bucket[word] = int(count)
+                if bucket[word] < 1:
+                    raise ValueError(f"LM count {count!r} below 1")
         except ValueError as err:
             raise FormatError(str(path), lineno, str(err)) from None
     vocabulary = tuple(sorted({word for _, word, _ in entries}))

@@ -44,6 +44,33 @@ def test_simulate_requires_out():
     assert run(["simulate", "--seed", "1"]) == 1
 
 
+def _echoed(out):
+    return dict(
+        line.split(" = ", 1) for line in (out / "run_config.txt").read_text().splitlines()
+    )
+
+
+def test_simulate_echoes_the_games_written(tmp_path):
+    config = tmp_path / "sim.cfg"
+    config.write_text("games = 2\n")
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    assert len((out / "manifest.tsv").read_text().splitlines()) == 2
+    assert _echoed(out)["games"] == "2"
+
+
+def test_simulate_echoes_a_seed_only_when_given(corpus_dir, tmp_path):
+    assert _echoed(corpus_dir)["seed"] == "7"
+    unseeded = tmp_path / "unseeded"
+    assert run(["simulate", "--games", "1", "--out", str(unseeded)]) == 0
+    assert _echoed(unseeded)["seed"] == ""
+    # the spec's own seeds are not `--seed 0`: they write another corpus
+    seeded = tmp_path / "seed0"
+    assert run(["simulate", "--games", "1", "--seed", "0", "--out", str(seeded)]) == 0
+    assert _echoed(seeded)["seed"] == "0"
+    assert _snapshot(seeded)["game1.comments.tsv"] != _snapshot(unseeded)["game1.comments.tsv"]
+
+
 def test_pair_table_and_total_row(corpus_dir, tmp_path):
     out = tmp_path / "pair"
     rc = run(["pair", "--manifest", str(corpus_dir / "manifest.tsv"), "--out", str(out)])
@@ -109,13 +136,33 @@ def test_train_config_file_with_flag_override(corpus_dir, tmp_path):
     rc = run(["train", "--config", str(config), "--strategy", "gold",
               "--out", str(out)])
     assert rc == 0
-    echoed = dict(
-        line.split(" = ")
-        for line in (out / "run_config.txt").read_text().splitlines()
-    )
+    echoed = _echoed(out)
     assert echoed["strategy"] == "gold"      # flag beat the config file
     assert echoed["max_iter"] == "2"         # config beat the default
     assert echoed["manifest"].endswith("manifest.tsv")
+
+
+def test_train_rejects_max_iter_below_one(corpus_dir, capsys):
+    rc = run(["train", "--manifest", str(corpus_dir / "manifest.tsv"),
+              "--max-iter", "0"])
+    assert rc == 2
+    assert "max_iter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--superfluous-cv"], ["--strategy", "random"], ["--strategy", "gold"]],
+)
+def test_train_refuses_an_init_alignment_it_would_ignore(
+    corpus_dir, train_dir, tmp_path, capsys, flags
+):
+    out = tmp_path / "out"
+    rc = run(["train", "--manifest", str(corpus_dir / "manifest.tsv"),
+              "--init-alignment", str(train_dir / "alignment.tsv"),
+              "--out", str(out), *flags])
+    assert rc == 1
+    assert "--init-alignment" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_rejects_unknown_key(corpus_dir, tmp_path):
@@ -287,6 +334,20 @@ def test_data_error_names_file_and_line(tmp_path, capsys):
         (4, "S\tpass\t1\t<1> passes"),      # missing slot
         (4, "X\tkick\t1\t<1> kicks"),       # line kind other than S/C
         (4, "S\tdribble\t1\t<1> dribbles"), # predicate not in the grammar
+        (4, "S\tkick\tnan\t<1> kicks"),     # weight not a number in (0, 1]
+        (4, "S\tkick\t-5\t<1> boots"),
+        (4, "S\tkick\t0\t<1> kicks"),
+        (4, "S\tkick\t1.5\t<1> kicks"),
+        (4, "S\tkick\tinf\t<1> kicks"),
+        (4, "C\tpink1\tnan\tpinky"),        # realization weight
+        (4, "C\tpink1\t2\tpinky"),
+        (4, "C\tpink99\t1\tpinky"),         # constant not in the grammar
+        (4, "C\tkick\t1\tkicks"),
+        (2, "pink1\tpink1\tnan"),            # alignment probability
+        (2, "pink1\tpink1\t0"),
+        (2, "pink1\tpink1\t-0.5"),
+        (6, "x\tpink1\t0"),                  # LM count below 1
+        (6, "x\tpink1\t-3"),
     ],
 )
 def test_malformed_model_names_file_and_line(tmp_path, capsys, line, bad):

@@ -71,6 +71,99 @@ def noisy():
     return games, corpus.pooled_examples(games), corpus.pooled_gold(games)
 
 
+def _score_f1(matching, gold):
+    return None if gold is None else metrics.matching_f1(matching.event_ids(), gold).f1
+
+
+def _reference_retrain_loop(
+    examples, strategy, max_iter=learner.DEFAULT_MAX_ITER, *,
+    total_count=None, gold=None, initial_pairs=None, prune_fraction=0.0,
+):
+    """The loop as it was written with one branch per baseline, kept to pin
+    the shared loop to it: (matching, model, strategic model, iterations,
+    history, trained-on keys)."""
+    if strategy.kind == "random":
+        matching = learner._random_matching(examples, strategy.seed)
+        kept = learner._prune_keys(matching, prune_fraction)
+        model = translator.train(learner._pairs_from_matching(examples, matching, kept))
+        record = learner.IterationRecord(
+            1, len(matching.assignments), _score_f1(matching, gold)
+        )
+        return matching, model, None, 1, [record], kept
+    if strategy.kind == "gold":
+        matching = learner._gold_matching(examples, gold)
+        kept = frozenset(matching.assignments)
+        model = translator.train(learner._pairs_from_matching(examples, matching, kept))
+        record = learner.IterationRecord(
+            1, len(matching.assignments), _score_f1(matching, gold)
+        )
+        return matching, model, None, 1, [record], kept
+
+    strategic_model = None
+    if strategy.kind in ("nist_igsl", "meteor_igsl"):
+        strategic_model = strategic.igsl([ex.example for ex in examples], total_count)
+    pairs = (
+        list(initial_pairs) if initial_pairs is not None
+        else learner.initial_training_set(examples)
+    )
+    model = translator.train(pairs)
+    matching = None
+    kept = frozenset()
+    history = []
+    iterations = 0
+    for iteration in range(1, max_iter + 1):
+        new_matching = learner._assign_best(examples, model, strategy, strategic_model)
+        iterations = iteration
+        if matching is None:
+            changed = len(new_matching.assignments)
+        else:
+            previous = matching.event_ids()
+            changed = sum(
+                1
+                for key, event_id in new_matching.event_ids().items()
+                if previous.get(key) != event_id
+            )
+        history.append(learner.IterationRecord(
+            iteration, changed, _score_f1(new_matching, gold)
+        ))
+        if matching is not None and new_matching == matching:
+            break
+        matching = new_matching
+        kept = learner._prune_keys(matching, prune_fraction)
+        model = translator.train(learner._pairs_from_matching(examples, matching, kept))
+    return matching, model, strategic_model, iterations, history, kept
+
+
+def _model_text(model, path):
+    translator.save_model(model, path)
+    return path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("max_iter", [1, learner.DEFAULT_MAX_ITER])
+@pytest.mark.parametrize("prune_fraction", [0.0, 0.2])
+@pytest.mark.parametrize("fixture", ["clean", "noisy"])
+@pytest.mark.parametrize("kind", learner.STRATEGY_KINDS)
+def test_retrain_loop_matches_reference(
+    request, tmp_path, kind, fixture, prune_fraction, max_iter
+):
+    games, examples, gold = request.getfixturevalue(fixture)[:3]
+    total = strategic.count_event_types(e for g in games for e in g.events)
+    kwargs = dict(total_count=total, gold=gold, prune_fraction=prune_fraction)
+    strategy = ScoringStrategy(kind, seed=5)
+    result = learner.retrain_loop(examples, strategy, max_iter, **kwargs)
+    matching, model, strategic_model, iterations, history, kept = (
+        _reference_retrain_loop(examples, strategy, max_iter, **kwargs)
+    )
+    assert result.matching.assignments == matching.assignments
+    assert result.history == history
+    assert result.trained_on == kept
+    assert result.iterations_run == iterations
+    assert result.strategic == strategic_model
+    assert _model_text(result.model, tmp_path / "a.tsv") == _model_text(
+        model, tmp_path / "b.tsv"
+    )
+
+
 @pytest.fixture(scope="module")
 def sharp_model(clean):
     _, examples, gold, _ = clean
@@ -261,6 +354,13 @@ def test_retrain_is_deterministic(clean, tmp_path):
 def test_retrain_empty_examples_raise():
     with pytest.raises(learner.EmptyTrainingSet):
         learner.retrain_loop([], ScoringStrategy("parse_score"))
+
+
+@pytest.mark.parametrize("kind", ["random", "parse_score", "gold"])
+def test_retrain_rejects_max_iter_below_one(clean, kind):
+    _, examples, gold, _ = clean
+    with pytest.raises(ValueError, match="max_iter"):
+        learner.retrain_loop(examples, ScoringStrategy(kind), max_iter=0, gold=gold)
 
 
 def test_retrain_assignments_stay_within_candidates(clean):
