@@ -11,10 +11,14 @@ evaluated commentary.
     evaluate    matching / parsing / generation reports against gold
 
 Exit status: 0 success, 1 usage error, 2 data error.  Every `--out` directory
-receives `run_config.txt` echoing the effective configuration, so any output
-can be reproduced bit-exactly from its own provenance.  A `--config` file
-holds `key = value` defaults for the same names as the flags; explicit flags
-win.  All output is deterministic: no timestamps, no machine identifiers.
+receives `run_config.txt`: `command = <name>`, then one `key = value` line
+per argument that subcommand declares, positionals included, in declaration
+order and with its effective value, so any output can be reproduced
+bit-exactly from its own provenance.  `simulate` echoes the games it wrote
+and leaves `seed` empty when `--seed` was not given.  A `--config` file
+holds `key = value` defaults for the flags, under the same keys; explicit
+flags win.  All output is deterministic: no timestamps, no machine
+identifiers.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from . import corpus, learner, metrics, mrl, simgen, strategic, translator
 
@@ -69,54 +74,27 @@ def write_report(table: Table, path, format: str = "tsv") -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Effective settings of one invocation; echoed into the output directory."""
-
-    command: str = ""
-    manifest: str = ""
-    config: str = ""
-    model: str = ""
-    strategic: str = ""
-    input: str = ""
-    matching: str = ""
-    init_alignment: str = ""
-    strategy: str = "parse_score"
-    window_ms: int = 5000
-    max_iter: int = 10
-    seed: int | str = 0
-    games: int = 4
-    topk: int = 5
-    superfluous_cv: bool = False
-    json: bool = False
-    out: str = ""
+def _settings(sub: _Parser) -> list[argparse.Action]:
+    """The arguments `sub` declares, in declaration order: the one list behind
+    both `run_config.txt` and the keys a `--config` file may set."""
+    return [action for action in sub._actions if action.dest != "help"]
 
 
-def _run_config(args) -> RunConfig:
-    # None marks "flag absent, keep the dataclass default"
-    values = {
-        field.name: getattr(args, field.name)
-        for field in dataclasses.fields(RunConfig)
-        if getattr(args, field.name, None) is not None
-    }
-    return RunConfig(**values)
-
-
-def run_config_text(config: RunConfig) -> str:
-    return corpus.lines_text(
-        f"{field.name} = {corpus.fmt(getattr(config, field.name))}"
-        for field in dataclasses.fields(RunConfig)
-    )
-
-
-def _prepare_out(args) -> Path | None:
+def _prepare_out(args, sub: _Parser, **effective) -> Path | None:
+    """Create the `--out` directory and write its `run_config.txt`: `command`,
+    then each argument `sub` declares with its effective value; `effective`
+    replaces a value the command worked out itself."""
     if not args.out:
         return None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "run_config.txt").write_text(
-        run_config_text(_run_config(args)), encoding="utf-8"
-    )
+    values = {action.dest: getattr(args, action.dest) for action in _settings(sub)}
+    values.update(effective)
+    # an optional setting left unset (simulate without --seed) echoes empty
+    corpus.write_lines(out / "run_config.txt", [f"command = {args.command}"] + [
+        f"{key} = {'' if value is None else corpus.fmt(value)}"
+        for key, value in values.items()
+    ])
     return out
 
 
@@ -132,7 +110,7 @@ def _emit(table: Table, out: Path | None, name: str, as_json: bool) -> None:
 # subcommands
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args, sub: _Parser) -> int:
     spec = (
         simgen.load_config(args.config)
         if args.config
@@ -146,11 +124,8 @@ def _cmd_simulate(args) -> int:
     if not args.out:
         raise _UsageError("simulate: --out DIR is required")
     result = simgen.simulate_corpus(world, profile, games, spec.name_prefix)
-    # echo what ran; without --seed the spec's own world and commentator seeds did
-    args.games = len(result.games)
-    if args.seed is None:
-        args.seed = ""
-    out = _prepare_out(args)
+    # without --seed the spec's own world and commentator seeds ran: echo none
+    out = _prepare_out(args, sub, games=len(result.games))
     manifest = corpus.write_corpus(result, out)
     total_events = sum(len(g.events) for g in result.games)
     total_comments = sum(len(g.comments) for g in result.games)
@@ -182,10 +157,10 @@ def _pair_table(games, window_ms: int) -> Table:
     return Table(_PAIR_COLUMNS, tuple(rows))
 
 
-def _cmd_pair(args) -> int:
+def _cmd_pair(args, sub: _Parser) -> int:
     loaded = corpus.load_corpus(args.manifest, args.window_ms)
     table = _pair_table(loaded.games, args.window_ms)
-    out = _prepare_out(args)
+    out = _prepare_out(args, sub)
     _emit(table, out, "pairing", args.json)
     return 0
 
@@ -224,7 +199,7 @@ def _load_matching(path) -> dict[tuple[str, int], int]:
     return predicted
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args, sub: _Parser) -> int:
     # only a scored strategy's own loop has a first iteration to seed
     if args.init_alignment and args.superfluous_cv:
         raise _UsageError("train: --init-alignment has no effect with --superfluous-cv")
@@ -256,7 +231,7 @@ def _cmd_train(args) -> int:
         )
     filtered = result.trained_matching()
 
-    out = _prepare_out(args)
+    out = _prepare_out(args, sub)
     summary_rows = [("strategy", args.strategy),
                     ("examples", len(examples)),
                     ("iterations", result.iterations_run),
@@ -286,28 +261,26 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_igsl(args) -> int:
+def _cmd_igsl(args, sub: _Parser) -> int:
     loaded = corpus.load_corpus(args.manifest, args.window_ms)
     examples = corpus.pooled_examples(loaded.games, args.window_ms)
     total = strategic.count_event_types(e for g in loaded.games for e in g.events)
     model = strategic.igsl(
         [ex.example for ex in examples], total, max_iter=args.max_iter
     )
-    order = [p.name for p in mrl.PREDICATES if p.name in model.prob]
-    order += sorted(set(model.prob) - set(order))
     table = Table(
         ("predicate", "events", "probability"),
         tuple((name, model.total_count.get(name, 0), model.prob[name])
-              for name in order),
+              for name in strategic.predicate_order(model)),
     )
-    out = _prepare_out(args)
+    out = _prepare_out(args, sub)
     _emit(table, out, "igsl", args.json)
     if out is not None:
         strategic.save_strategic(model, out / "strategic.tsv")
     return 0
 
 
-def _cmd_parse(args) -> int:
+def _cmd_parse(args, sub: _Parser) -> int:
     model = translator.load_model(args.model)
     rows = []
     for _, raw in corpus.read_lines(args.input):
@@ -316,12 +289,12 @@ def _cmd_parse(args) -> int:
         surface = mrl.serialize_mr(ranked[0][0]) if ranked else "NONE"
         rows.append((" ".join(tokens), surface))
     table = Table(("sentence", "mr"), tuple(rows))
-    out = _prepare_out(args)
+    out = _prepare_out(args, sub)
     _emit(table, out, "parses", args.json)
     return 0
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args, sub: _Parser) -> int:
     model = translator.load_model(args.model)
     rows = []
     for lineno, raw in corpus.read_lines(args.input):
@@ -338,16 +311,16 @@ def _cmd_generate(args) -> int:
         for rank, (tokens, score) in enumerate(ranked, start=1):
             rows.append((surface, rank, score, " ".join(tokens)))
     table = Table(("mr", "rank", "score", "sentence"), tuple(rows))
-    out = _prepare_out(args)
+    out = _prepare_out(args, sub)
     _emit(table, out, "generations", args.json)
     return 0
 
 
-def _cmd_sportscast(args) -> int:
+def _cmd_sportscast(args, sub: _Parser) -> int:
     model = translator.load_model(args.model)
     strat = strategic.load_strategic(args.strategic)
     loaded = corpus.load_corpus(args.manifest, args.window_ms)
-    out = _prepare_out(args)
+    out = _prepare_out(args, sub)
     summary_rows = []
     for index, game in enumerate(loaded.games):
         prng = simgen.Prng(simgen.derive_seed(args.seed, index, 2))
@@ -370,15 +343,7 @@ def _cmd_sportscast(args) -> int:
     return 0
 
 
-def _gold_event_mrs(game) -> dict[int, mrl.MeaningRepresentation | None]:
-    by_id = {e.id: e for e in game.events}
-    gold_mrs: dict[int, mrl.MeaningRepresentation | None] = {}
-    for comment_id, event_id in game.gold.matches.items():
-        gold_mrs[comment_id] = None if event_id is None else by_id[event_id].mr
-    return gold_mrs
-
-
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args, sub: _Parser) -> int:
     model = translator.load_model(args.model)
     loaded = corpus.load_corpus(args.manifest, args.window_ms)
     for game in loaded.games:
@@ -394,7 +359,7 @@ def _cmd_evaluate(args) -> int:
     parses: dict[tuple[str, int], mrl.MeaningRepresentation | None] = {}
     gold_mrs: dict[tuple[str, int], mrl.MeaningRepresentation | None] = {}
     for game in loaded.games:
-        game_gold = _gold_event_mrs(game)
+        game_gold = corpus.gold_event_mrs(game)
         for comment in game.comments:
             key = (game.name, comment.id)
             gold_mrs[key] = game_gold.get(comment.id)
@@ -427,7 +392,7 @@ def _cmd_evaluate(args) -> int:
         counts={"segments": len(segments), "no_template": no_template},
     ))
 
-    out = _prepare_out(args)
+    out = _prepare_out(args, sub)
     for report in reports:
         if out is None:
             sys.stdout.write(metrics.report_to_text(report) + "\n")
@@ -442,79 +407,67 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "pair": _cmd_pair,
-    "train": _cmd_train,
-    "igsl": _cmd_igsl,
-    "parse": _cmd_parse,
-    "generate": _cmd_generate,
-    "sportscast": _cmd_sportscast,
-    "evaluate": _cmd_evaluate,
-}
-
-
-def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+def _build_parser() -> tuple[_Parser, dict[str, tuple[_Parser, Callable]]]:
     parser = _Parser(prog="sportscaster", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-    by_name: dict[str, _Parser] = {}
+    by_name: dict[str, tuple[_Parser, Callable]] = {}
 
-    def sub(name: str, **kwargs) -> _Parser:
+    def sub(name: str, handler: Callable, **kwargs) -> _Parser:
         p = subs.add_parser(name, **kwargs)
         p.add_argument("--config", default="", help="key = value defaults file")
         p.add_argument("--out", default="", help="output directory")
-        by_name[name] = p
+        by_name[name] = (p, handler)
         return p
 
-    def common(p: _Parser, *, manifest=True, window=True, as_json=True):
+    def common(p: _Parser, *, manifest=True):
         if manifest:
             # not argparse-required so a --config file may supply it
             p.add_argument("--manifest", default="", help="corpus manifest TSV")
-        if window:
-            p.add_argument("--window-ms", type=int, default=5000, dest="window_ms")
-        if as_json:
-            p.add_argument("--json", action="store_true")
+            p.add_argument("--window-ms", type=int, default=corpus.DEFAULT_WINDOW_MS,
+                           dest="window_ms")
+        p.add_argument("--json", action="store_true")
 
-    p = sub("simulate", help="write a synthetic annotated corpus")
+    p = sub("simulate", _cmd_simulate, help="write a synthetic annotated corpus")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--games", type=int, default=None)
 
-    p = sub("pair", help="pairing ambiguity statistics")
+    p = sub("pair", _cmd_pair, help="pairing ambiguity statistics")
     common(p)
 
-    p = sub("train", help="disambiguate and train a translation model")
+    p = sub("train", _cmd_train, help="disambiguate and train a translation model")
     common(p)
     p.add_argument("--strategy", choices=learner.STRATEGY_KINDS, default="parse_score")
-    p.add_argument("--max-iter", type=int, default=10, dest="max_iter")
+    p.add_argument("--max-iter", type=int, default=learner.DEFAULT_MAX_ITER,
+                   dest="max_iter")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--init-alignment", default="", dest="init_alignment",
                    help="external `game\\tcomment\\tmr` seed pairs")
     p.add_argument("--superfluous-cv", action="store_true", dest="superfluous_cv")
 
-    p = sub("igsl", help="per-event-type commentary probabilities")
+    p = sub("igsl", _cmd_igsl, help="per-event-type commentary probabilities")
     common(p)
     p.add_argument("--max-iter", type=int, default=strategic.DEFAULT_MAX_ITER,
                    dest="max_iter")
 
-    p = sub("parse", help="batch sentence -> MR")
+    p = sub("parse", _cmd_parse, help="batch sentence -> MR")
     p.add_argument("model", help="trained model file")
     p.add_argument("input", help="one sentence per line")
-    common(p, manifest=False, window=False)
+    common(p, manifest=False)
 
-    p = sub("generate", help="batch MR -> sentence")
+    p = sub("generate", _cmd_generate, help="batch MR -> sentence")
     p.add_argument("model")
     p.add_argument("input", help="one MR per line")
-    p.add_argument("--topk", type=int, default=5)
-    common(p, manifest=False, window=False)
+    p.add_argument("--topk", type=int, default=translator.DEFAULT_TOPK)
+    common(p, manifest=False)
 
-    p = sub("sportscast", help="timed transcript for each game")
+    p = sub("sportscast", _cmd_sportscast, help="timed transcript for each game")
     p.add_argument("model")
     p.add_argument("strategic")
     common(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--topk", type=int, default=5)
+    p.add_argument("--topk", type=int, default=translator.DEFAULT_TOPK)
 
-    p = sub("evaluate", help="reports against gold annotations")
+    p = sub("evaluate", _cmd_evaluate, help="reports against gold annotations")
     p.add_argument("model")
     common(p)
     p.add_argument("--matching", default="", help="matching TSV from `train`")
@@ -537,8 +490,8 @@ def _coerce(value: str, default) -> object:
 def _load_cli_config(path, sub: _Parser) -> dict:
     defaults = {
         action.dest: action.default
-        for action in sub._actions
-        if action.dest not in ("help", "config")
+        for action in _settings(sub)
+        if action.dest != "config"
     }
     overrides = {}
     for lineno, key, value in corpus.key_values(corpus.read_lines(path), path):
@@ -555,14 +508,13 @@ def run(argv) -> int:
     try:
         parser, subs = _build_parser()
         args = parser.parse_args(argv)
+        sub, handler = subs[args.command]
         if args.config and args.command != "simulate":
-            overrides = _load_cli_config(args.config, subs[args.command])
-            parser, subs = _build_parser()
-            subs[args.command].set_defaults(**overrides)
+            sub.set_defaults(**_load_cli_config(args.config, sub))
             args = parser.parse_args(argv)
         if getattr(args, "manifest", None) == "":
             raise _UsageError(f"{args.command}: --manifest is required")
-        return _COMMANDS[args.command](args)
+        return handler(args, sub)
     except _UsageError as err:
         print(str(err), file=sys.stderr)
         return 1

@@ -251,6 +251,18 @@ def pooled_examples(
     return out
 
 
+def gold_event_mrs(game: Game) -> dict[int, mrl.MeaningRepresentation | None]:
+    """Each gold-annotated comment id, ascending, with the MR of the event it
+    describes (None for chatter); empty for a game without gold."""
+    if game.gold is None:
+        return {}
+    by_id = {e.id: e for e in game.events}
+    return {
+        comment_id: None if event_id is None else by_id[event_id].mr
+        for comment_id, event_id in sorted(game.gold.matches.items())
+    }
+
+
 def pooled_gold(games: Iterable[Game]) -> dict[tuple[str, int], int | None]:
     gold: dict[tuple[str, int], int | None] = {}
     for game in games:
@@ -366,13 +378,10 @@ def write_corpus(corpus: Corpus, out_dir: str | Path) -> Path:
         )
 
         if game.gold is not None:
-            by_id = {e.id: e for e in game.events}
-            gold_lines = []
-            for comment_id in sorted(game.gold.matches):
-                event_id = game.gold.matches[comment_id]
-                surface = "NONE" if event_id is None else mrl.serialize_mr(by_id[event_id].mr)
-                gold_lines.append(f"{comment_id}\t{surface}")
-            write_lines(out / gold_name, gold_lines)
+            write_lines(out / gold_name, (
+                f"{comment_id}\t{'NONE' if mr is None else mrl.serialize_mr(mr)}"
+                for comment_id, mr in gold_event_mrs(game).items()
+            ))
 
         manifest_lines.append(
             f"{game.name}\t{events_name}\t{comments_name}\t{gold_name}"

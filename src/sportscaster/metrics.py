@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from . import mrl
-from .corpus import Game, fmt, lines_text
+from .corpus import Game, fmt, gold_event_mrs, lines_text
 
 Tokens = Sequence[str]
 
@@ -250,16 +250,11 @@ def expand_references(
     """
     refs: dict[str, list[tuple[str, ...]]] = {}
     for game in games:
-        if game.gold is None:
-            continue
-        by_id = {e.id: e for e in game.events}
         comments = {c.id: c for c in game.comments}
-        for comment_id in sorted(game.gold.matches):
-            event_id = game.gold.matches[comment_id]
-            if event_id is None:
-                continue
-            key = mrl.serialize_mr(by_id[event_id].mr)
-            refs.setdefault(key, []).append(comments[comment_id].tokens)
+        for comment_id, mr in gold_event_mrs(game).items():
+            if mr is not None:
+                key = mrl.serialize_mr(mr)
+                refs.setdefault(key, []).append(comments[comment_id].tokens)
     return refs
 
 

@@ -76,6 +76,8 @@ def igsl(
     match out inversely proportional to its ambiguity; updates are synchronous
     (every share in an iteration uses the previous iteration's probabilities).
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     sentences: list[list[str]] = []
     for example in examples:
         if not example.candidates:
@@ -125,7 +127,7 @@ def assemble_sportscast(
     events: Sequence[GameEvent],
     model: StrategicModel,
     translation: translator.TranslationModel,
-    k: int = 5,
+    k: int = translator.DEFAULT_TOPK,
     prng: Prng | None = None,
 ) -> tuple[list[tuple[int, mrl.MeaningRepresentation, tuple[str, ...]]], list[str]]:
     """Walk the timeline in ticks, verbalizing stochastically chosen events.
@@ -160,18 +162,23 @@ def assemble_sportscast(
     return transcript, skipped
 
 
-def save_strategic(model: StrategicModel, path) -> None:
+def predicate_order(model: StrategicModel) -> list[str]:
+    """The model's event types in grammar order, then any others sorted."""
     grammar_order = [p.name for p in mrl.PREDICATES if p.name in model.prob]
-    extras = sorted(set(model.prob) - set(grammar_order))
+    return grammar_order + sorted(set(model.prob) - set(grammar_order))
+
+
+def save_strategic(model: StrategicModel, path) -> None:
     write_lines(path, (
         f"{predicate}\t{fmt(model.prob[predicate])}\t{model.total_count.get(predicate, 0)}"
-        for predicate in grammar_order + extras
+        for predicate in predicate_order(model)
     ))
 
 
 def load_strategic(path) -> StrategicModel:
     """Inverse of save_strategic; a malformed line raises FormatError naming
-    its file and line."""
+    its file and line.  A probability must be a number in [0, 1] and a count
+    must not be negative: a NaN would poison every select_event draw."""
     prob: dict[str, float] = {}
     total: dict[str, int] = {}
     for lineno, (predicate, p, count) in read_records(path, 3):
@@ -180,4 +187,8 @@ def load_strategic(path) -> StrategicModel:
             total[predicate] = int(count)
         except ValueError as err:
             raise FormatError(str(path), lineno, str(err)) from None
+        if not 0.0 <= prob[predicate] <= 1.0:
+            raise FormatError(str(path), lineno, f"probability {p!r} not in [0, 1]")
+        if total[predicate] < 0:
+            raise FormatError(str(path), lineno, f"negative count {count!r}")
     return StrategicModel(prob=prob, total_count=total)

@@ -48,6 +48,7 @@ NULL_KEY = "<NULL>"
 SMOOTHING_K = 1e-3
 LM_ORDER = 3
 LM_K = 0.01
+DEFAULT_TOPK = 5
 _START = "<s>"
 _END = "</s>"
 
@@ -389,7 +390,7 @@ _PRUNE_FLOOR = sys.float_info.min
 
 
 def generate_topk(
-    mr: mrl.MeaningRepresentation, model: TranslationModel, k: int = 5
+    mr: mrl.MeaningRepresentation, model: TranslationModel, k: int = DEFAULT_TOPK
 ) -> list[tuple[tuple[str, ...], float]]:
     """Noisy-channel generation: the k best template/realization combinations.
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from sportscaster import cli, corpus, mrl, translator
-from sportscaster.cli import RunConfig, Table, run
+from sportscaster.cli import Table, run
 
 
 def _snapshot(directory):
@@ -197,6 +197,16 @@ def test_igsl_report(corpus_dir, tmp_path):
     assert (out / "strategic.tsv").exists()
 
 
+@pytest.mark.parametrize("max_iter", ["0", "-1"])
+def test_igsl_rejects_max_iter_below_one(corpus_dir, tmp_path, capsys, max_iter):
+    out = tmp_path / "igsl"
+    rc = run(["igsl", "--manifest", str(corpus_dir / "manifest.tsv"),
+              "--max-iter", max_iter, "--out", str(out)])
+    assert rc == 2
+    assert "max_iter" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parse_and_generate_round_trip(train_dir, tmp_path):
     sentences = tmp_path / "s.txt"
     sentences.write_text("pink1 passes to pink2\nzzz qqq vvv\n")
@@ -369,6 +379,11 @@ def test_malformed_model_names_file_and_line(tmp_path, capsys, line, bad):
         (2, "kick\t0.5\t3\t1"),            # wrong field count
         (2, "kick\thalf\t3"),              # non-numeric probability
         (3, "pass\t0.25\tmany"),           # non-numeric count
+        (3, "pass\tnan\t4"),              # probability not a number in [0, 1]
+        (2, "kick\tinf\t3"),
+        (2, "kick\t7\t3"),
+        (2, "kick\t-0.5\t3"),
+        (3, "pass\t0.25\t-4"),            # negative count
     ],
 )
 def test_malformed_strategic_names_file_and_line(
@@ -405,12 +420,68 @@ def test_write_report_deterministic(tmp_path):
         cli.write_report(table, tmp_path / "x.csv", "csv")
 
 
-def test_run_config_has_full_defaults():
-    config = RunConfig()
-    text = cli.run_config_text(config)
-    assert text.endswith("\n")
-    lines = text.splitlines()
-    assert lines[0] == "command = "
-    assert "window_ms = 5000" in lines
-    assert "topk = 5" in lines
-    assert "superfluous_cv = false" in lines
+# each subcommand's declared arguments, in declaration order
+_DECLARED = {
+    "simulate": ("config", "out", "seed", "games"),
+    "pair": ("config", "out", "manifest", "window_ms", "json"),
+    "train": ("config", "out", "manifest", "window_ms", "json", "strategy",
+              "max_iter", "seed", "init_alignment", "superfluous_cv"),
+    "igsl": ("config", "out", "manifest", "window_ms", "json", "max_iter"),
+    "parse": ("config", "out", "model", "input", "json"),
+    "generate": ("config", "out", "model", "input", "topk", "json"),
+    "sportscast": ("config", "out", "model", "strategic", "manifest",
+                   "window_ms", "json", "seed", "topk"),
+    "evaluate": ("config", "out", "model", "manifest", "window_ms", "json",
+                 "matching"),
+}
+
+
+@pytest.mark.parametrize("command", list(_DECLARED))
+def test_run_config_echoes_declared_arguments(
+    corpus_dir, train_dir, tmp_path, command
+):
+    manifest = str(corpus_dir / "manifest.tsv")
+    model = str(train_dir / "model.tsv")
+    sentences = tmp_path / "s.txt"
+    sentences.write_text("pink1 passes to pink2\n")
+    mrs = tmp_path / "m.txt"
+    mrs.write_text("pass ( pink1 , pink2 )\n")
+    strategic_path = tmp_path / "strategic.tsv"
+    strategic_path.write_text("pass\t0.5\t4\n")
+    argv = {
+        "simulate": ["--games", "1"],
+        "pair": ["--manifest", manifest],
+        "train": ["--manifest", manifest, "--strategy", "gold"],
+        "igsl": ["--manifest", manifest],
+        "parse": [model, str(sentences)],
+        "generate": [model, str(mrs)],
+        "sportscast": [model, str(strategic_path), "--manifest", manifest],
+        "evaluate": [model, "--manifest", manifest],
+    }[command]
+    out = tmp_path / "out"
+    assert run([command, *argv, "--out", str(out)]) == 0
+    assert (out / "run_config.txt").read_text().endswith("\n")
+    echoed = _echoed(out)
+    assert list(echoed) == ["command", *_DECLARED[command]]
+    assert echoed["command"] == command
+    assert echoed["out"] == str(out)
+    for key, default in {"window_ms": "5000", "json": "false",
+                         "superfluous_cv": "false", "topk": "5"}.items():
+        assert echoed.get(key, default) == default
+
+
+def test_run_config_echoes_config_values_and_flag_overrides(corpus_dir, tmp_path):
+    config = tmp_path / "pair.cfg"
+    config.write_text(
+        f"manifest = {corpus_dir / 'manifest.tsv'}\n"
+        "window_ms = 6000\n"
+        "json = true\n"
+    )
+    out = tmp_path / "out"
+    assert run(["pair", "--config", str(config), "--window-ms", "7000",
+                "--out", str(out)]) == 0
+    echoed = _echoed(out)
+    assert echoed["config"] == str(config)
+    assert echoed["json"] == "true"          # the config file beat the default
+    assert echoed["window_ms"] == "7000"     # the flag beat the config file
+    assert (out / "pairing.json").exists()
