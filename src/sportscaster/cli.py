@@ -16,9 +16,10 @@ per argument that subcommand declares, positionals included, in declaration
 order and with its effective value, so any output can be reproduced
 bit-exactly from its own provenance.  `simulate` echoes the games it wrote
 and leaves `seed` empty when `--seed` was not given.  A `--config` file
-holds `key = value` defaults for the flags, under the same keys; explicit
-flags win.  All output is deterministic: no timestamps, no machine
-identifiers.
+holds `key = value` defaults for the arguments, under the same keys,
+positionals included; explicit arguments win.  `--json` writes reports as
+JSON, on stdout or under `--out`.  All output is deterministic: no
+timestamps, no machine identifiers.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ from typing import Callable
 from . import corpus, learner, metrics, mrl, simgen, strategic, translator
 
 THETA_GRID = (0.0, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40)
+# Arguments every subcommand that declares them needs, from the command
+# line or a --config file.
+_REQUIRED = frozenset({"manifest", "model", "input", "strategic"})
 
 
 class _UsageError(Exception):
@@ -60,11 +64,12 @@ def table_to_tsv(table: Table) -> str:
     return corpus.lines_text(lines)
 
 
+def _records(table: Table) -> list[dict]:
+    return [dict(zip(table.columns, row)) for row in table.rows]
+
+
 def table_to_json(table: Table) -> str:
-    payload = [
-        {col: value for col, value in zip(table.columns, row)} for row in table.rows
-    ]
-    return json.dumps(payload, sort_keys=True) + "\n"
+    return json.dumps(_records(table), sort_keys=True) + "\n"
 
 
 def write_report(table: Table, path, format: str = "tsv") -> None:
@@ -99,8 +104,10 @@ def _prepare_out(args, sub: _Parser, **effective) -> Path | None:
 
 
 def _emit(table: Table, out: Path | None, name: str, as_json: bool) -> None:
+    """The report as `<name>.tsv` or `<name>.json` under out, or on stdout
+    in the same format without --out."""
     if out is None:
-        sys.stdout.write(table_to_tsv(table))
+        sys.stdout.write(table_to_json(table) if as_json else table_to_tsv(table))
     else:
         ext = "json" if as_json else "tsv"
         write_report(table, out / f"{name}.{ext}", ext)
@@ -244,10 +251,9 @@ def _cmd_train(args, sub: _Parser) -> int:
         f1 = metrics.matching_f1(result.matching.event_ids(), gold).f1
         summary_rows.append(("matching_f1", f1))
     summary = Table(("key", "value"), tuple(summary_rows))
-    if out is None:
-        sys.stdout.write(table_to_tsv(summary))
-        return 0
     _emit(summary, out, "summary", args.json)
+    if out is None:
+        return 0
     write_report(_matching_table(result.matching), out / "matching.tsv")
     corpus.write_lines(out / "alignment.tsv", _alignment_lines(examples, filtered))
     (out / "history.tsv").write_text(
@@ -332,11 +338,15 @@ def _cmd_sportscast(args, sub: _Parser) -> int:
             for time_ms, mr, tokens in transcript
         )
         table = Table(("time_ms", "mr", "sentence"), rows)
-        if out is None:
+        if out is not None:
+            write_report(table, out / f"{game.name}.transcript.tsv")
+        elif args.json:
+            sys.stdout.write(json.dumps(
+                {"game": game.name, "transcript": _records(table)}, sort_keys=True
+            ) + "\n")
+        else:
             sys.stdout.write(f"# {game.name}\n")
             sys.stdout.write(table_to_tsv(table))
-        else:
-            write_report(table, out / f"{game.name}.transcript.tsv")
         summary_rows.append((game.name, len(transcript), len(skipped)))
     summary = Table(("game", "comments", "skipped"), tuple(summary_rows))
     _emit(summary, out, "sportscast", args.json)
@@ -395,7 +405,10 @@ def _cmd_evaluate(args, sub: _Parser) -> int:
     out = _prepare_out(args, sub)
     for report in reports:
         if out is None:
-            sys.stdout.write(metrics.report_to_text(report) + "\n")
+            sys.stdout.write(
+                metrics.report_to_json(report) if args.json
+                else metrics.report_to_text(report) + "\n"
+            )
         elif args.json:
             (out / f"report_{report.task}.json").write_text(
                 metrics.report_to_json(report), encoding="utf-8"
@@ -419,9 +432,13 @@ def _build_parser() -> tuple[_Parser, dict[str, tuple[_Parser, Callable]]]:
         by_name[name] = (p, handler)
         return p
 
+    # Required inputs are not argparse-required, so a --config file may
+    # supply them; run() checks them once the config file is applied.
+    def positional(p: _Parser, name: str, **kwargs) -> None:
+        p.add_argument(name, nargs="?", default="", **kwargs)
+
     def common(p: _Parser, *, manifest=True):
         if manifest:
-            # not argparse-required so a --config file may supply it
             p.add_argument("--manifest", default="", help="corpus manifest TSV")
             p.add_argument("--window-ms", type=int, default=corpus.DEFAULT_WINDOW_MS,
                            dest="window_ms")
@@ -450,25 +467,25 @@ def _build_parser() -> tuple[_Parser, dict[str, tuple[_Parser, Callable]]]:
                    dest="max_iter")
 
     p = sub("parse", _cmd_parse, help="batch sentence -> MR")
-    p.add_argument("model", help="trained model file")
-    p.add_argument("input", help="one sentence per line")
+    positional(p, "model", help="trained model file")
+    positional(p, "input", help="one sentence per line")
     common(p, manifest=False)
 
     p = sub("generate", _cmd_generate, help="batch MR -> sentence")
-    p.add_argument("model")
-    p.add_argument("input", help="one MR per line")
+    positional(p, "model")
+    positional(p, "input", help="one MR per line")
     p.add_argument("--topk", type=int, default=translator.DEFAULT_TOPK)
     common(p, manifest=False)
 
     p = sub("sportscast", _cmd_sportscast, help="timed transcript for each game")
-    p.add_argument("model")
-    p.add_argument("strategic")
+    positional(p, "model")
+    positional(p, "strategic")
     common(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--topk", type=int, default=translator.DEFAULT_TOPK)
 
     p = sub("evaluate", _cmd_evaluate, help="reports against gold annotations")
-    p.add_argument("model")
+    positional(p, "model")
     common(p)
     p.add_argument("--matching", default="", help="matching TSV from `train`")
 
@@ -512,8 +529,15 @@ def run(argv) -> int:
         if args.config and args.command != "simulate":
             sub.set_defaults(**_load_cli_config(args.config, sub))
             args = parser.parse_args(argv)
-        if getattr(args, "manifest", None) == "":
-            raise _UsageError(f"{args.command}: --manifest is required")
+        missing = [
+            (action.option_strings or [action.dest])[0]
+            for action in _settings(sub)
+            if action.dest in _REQUIRED and getattr(args, action.dest) == ""
+        ]
+        if missing:
+            raise _UsageError(
+                f"{args.command}: the following arguments are required: {', '.join(missing)}"
+            )
         return handler(args, sub)
     except _UsageError as err:
         print(str(err), file=sys.stderr)

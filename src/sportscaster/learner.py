@@ -166,24 +166,38 @@ def _assign_best(
     strategy: ScoringStrategy,
     strategic_model: strategic.StrategicModel | None,
 ) -> Matching:
-    cache: dict = {}
+    """Each example's best candidate by (-score, time, surface form, id).
+    parse_score scores the whole corpus in one translator.score_corpus call."""
+    candidate_sets = [ex.example.candidates for ex in examples]
+    if _SCORED_KINDS[strategy.kind][0] is None:
+        scores = translator.score_corpus(
+            [ex.example.comment.tokens for ex in examples],
+            [[c.mr for c in candidates] for candidates in candidate_sets],
+            model,
+        )
+    else:
+        cache: dict = {}
+        scores = [
+            [
+                evaluate_candidate(
+                    ex.example.comment.tokens, c.mr, model, strategy, strategic_model, cache
+                )
+                for c in candidates
+            ]
+            for ex, candidates in zip(examples, candidate_sets)
+        ]
     assignments: dict[Key, tuple[int, float]] = {}
-    for ex in examples:
-        tokens = ex.example.comment.tokens
-        best = None
-        for candidate in ex.example.candidates:
-            score = evaluate_candidate(
-                tokens, candidate.mr, model, strategy, strategic_model, cache
-            )
-            rank = (
-                -score,
-                candidate.time_ms,
-                mrl.serialize_mr(candidate.mr),
-                candidate.id,
-            )
-            if best is None or rank < best[0]:
-                best = (rank, candidate, score)
-        assignments[ex.key] = (best[1].id, best[2])
+    for ex, candidates, candidate_scores in zip(examples, candidate_sets, scores):
+        score, candidate = min(
+            zip(candidate_scores, candidates),
+            key=lambda scored: (
+                -scored[0],
+                scored[1].time_ms,
+                mrl.serialize_mr(scored[1].mr),
+                scored[1].id,
+            ),
+        )
+        assignments[ex.key] = (candidate.id, score)
     return Matching(assignments)
 
 
@@ -378,13 +392,14 @@ def _validation_score(
     denominator = sum(counts.values()) + translator.SMOOTHING_K * (len(counts) + 1)
     share = len(pruned) / len(assigned)
     total = 0.0
-    for ex in validation:
+    scores = translator.score_corpus(
+        [ex.example.comment.tokens for ex in validation],
+        [[c.mr for c in ex.example.candidates] for ex in validation],
+        result.model,
+    )
+    for ex, candidate_scores in zip(validation, scores):
         tokens = ex.example.comment.tokens
-        best = max(
-            translator.score_candidates(
-                tokens, [c.mr for c in ex.example.candidates], result.model
-            )
-        )
+        best = max(candidate_scores)
         # a very long sentence can underflow the per-token score to 0
         described = len(tokens) * math.log(best) if best > 0.0 else -math.inf
         if not pruned:

@@ -21,14 +21,18 @@ generation instantiates templates and ranks by the noisy-channel product
 template/realization combinations best-first under an upper bound that
 factors per argument, and scores only those that can still reach the top k.
 
-Scoring is implemented once, vectorized over candidates; score_pair is the
-single-candidate view of the same arithmetic, so restricted and full-space
-rankings can never disagree.
+Scoring is implemented once, in score_corpus: one kernel over many
+sentences, each with its own candidate MRs, that groups the (sentence,
+candidate) pairs by sentence length and scores each group in whole-array
+passes.  score_candidates, score_pair, parse_sentence and the learner's
+parse-scored loop and validation scorer are views of that one kernel, so
+restricted, full-space and corpus-wide scores can never disagree.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import sys
 from collections import Counter, defaultdict
@@ -172,7 +176,11 @@ def train_alignment(pairs: Sequence[Pair], iterations: int = 25) -> AlignmentMod
     """Model-1 EM: uniform init, then expected-count renormalization.
 
     The corpus is flattened once into (token, production slot) cells of the
-    table; each E-step gathers them and np.add.at adds in corpus order.
+    table; each E-step gathers them and np.add.at adds in corpus order.  A
+    production's row total adds its expected counts left to right in
+    first-reach order, the order a dict per row would hold them in.  That
+    equals builtin sum up to Python 3.11; from 3.12 builtin sum compensates
+    float rounding, and the two may differ in the last bit.
     """
     if not pairs:
         raise EmptyTrainingSet("no (sentence, mr) pairs to align")
@@ -189,11 +197,16 @@ def train_alignment(pairs: Sequence[Pair], iterations: int = 25) -> AlignmentMod
     rows = np.repeat(index, lengths, axis=0)
     width = np.repeat(widths, lengths)
     cells = rows * size + words[:, None]  # flat (row, word) cell per token slot
-    # Builtin sum in first-reach order: the same row totals a dict per row gives.
+    # Each trained row's reached cells in first-reach order, one column per
+    # row, padded with a pad-row cell: the pad row only ever gains zeros.
     reached, first = np.unique(cells[rows != _PAD_COLUMN], return_index=True)
     reached = reached[np.lexsort((first, reached // size))]
-    trained, starts = np.unique(reached // size, return_index=True)
-    groups = np.split(reached, starts[1:])
+    trained, starts, counts = np.unique(
+        reached // size, return_index=True, return_counts=True
+    )
+    groups = np.full((counts.max(), len(trained)), _PAD_COLUMN * size, dtype=np.intp)
+    groups[np.arange(len(reached)) - np.repeat(starts, counts),
+           np.repeat(np.arange(len(trained)), counts)] = reached
     # The pad row stays zero, so padded slots add nothing.
     t = np.zeros((_PAD_COLUMN + 1, size), dtype=np.float64)
     t[trained] = 1.0 / size
@@ -206,7 +219,8 @@ def train_alignment(pairs: Sequence[Pair], iterations: int = 25) -> AlignmentMod
             break
         expected = np.zeros(t.size, dtype=np.float64)
         np.add.at(expected, cells, gathered / denominators[:, None])
-        totals = np.array([sum(expected[group].tolist()) for group in groups])
+        # An outer-axis sum runs down each column left to right.
+        totals = expected.take(groups).sum(axis=0)
         t[trained] = expected.reshape(t.shape)[trained] / totals[:, None]
     return AlignmentModel(
         t=t[:_PAD_COLUMN], vocabulary=vocabulary, log_likelihoods=tuple(history)
@@ -226,16 +240,27 @@ def extract_templates(pairs: Sequence[Pair], alignment: AlignmentModel) -> Templ
     """
     template_counts: dict[str, Counter] = defaultdict(Counter)
     realization_counts: dict[str, Counter] = defaultdict(Counter)
-    for tokens, mr in pairs:
+    # Ties favor argument productions (in argument order) over the head,
+    # and NULL never wins a tie: a fully symmetric table, as on a
+    # single-pair corpus, must still yield a slotted, usable template.
+    derivations = [mrl.derivation(mr) for _, mr in pairs]
+    tie_keys = [[p.key for p in deriv[1:]] + [deriv[0].key, NULL_KEY] for deriv in derivations]
+    tie_columns = np.full((len(pairs), 4), _PAD_COLUMN, dtype=np.intp)
+    for row, keys in enumerate(tie_keys):
+        tie_columns[row, : len(keys)] = [_COLUMN_INDEX[key] for key in keys]
+    # One gather for the corpus: each token's t values under its pair's
+    # productions in tie order, 0 for an unknown word or a pad column.
+    lengths = [len(tokens) for tokens, _ in pairs]
+    table = _extended_table(alignment.t, len(alignment.vocabulary))
+    words = _word_columns([w for tokens, _ in pairs for w in tokens], alignment)
+    raw = table.take(np.repeat(tie_columns, lengths, axis=0) * table.shape[1] + words[:, None])
+    # argmax takes the first maximum, i.e. the tie order of keys.
+    winners = raw.argmax(axis=1).tolist()
+    start = 0
+    for (tokens, mr), deriv, keys, length in zip(pairs, derivations, tie_keys, lengths):
         tokens = tuple(tokens)
-        deriv = mrl.derivation(mr)
-        # Ties favor argument productions (in argument order) over the head,
-        # and NULL never wins a tie: a fully symmetric table, as on a
-        # single-pair corpus, must still yield a slotted, usable template.
-        keys = [p.key for p in deriv[1:]] + [deriv[0].key, NULL_KEY]
-        raw = _raw_table(tokens, alignment)[:, [_COLUMN_INDEX[key] for key in keys]]
-        # argmax takes the first maximum, i.e. the tie order of keys.
-        assigned = [keys[i] for i in raw.argmax(axis=1).tolist()]
+        assigned = [keys[i] for i in winners[start : start + length]]
+        start += length
         # Argument positions still wanting a slot, queued per constant key.
         open_slots: dict[str, list[int]] = defaultdict(list)
         for position, production in enumerate(deriv[1:], start=1):
@@ -290,17 +315,28 @@ def null_floor(model: TranslationModel) -> float:
     return SMOOTHING_K / (1.0 + SMOOTHING_K * size)
 
 
+# MR surface form -> the columns of its derivation, then NULL, then pads to
+# 4: each MR's columns are built once, the first time they are needed.
+_DERIVATION_COLUMNS: dict[str, tuple[int, int, int, int]] = {}
+
+
+def _derivation_columns(mr: mrl.MeaningRepresentation) -> tuple[int, int, int, int]:
+    keys = [p.key for p in mrl.derivation(mr)] + [NULL_KEY]
+    columns = tuple(_COLUMN_INDEX[key] for key in keys) + (_PAD_COLUMN,) * (4 - len(keys))
+    _DERIVATION_COLUMNS[mr.surface] = columns
+    return columns
+
+
 def _candidate_arrays(
     mrs: Sequence[mrl.MeaningRepresentation],
 ) -> tuple[np.ndarray, np.ndarray]:
-    index = np.full((len(mrs), 4), _PAD_COLUMN, dtype=np.intp)
-    widths = np.empty(len(mrs), dtype=np.float64)
-    for row, mr in enumerate(mrs):
-        keys = [p.key for p in mrl.derivation(mr)] + [NULL_KEY]
-        for col, key in enumerate(keys):
-            index[row, col] = _COLUMN_INDEX[key]
-        widths[row] = len(keys)
-    return index, widths
+    """An (MR, 4) column index and each MR's count of non-pad columns."""
+    cached = _DERIVATION_COLUMNS.get
+    columns = (cached(mr.surface) or _derivation_columns(mr) for mr in mrs)
+    index = np.fromiter(
+        itertools.chain.from_iterable(columns), dtype=np.intp, count=4 * len(mrs)
+    ).reshape(len(mrs), 4)
+    return index, (index != _PAD_COLUMN).sum(axis=1).astype(np.float64)
 
 
 @lru_cache(maxsize=1)
@@ -308,21 +344,74 @@ def _full_space_arrays() -> tuple[np.ndarray, np.ndarray]:
     return _candidate_arrays(mrl.enumerate_mrs())
 
 
-def _raw_table(tokens: Tokens, alignment: AlignmentModel) -> np.ndarray:
-    """(word, production column) t values; unknown words and the pad col 0."""
-    columns = np.array([alignment.columns.get(w, -1) for w in tokens], dtype=np.intp)
-    known = columns >= 0
-    raw = np.zeros((len(tokens), _PAD_COLUMN + 1), dtype=np.float64)
-    raw[known, :_PAD_COLUMN] = alignment.t[:, columns[known]].T
-    return raw
-
-
-def _smoothed_table(tokens: Tokens, model: TranslationModel) -> np.ndarray:
-    """(word, production column) add-k translation probabilities, pad col 0."""
-    denominator = 1.0 + SMOOTHING_K * len(model.alignment.vocabulary)
-    table = (_raw_table(tokens, model.alignment) + SMOOTHING_K) / denominator
-    table[:, _PAD_COLUMN] = 0.0
+def _extended_table(values: np.ndarray, size: int) -> np.ndarray:
+    """values (one row per production column, one column per vocabulary
+    word) framed by a zero pad row and a zero column for unknown words."""
+    table = np.zeros((_PAD_COLUMN + 1, size + 1), dtype=np.float64)
+    table[:_PAD_COLUMN, :size] = values
     return table
+
+
+def _word_columns(tokens: Tokens, alignment: AlignmentModel) -> np.ndarray:
+    """Each token's column in t, or the unknown-word column of _extended_table."""
+    columns, unknown = alignment.columns, len(alignment.vocabulary)
+    return np.array([columns.get(w, unknown) for w in tokens], dtype=np.intp)
+
+
+def score_corpus(
+    sentences: Sequence[Tokens],
+    candidates: Sequence[Sequence[mrl.MeaningRepresentation]] | None,
+    model: TranslationModel,
+) -> list[list[float]]:
+    """Per-token-normalized Model-1 likelihood of each sentence under each of
+    its candidate MRs, or under every grammar-valid MR (enumerate_mrs()
+    order) when candidates is None.
+
+    A word's score under an MR is the mean of its add-k t values over the
+    derivation's productions and NULL, added in derivation order; a
+    sentence's score is the product of its words' scores raised to one over
+    its length, and an empty sentence scores null_floor.  The (sentence,
+    candidate) pairs are grouped by sentence length, and each group is one
+    (tokens x pairs) array pass with a scalar root.
+    """
+    size = len(model.alignment.vocabulary)
+    smoothed = _extended_table(model.alignment.t, size)
+    smoothed[:_PAD_COLUMN] = (smoothed[:_PAD_COLUMN] + SMOOTHING_K) / (
+        1.0 + SMOOTHING_K * size
+    )
+    flat = smoothed.ravel()
+    if candidates is None:
+        full_index, full_widths = _full_space_arrays()
+        counts = [len(full_widths)] * len(sentences)
+    else:
+        counts = [len(mrs) for mrs in candidates]
+    floor = null_floor(model)
+    scores = [[] if tokens else [floor] * count for tokens, count in zip(sentences, counts)]
+    by_length: dict[int, list[int]] = defaultdict(list)
+    for number, (tokens, count) in enumerate(zip(sentences, counts)):
+        if tokens and count:
+            by_length[len(tokens)].append(number)
+    for length, numbers in by_length.items():
+        # (length, sentences) word columns, then one column per pair.
+        words = _word_columns([w for n in numbers for w in sentences[n]], model.alignment)
+        words = words.reshape(len(numbers), length).T
+        words = np.repeat(words, [counts[n] for n in numbers], axis=1)
+        if candidates is None:
+            index = np.tile(full_index, (len(numbers), 1))
+            widths = np.tile(full_widths, len(numbers))
+        else:
+            index, widths = _candidate_arrays([mr for n in numbers for mr in candidates[n]])
+        rows = index * smoothed.shape[1]
+        per_word = flat.take(words + rows[:, 0])
+        for slot in range(1, 4):
+            per_word += flat.take(words + rows[:, slot])
+        per_word /= widths
+        group = (per_word.prod(axis=0) ** (1.0 / length)).tolist()
+        start = 0
+        for n in numbers:
+            scores[n] = group[start : start + counts[n]]
+            start += counts[n]
+    return scores
 
 
 def score_candidates(
@@ -330,26 +419,14 @@ def score_candidates(
     mrs: Sequence[mrl.MeaningRepresentation],
     model: TranslationModel,
 ) -> list[float]:
-    """Per-token-normalized Model-1 likelihood of the sentence for each MR."""
-    if not mrs:
-        return []
-    if not tokens:
-        return [null_floor(model)] * len(mrs)
-    if mrs is mrl.enumerate_mrs():
-        index, widths = _full_space_arrays()
-    else:
-        index, widths = _candidate_arrays(mrs)
-    table = _smoothed_table(tokens, model)
-    # (words, mrs): sum production columns in derivation order, NULL, pads.
-    per_word = table[:, index].sum(axis=2) / widths
-    scores = per_word.prod(axis=0) ** (1.0 / len(tokens))
-    return scores.tolist()
+    """score_corpus for one sentence and its candidates."""
+    return score_corpus([tokens], [mrs], model)[0]
 
 
 def score_pair(
     tokens: Tokens, mr: mrl.MeaningRepresentation, model: TranslationModel
 ) -> float:
-    return score_candidates(tokens, (mr,), model)[0]
+    return score_corpus([tokens], [(mr,)], model)[0][0]
 
 
 def parse_sentence(
@@ -368,7 +445,7 @@ def parse_sentence(
     mrs = mrl.enumerate_mrs() if candidates is None else tuple(candidates)
     if not mrs:
         return []
-    scores = score_candidates(tokens, mrs, model)
+    [scores] = score_corpus([tokens], None if candidates is None else [mrs], model)
     if max(scores) <= null_floor(model) * (1.0 + 1e-9):
         return []
     # Two stable sorts, the secondary key first, each keyed by a C-level

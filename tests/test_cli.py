@@ -485,3 +485,71 @@ def test_run_config_echoes_config_values_and_flag_overrides(corpus_dir, tmp_path
     assert echoed["json"] == "true"          # the config file beat the default
     assert echoed["window_ms"] == "7000"     # the flag beat the config file
     assert (out / "pairing.json").exists()
+
+
+def test_json_without_out_goes_to_stdout(corpus_dir, train_dir, tmp_path, capsys):
+    manifest = str(corpus_dir / "manifest.tsv")
+    model = str(train_dir / "model.tsv")
+    assert run(["pair", "--manifest", manifest, "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert rows[-1]["game"] == "TOTAL"
+    assert run(["train", "--manifest", manifest, "--strategy", "gold", "--json"]) == 0
+    assert {"key": "strategy", "value": "gold"} in json.loads(capsys.readouterr().out)
+    sentences = tmp_path / "s.txt"
+    sentences.write_text("pink1 passes to pink2\n")
+    assert run(["parse", model, str(sentences), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["mr"].startswith("pass (")
+    igsl_dir = tmp_path / "igsl"
+    assert run(["igsl", "--manifest", manifest, "--out", str(igsl_dir)]) == 0
+    capsys.readouterr()
+    assert run(["sportscast", model, str(igsl_dir / "strategic.tsv"),
+                "--manifest", manifest, "--json"]) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [line["game"] for line in lines[:-1]] == ["game1", "game2"]
+    assert [row["game"] for row in lines[-1]] == ["game1", "game2"]
+    assert run(["evaluate", model, "--manifest", manifest, "--json"]) == 0
+    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [report["task"] for report in reports] == ["parsing", "generation"]
+
+
+def test_config_supplies_positionals(train_dir, tmp_path, capsys):
+    model = str(train_dir / "model.tsv")
+    sentences = tmp_path / "s.txt"
+    sentences.write_text("pink1 passes to pink2\nzzz qqq vvv\n")
+    assert run(["parse", model, str(sentences)]) == 0
+    expected = capsys.readouterr().out
+    config = tmp_path / "parse.cfg"
+    config.write_text(f"model = {model}\ninput = {sentences}\n")
+    assert run(["parse", "--config", str(config)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_positional_missing_from_command_line_and_config(train_dir, tmp_path, capsys):
+    config = tmp_path / "parse.cfg"
+    config.write_text(f"model = {train_dir / 'model.tsv'}\n")
+    assert run(["parse", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == (
+        "parse: the following arguments are required: input\n"
+    )
+    assert run(["generate"]) == 1
+    assert capsys.readouterr().err == (
+        "generate: the following arguments are required: model, input\n"
+    )
+
+
+def test_command_line_positionals_override_config(train_dir, tmp_path, capsys):
+    model = str(train_dir / "model.tsv")
+    sentences = tmp_path / "s.txt"
+    sentences.write_text("pink1 passes to pink2\n")
+    assert run(["parse", model, str(sentences)]) == 0
+    expected = capsys.readouterr().out
+    config = tmp_path / "parse.cfg"
+    config.write_text(f"model = {tmp_path / 'missing.tsv'}\ninput = {sentences}\n")
+    assert run(["parse", "--config", str(config)]) == 2  # the config's model
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(["parse", model, "--config", str(config), "--out", str(out)]) == 0
+    assert _echoed(out)["model"] == model
+    assert _echoed(out)["input"] == str(sentences)
+    assert run(["parse", model, "--config", str(config)]) == 0
+    assert capsys.readouterr().out == expected

@@ -1,3 +1,7 @@
+import math
+from collections import Counter
+
+import numpy as np
 import pytest
 
 from sportscaster import corpus, learner, metrics, mrl, strategic, translator
@@ -270,6 +274,69 @@ def test_evaluate_rejects_non_scoring_kinds(sharp_model):
             learner.evaluate_candidate(
                 ("pink1",), _mr("kick ( pink1 )"), sharp_model, ScoringStrategy(kind)
             )
+
+
+def _reference_parse_matching(examples, model):
+    """parse_score picks made one evaluate_candidate call at a time, ranked
+    by (-score, time, surface form, id): {key: (event id, score)}."""
+    strategy = ScoringStrategy("parse_score")
+    picks = {}
+    for ex in examples:
+        tokens = ex.example.comment.tokens
+        ranked = sorted(
+            (-learner.evaluate_candidate(tokens, c.mr, model, strategy),
+             c.time_ms, mrl.serialize_mr(c.mr), c.id)
+            for c in ex.example.candidates
+        )
+        picks[ex.key] = (ranked[0][3], -ranked[0][0])
+    return picks
+
+
+def _reference_validation_score(result, train, validation):
+    """_validation_score with each validation sentence's best candidate found
+    by one evaluate_candidate call per candidate."""
+    strategy = ScoringStrategy("parse_score")
+    tokens_of = {ex.key: ex.example.comment.tokens for ex in train}
+    assigned = result.matching.assignments
+    pruned = [tokens_of[key] for key in assigned if key not in result.trained_on]
+    counts = Counter(word for tokens in pruned for word in tokens)
+    denominator = sum(counts.values()) + translator.SMOOTHING_K * (len(counts) + 1)
+    share = len(pruned) / len(assigned)
+    total = 0.0
+    for ex in validation:
+        tokens = ex.example.comment.tokens
+        best = max(
+            learner.evaluate_candidate(tokens, c.mr, result.model, strategy)
+            for c in ex.example.candidates
+        )
+        described = len(tokens) * math.log(best) if best > 0.0 else -math.inf
+        if not pruned:
+            total += described
+            continue
+        chatter = sum(
+            math.log((counts[word] + translator.SMOOTHING_K) / denominator)
+            for word in tokens
+        )
+        total += float(
+            np.logaddexp(math.log1p(-share) + described, math.log(share) + chatter)
+        )
+    return total
+
+
+@pytest.mark.parametrize("fixture", ["clean", "noisy"])
+def test_parse_score_kernel_matches_per_candidate_scores(request, fixture):
+    examples = request.getfixturevalue(fixture)[1]
+    strategy = ScoringStrategy("parse_score")
+    model = translator.train(learner.initial_training_set(examples))
+    for current in (model, learner.retrain_loop(examples, strategy).model):
+        matching = learner._assign_best(examples, current, strategy, None)
+        assert matching.assignments == _reference_parse_matching(examples, current)
+    train, validation = learner.validation_split(examples)
+    for prune_fraction in (0.0, 0.2):
+        result = learner.retrain_loop(train, strategy, prune_fraction=prune_fraction)
+        assert learner._validation_score(result, train, validation) == (
+            _reference_validation_score(result, train, validation)
+        )
 
 
 def test_matching_equality_ignores_scores():

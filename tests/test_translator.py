@@ -3,7 +3,7 @@
 import itertools
 import math
 import tempfile
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import replace
 from pathlib import Path
 
@@ -724,3 +724,143 @@ def test_generate_topk_scores_fewer_than_every_combination(noisy_model, monkeypa
     monkeypatch.setattr(translator.LanguageModel, "sentence_prob", counting)
     translator.generate_topk(mr, model, 1)
     assert 0 < len(calls) < combinations
+
+
+def _reference_score_candidates(tokens, mrs, model):
+    """Scoring as it was written per sentence: one (word, production column)
+    add-k table per sentence, indexed by each candidate's derivation columns
+    and summed over them."""
+    if not mrs:
+        return []
+    if not tokens:
+        return [translator.null_floor(model)] * len(mrs)
+    pad = translator._PAD_COLUMN
+    alignment = model.alignment
+    columns = np.array([alignment.columns.get(w, -1) for w in tokens], dtype=np.intp)
+    known = columns >= 0
+    raw = np.zeros((len(tokens), pad + 1), dtype=np.float64)
+    raw[known, :pad] = alignment.t[:, columns[known]].T
+    denominator = 1.0 + translator.SMOOTHING_K * len(alignment.vocabulary)
+    table = (raw + translator.SMOOTHING_K) / denominator
+    table[:, pad] = 0.0
+    index = np.full((len(mrs), 4), pad, dtype=np.intp)
+    widths = np.empty(len(mrs), dtype=np.float64)
+    for row, mr in enumerate(mrs):
+        keys = [p.key for p in mrl.derivation(mr)] + [translator.NULL_KEY]
+        for col, key in enumerate(keys):
+            index[row, col] = translator._COLUMN_INDEX[key]
+        widths[row] = len(keys)
+    per_word = table[:, index].sum(axis=2) / widths
+    return (per_word.prod(axis=0) ** (1.0 / len(tokens))).tolist()
+
+
+def _reference_extract_templates(pairs, alignment):
+    """Template extraction as it was written, one raw table per pair."""
+    pad = translator._PAD_COLUMN
+    template_counts = defaultdict(Counter)
+    realization_counts = defaultdict(Counter)
+    for tokens, mr in pairs:
+        tokens = tuple(tokens)
+        deriv = mrl.derivation(mr)
+        keys = [p.key for p in deriv[1:]] + [deriv[0].key, translator.NULL_KEY]
+        columns = np.array([alignment.columns.get(w, -1) for w in tokens], dtype=np.intp)
+        known = columns >= 0
+        raw = np.zeros((len(tokens), pad + 1), dtype=np.float64)
+        raw[known, :pad] = alignment.t[:, columns[known]].T
+        raw = raw[:, [translator._COLUMN_INDEX[key] for key in keys]]
+        assigned = [keys[i] for i in raw.argmax(axis=1).tolist()]
+        open_slots = defaultdict(list)
+        for position, production in enumerate(deriv[1:], start=1):
+            open_slots[production.key].append(position)
+        items = []
+        i = 0
+        while i < len(tokens):
+            key = assigned[i]
+            if key in open_slots:
+                j = i
+                while j < len(tokens) and assigned[j] == key:
+                    j += 1
+                realization_counts[key][tokens[i:j]] += 1
+                if open_slots[key]:
+                    items.append(f"<{open_slots[key].pop(0)}>")
+                else:
+                    items.extend(tokens[i:j])
+                i = j
+            else:
+                items.append(tokens[i])
+                i += 1
+        template = tuple(items)
+        try:
+            mrl.check_template(mr.predicate.name, template)
+        except ValueError:
+            continue
+        template_counts[mr.predicate.name][template] += 1
+
+    def normalize(counts):
+        total = sum(counts.values())
+        return {item: c / total for item, c in sorted(counts.items())}
+
+    return translator.TemplateLexicon(
+        templates={k: normalize(c) for k, c in sorted(template_counts.items())},
+        realizations={k: normalize(c) for k, c in sorted(realization_counts.items())},
+    )
+
+
+def _assert_kernel_matches_reference(model, sentences, candidates):
+    """score_corpus and its views against the per-sentence reference, with
+    ==; extract_templates against its per-pair reference on the same pairs."""
+    reference = [_reference_score_candidates(s, mrs, model)
+                 for s, mrs in zip(sentences, candidates)]
+    assert translator.score_corpus(sentences, candidates, model) == reference
+    for tokens, mrs, scores in zip(sentences, candidates, reference):
+        assert translator.score_candidates(tokens, mrs, model) == scores
+        assert [translator.score_pair(tokens, mr, model) for mr in mrs] == scores
+    full = mrl.enumerate_mrs()
+    assert translator.score_corpus(sentences, None, model) == [
+        _reference_score_candidates(s, full, model) for s in sentences
+    ]
+    pairs = [(s, mr) for s, mrs in zip(sentences, candidates) for mr in mrs]
+    assert translator.extract_templates(pairs, model.alignment) == (
+        _reference_extract_templates(pairs, model.alignment)
+    )
+
+
+# "offside" and "zzz" are in no training corpus: unknown words.
+_scored_word = st.sampled_from(["red", "blue", "runs", "fast", "goal", "<1>", "offside", "zzz"])
+
+
+def _sentence(low, high):
+    return st.lists(_scored_word, min_size=low, max_size=high)
+
+
+# Every batch holds sentences of 0, 1, 2 and more tokens, in any order.  Two
+# tokens matter: the root 1/2 is numpy's scalar sqrt fast path.
+_batches = st.tuples(
+    _sentence(0, 0), _sentence(1, 1), _sentence(2, 2), _sentence(3, 6),
+    st.lists(_sentence(0, 6), max_size=4),
+).flatmap(lambda drawn: st.permutations([*drawn[:4], *drawn[4]]))
+# Repeated and argument-permuted MRs, and one whose productions no corpus trains.
+_SCORED_POOL = _TIE_POOL + ["steal(purple9)"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_corpora, _batches,
+       st.lists(st.lists(st.sampled_from(_SCORED_POOL), max_size=5), min_size=8, max_size=8))
+def test_score_corpus_matches_the_per_sentence_reference(raw_pairs, sentences, texts):
+    model = translator.train([(tokens, _mr(text)) for tokens, text in raw_pairs], 3)
+    candidates = [[_mr(text) for text in row] for row in texts[: len(sentences)]]
+    _assert_kernel_matches_reference(model, sentences, candidates)
+
+
+def test_score_corpus_matches_the_per_sentence_reference_on_trained_models(
+    sharp_model, noisy_model
+):
+    texts = ["", "pink1", "pink1 passes", "pink2 boots it", "purple5 passes to purple3",
+             "the ball is dead", "pink3 kicks to pink1 it", "zorp blee grum",
+             "pink1 passes to pink2 and pink2 passes back to pink1 quickly"]
+    sentences = [text.split() for text in texts]
+    sharp_pool = [_mr(text) for text in _SCORED_POOL]
+    for model, pool in ((sharp_model, sharp_pool), noisy_model):
+        # overlapping candidate lists, each with the pool's first two again
+        candidates = [pool[i:] + pool[:2] for i in range(len(sentences))]
+        _assert_kernel_matches_reference(model, sentences, candidates)
