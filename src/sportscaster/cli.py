@@ -72,10 +72,12 @@ def table_to_json(table: Table) -> str:
     return json.dumps(_records(table), sort_keys=True) + "\n"
 
 
-def write_report(table: Table, path, format: str = "tsv") -> None:
-    if format not in ("tsv", "json"):
-        raise ValueError(f"unknown report format {format!r}")
-    text = table_to_tsv(table) if format == "tsv" else table_to_json(table)
+def write_report(table: Table, path) -> None:
+    """The table as TSV or JSON, as the suffix of path says."""
+    suffix = Path(path).suffix
+    if suffix not in (".tsv", ".json"):
+        raise ValueError(f"unknown report format {suffix!r}")
+    text = table_to_tsv(table) if suffix == ".tsv" else table_to_json(table)
     Path(path).write_text(text, encoding="utf-8")
 
 
@@ -109,8 +111,7 @@ def _emit(table: Table, out: Path | None, name: str, as_json: bool) -> None:
     if out is None:
         sys.stdout.write(table_to_json(table) if as_json else table_to_tsv(table))
     else:
-        ext = "json" if as_json else "tsv"
-        write_report(table, out / f"{name}.{ext}", ext)
+        write_report(table, out / f"{name}.{'json' if as_json else 'tsv'}")
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +228,7 @@ def _cmd_train(args, sub: _Parser) -> int:
         )
     theta = None
     if args.superfluous_cv:
-        theta, _, result = learner.superfluous_cv(
+        theta, result = learner.superfluous_cv(
             examples, THETA_GRID, strategy,
             total_count=total, gold=gold, max_iter=args.max_iter,
         )
@@ -256,10 +257,11 @@ def _cmd_train(args, sub: _Parser) -> int:
         return 0
     write_report(_matching_table(result.matching), out / "matching.tsv")
     corpus.write_lines(out / "alignment.tsv", _alignment_lines(examples, filtered))
-    (out / "history.tsv").write_text(
-        "iter\tmatching_f1\tchanged\n" + learner.report_lines(result),
-        encoding="utf-8",
+    history = tuple(
+        (r.iteration, "-" if r.matching_f1 is None else r.matching_f1, r.changed)
+        for r in result.history
     )
+    write_report(Table(("iter", "matching_f1", "changed"), history), out / "history.tsv")
     translator.save_model(result.model, out / "model.tsv")
     if result.strategic is not None:
         strategic.save_strategic(result.strategic, out / "strategic.tsv")

@@ -6,8 +6,8 @@ in the preceding window rather than with a single annotated meaning.  When a
 gold matching is available it maps each comment to the event that actually
 prompted it (or to nothing, for superfluous chatter).
 
-The line-file helpers here (fmt, write_lines, read_lines, read_records) are
-shared by every module that reads or writes tab-separated files.
+The file helpers here (fmt, write_lines, read_text, read_lines,
+read_records) are shared by every module that reads or writes files.
 """
 
 from __future__ import annotations
@@ -62,15 +62,28 @@ def write_lines(path, lines: Iterable[str]) -> None:
     Path(path).write_text(lines_text(lines), encoding="utf-8", newline="\n")
 
 
+def read_text(path) -> str:
+    """The file decoded as UTF-8, each line break (LF, CRLF or CR) made LF;
+    a byte that is not UTF-8 raises FormatError naming its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as err:
+        before = data[: err.start]
+        lineno = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
+        raise FormatError(
+            str(path), lineno, f"byte 0x{data[err.start]:02x} is not valid UTF-8"
+        ) from None
+
+
 def read_lines(path) -> list[tuple[int, str]]:
     """(line number, text) for each line that is not whitespace-only; the
     numbers count physical lines, so errors point at the right one."""
-    with open(path, encoding="utf-8") as f:
-        return [
-            (lineno, line.rstrip("\n"))
-            for lineno, line in enumerate(f, start=1)
-            if line.strip()
-        ]
+    return [
+        (lineno, line)
+        for lineno, line in enumerate(read_text(path).split("\n"), start=1)
+        if line.strip()
+    ]
 
 
 def split_fields(path, lineno: int, line: str, n: int) -> list[str]:
@@ -345,6 +358,8 @@ def _load_gold(
 
 
 def load_corpus(manifest_path: str | Path, window_ms: int = DEFAULT_WINDOW_MS) -> Corpus:
+    if window_ms < 0:
+        raise ValueError(f"window_ms must not be negative, got {window_ms}")
     manifest = Path(manifest_path)
     base = manifest.parent
     games = []

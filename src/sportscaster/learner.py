@@ -33,7 +33,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import metrics, mrl, strategic, translator
-from .corpus import FormatError, GameExample, fmt, lines_text, read_records
+from .corpus import FormatError, GameExample, read_records
 from .simgen import Prng
 
 Key = tuple[str, int]
@@ -131,27 +131,24 @@ def evaluate_candidate(
     mr: mrl.MeaningRepresentation,
     model: translator.TranslationModel,
     strategy: ScoringStrategy,
-    strategic_model: strategic.StrategicModel | None = None,
-    _generation_cache: dict | None = None,
+    strategic_model: strategic.StrategicModel | None,
+    cache: dict[str, tuple[str, ...] | None],
 ) -> float:
+    """A generation-scored strategy's score of one candidate.  cache maps an
+    MR's surface form to its best generation, None without a template."""
     kind = strategy.kind
-    if kind not in _SCORED_KINDS:
-        raise ValueError(f"strategy {kind!r} does not score candidates")
-    metric, weighted = _SCORED_KINDS[kind]
+    metric, weighted = _SCORED_KINDS.get(kind, (None, False))
     if metric is None:
-        return translator.score_pair(tokens, mr, model)
+        raise ValueError(f"strategy {kind!r} has no generation metric")
     if weighted and strategic_model is None:
         raise MissingStrategicModel(f"{kind} needs a strategic model")
     cache_key = mrl.serialize_mr(mr)
-    if _generation_cache is not None and cache_key in _generation_cache:
-        generated = _generation_cache[cache_key]
-    else:
+    if cache_key not in cache:
         try:
-            generated = translator.generate_topk(mr, model, 1)[0][0]
+            cache[cache_key] = translator.generate_topk(mr, model, 1)[0][0]
         except translator.NoTemplate:
-            generated = None
-        if _generation_cache is not None:
-            _generation_cache[cache_key] = generated
+            cache[cache_key] = None
+    generated = cache[cache_key]
     if generated is None:
         return 0.0
     score = getattr(metrics, metric)(list(tokens), list(generated))
@@ -425,19 +422,17 @@ def superfluous_cv(
     total_count: Mapping[str, int] | None = None,
     gold: Mapping[Key, int | None] | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
-) -> tuple[float, Matching, DisambiguationResult]:
+) -> tuple[float, DisambiguationResult]:
     """Choose a pruning fraction by internal CV, then retrain on everything.
 
     Each threshold runs the loop on the training fold of validation_split
     and is scored by _validation_score on the held-out fold; on equal
-    scores the smallest threshold wins.  Returns (best threshold, the final
-    matching restricted to pairs that survived pruning, the full-run result
-    whose matching still covers every sentence).
+    scores the smallest threshold wins.  Returns (best threshold, the
+    full-run result): its matching still covers every sentence, and
+    trained_matching() keeps the pairs that survived pruning.
     """
     if not thresholds:
         raise ValueError("need at least one threshold")
-    if not examples:
-        raise EmptyTrainingSet("no ambiguous examples")
     train, validation = validation_split(examples)
     grid = sorted(thresholds)
     best_theta, best_score = grid[0], -math.inf
@@ -461,13 +456,4 @@ def superfluous_cv(
         gold=gold,
         prune_fraction=best_theta,
     )
-    return best_theta, final.trained_matching(), final
-
-
-def report_lines(result: DisambiguationResult) -> str:
-    """Per-iteration `iter  matching_f1  changed` TSV block."""
-    lines = []
-    for record in result.history:
-        f1 = "-" if record.matching_f1 is None else fmt(record.matching_f1)
-        lines.append(f"{record.iteration}\t{f1}\t{record.changed}")
-    return lines_text(lines)
+    return best_theta, final

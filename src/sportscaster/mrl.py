@@ -154,14 +154,6 @@ PRODUCTIONS: tuple[Production, ...] = _build_productions()
 _PRODUCTION_BY_KEY = {prod.key: prod for prod in PRODUCTIONS}
 
 
-def production_for_predicate(predicate: Predicate) -> Production:
-    return _PRODUCTION_BY_KEY[predicate.name]
-
-
-def production_for_constant(constant: Constant) -> Production:
-    return _PRODUCTION_BY_KEY[constant.token]
-
-
 def serialize_mr(mr: MeaningRepresentation) -> str:
     """Canonical surface form: ``pred ( a1 , a2 )``, or bare ``pred`` at arity 0.
 
@@ -278,8 +270,8 @@ def check_template(predicate: str, template: tuple[str, ...]) -> None:
 
 def derivation(mr: MeaningRepresentation) -> tuple[Production, ...]:
     """Top-down left-most derivation: the *S rule, then one rule per argument."""
-    head = production_for_predicate(mr.predicate)
-    return (head,) + tuple(production_for_constant(a) for a in mr.args)
+    head = _PRODUCTION_BY_KEY[mr.predicate.name]
+    return (head,) + tuple(_PRODUCTION_BY_KEY[a.token] for a in mr.args)
 
 
 @lru_cache(maxsize=1)

@@ -31,6 +31,7 @@ from .corpus import (
     GoldMatch,
     key_values,
     make_comment,
+    read_text,
     resolve_gold_event,
 )
 
@@ -253,6 +254,8 @@ def simulate_corpus(
     name_prefix: str = "game",
 ) -> Corpus:
     """Generate `games` independent games with per-game derived seeds."""
+    if games < 1:
+        raise ValueError(f"games must be at least 1, got {games}")
     out = []
     for i in range(games):
         game_world = replace(world, seed=derive_seed(world.seed, i, 0))
@@ -361,8 +364,9 @@ def parse_config(text: str, path: str | Path | None = None) -> SimulationSpec:
     `template.<pred>` and `surface.<token>` lines accumulate; the first such
     line for a key replaces that key's default list.  Template and surface
     values are word sequences, optionally followed by `| weight`; a template
-    must name each slot <1>..<arity> once (mrl.check_template).  A bad line
-    raises FormatError naming `path` (the file the text came from) and line.
+    must name each slot <1>..<arity> once (mrl.check_template).  Lines end
+    at LF, as corpus.read_text leaves them.  A bad line raises FormatError
+    naming `path` (the file the text came from) and line.
     """
     world = default_world()
     profile = default_profile()
@@ -378,7 +382,7 @@ def parse_config(text: str, path: str | Path | None = None) -> SimulationSpec:
     predicate_names = {p.name for p in mrl.PREDICATES}
     constant_tokens = {c.token for c in mrl.CONSTANTS}
 
-    for lineno, key, value in key_values(enumerate(text.splitlines(), start=1), path):
+    for lineno, key, value in key_values(enumerate(text.split("\n"), start=1), path):
         try:
             if key == "seed":
                 world_fields["seed"] = int(value)
@@ -424,6 +428,8 @@ def parse_config(text: str, path: str | Path | None = None) -> SimulationSpec:
                 lexicon[name].append((words, weight))
             elif key == "games":
                 games = int(value)
+                if games < 1:
+                    raise ValueError(f"games must be at least 1, got {games}")
             elif key == "name_prefix":
                 name_prefix = value
             else:
@@ -454,4 +460,4 @@ def _parse_weighted_words(value: str) -> Template:
 
 
 def load_config(path: str | Path) -> SimulationSpec:
-    return parse_config(Path(path).read_text(encoding="utf-8"), path)
+    return parse_config(read_text(path), path)

@@ -128,9 +128,11 @@ def assemble_sportscast(
     model: StrategicModel,
     translation: translator.TranslationModel,
     k: int = translator.DEFAULT_TOPK,
-    prng: Prng | None = None,
+    *,
+    prng: Prng,
 ) -> tuple[list[tuple[int, mrl.MeaningRepresentation, tuple[str, ...]]], list[str]]:
-    """Walk the timeline in ticks, verbalizing stochastically chosen events.
+    """Walk the timeline in ticks, verbalizing stochastically chosen events;
+    prng makes every draw.
 
     Returns (transcript, skipped): transcript entries are (tick time, MR,
     sentence); skipped collects the predicates that had no learned template,
@@ -138,7 +140,6 @@ def assemble_sportscast(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    prng = prng if prng is not None else Prng(0)
     transcript = []
     skipped: list[str] = []
     by_tick: dict[int, list[GameEvent]] = defaultdict(list)

@@ -24,9 +24,10 @@ factors per argument, and scores only those that can still reach the top k.
 Scoring is implemented once, in score_corpus: one kernel over many
 sentences, each with its own candidate MRs, that groups the (sentence,
 candidate) pairs by sentence length and scores each group in whole-array
-passes.  score_candidates, score_pair, parse_sentence and the learner's
-parse-scored loop and validation scorer are views of that one kernel, so
-restricted, full-space and corpus-wide scores can never disagree.
+passes.  score_candidates (one sentence), parse_sentence (one sentence,
+the full space) and the learner's parse-scored loop and validation scorer
+(the corpus) are views of that one kernel, so their scores can never
+disagree.
 """
 
 from __future__ import annotations
@@ -299,11 +300,11 @@ def extract_templates(pairs: Sequence[Pair], alignment: AlignmentModel) -> Templ
     )
 
 
-def train(pairs: Sequence[Pair], iterations: int = 25) -> TranslationModel:
+def train(pairs: Sequence[Pair]) -> TranslationModel:
     """Alignment EM, template extraction, and LM fit in one call."""
     if not pairs:
         raise EmptyTrainingSet("no (sentence, mr) pairs to train on")
-    alignment = train_alignment(pairs, iterations)
+    alignment = train_alignment(pairs)
     lexicon = extract_templates(pairs, alignment)
     lm = LanguageModel().fit([tokens for tokens, _ in pairs])
     return TranslationModel(alignment=alignment, lexicon=lexicon, lm=lm)
@@ -423,29 +424,16 @@ def score_candidates(
     return score_corpus([tokens], [mrs], model)[0]
 
 
-def score_pair(
-    tokens: Tokens, mr: mrl.MeaningRepresentation, model: TranslationModel
-) -> float:
-    return score_corpus([tokens], [(mr,)], model)[0][0]
-
-
 def parse_sentence(
-    tokens: Tokens,
-    model: TranslationModel,
-    candidates: Sequence[mrl.MeaningRepresentation] | None = None,
+    tokens: Tokens, model: TranslationModel
 ) -> list[tuple[mrl.MeaningRepresentation, float]]:
-    """Rank candidate MRs (the full space when none are given), or abstain.
+    """Rank every grammar-valid MR by (-score, serialize_mr), or abstain.
 
-    The order is (-score, serialize_mr); candidates equal on both, such as
-    a repeated MR, keep their input order.
-
-    Abstention: an empty result whenever even the best candidate scores at
-    the all-NULL floor, i.e. the sentence shares nothing with the model.
+    Abstention: an empty result whenever even the best MR scores at the
+    all-NULL floor, i.e. the sentence shares nothing with the model.
     """
-    mrs = mrl.enumerate_mrs() if candidates is None else tuple(candidates)
-    if not mrs:
-        return []
-    [scores] = score_corpus([tokens], None if candidates is None else [mrs], model)
+    mrs = mrl.enumerate_mrs()
+    [scores] = score_corpus([tokens], None, model)
     if max(scores) <= null_floor(model) * (1.0 + 1e-9):
         return []
     # Two stable sorts, the secondary key first, each keyed by a C-level

@@ -304,7 +304,7 @@ def test_criterion_08_superfluous_rate_cross_validation():
     odds_ok = True
     for nominal, rate in ((0.0, 0.0), (0.10, 1 / 9), (0.20, 0.25)):
         sim, examples, gold, totals = _family(0, rate=rate)
-        theta, _filtered, result = learner.superfluous_cv(
+        theta, result = learner.superfluous_cv(
             examples, cli.THETA_GRID, strategy, total_count=totals, gold=gold
         )
         theta_ok = theta_ok and abs(theta - nominal) <= 0.10 + 1e-9

@@ -1,8 +1,9 @@
 import json
+import shutil
 
 import pytest
 
-from sportscaster import cli, corpus, mrl, translator
+from sportscaster import cli, corpus, learner, mrl, translator
 from sportscaster.cli import Table, run
 
 
@@ -125,6 +126,35 @@ def test_train_artifacts(corpus_dir, train_dir):
     assert model.alignment.t.any()
 
 
+def test_history_tsv_has_one_row_per_iteration_and_dash_without_gold(
+    corpus_dir, train_dir, tmp_path
+):
+    loaded = corpus.load_corpus(corpus_dir / "manifest.tsv")
+    examples = corpus.pooled_examples(loaded.games)
+    result = learner.retrain_loop(
+        examples, learner.ScoringStrategy("parse_score"), 4,
+        gold=corpus.pooled_gold(loaded.games),
+    )
+    assert (train_dir / "history.tsv").read_text() == "iter\tmatching_f1\tchanged\n" + "".join(
+        f"{r.iteration}\t{r.matching_f1:.12g}\t{r.changed}\n" for r in result.history
+    )
+    # the same corpus with every gold file dropped from the manifest
+    ungold = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, ungold)
+    manifest = ungold / "manifest.tsv"
+    manifest.write_text("".join(
+        "\t".join(line.split("\t")[:3] + ["-"]) + "\n"
+        for line in manifest.read_text().splitlines()
+    ))
+    out = tmp_path / "out"
+    assert run(["train", "--manifest", str(manifest), "--max-iter", "4",
+                "--out", str(out)]) == 0
+    rows = [line.split("\t") for line in (out / "history.tsv").read_text().splitlines()]
+    assert rows[1:] == [
+        [str(r.iteration), "-", str(r.changed)] for r in result.history
+    ]
+
+
 def test_train_config_file_with_flag_override(corpus_dir, tmp_path):
     config = tmp_path / "train.cfg"
     config.write_text(
@@ -232,7 +262,7 @@ def test_parse_and_generate_round_trip(train_dir, tmp_path):
 
 def test_generate_reports_missing_template(tmp_path):
     pairs = [(("pink1", "boots", "it"), mrl.parse_mr("kick ( pink1 )"))]
-    model = translator.train(pairs, iterations=5)
+    model = translator.train(pairs)
     model_path = tmp_path / "model.tsv"
     translator.save_model(model, model_path)
     mrs = tmp_path / "m.txt"
@@ -309,6 +339,8 @@ def test_exit_codes():
         ("template.kick = <1> kicks <1>\n", "sim.cfg:1:"),             # slot named twice
         ("template.kick = <01> kicks <1>\n", "sim.cfg:1:"),            # <01> is slot 1
         ("template.kick = <2> kicks\n", "sim.cfg:1:"),                 # slot outside 1..arity
+        ("games = 2\ngames = -2\n", "sim.cfg:2:"),
+        ("seed = 1\x0c\ngames = x\n", "sim.cfg:2:"),                  # \x0c ends no line
     ],
 )
 def test_simulate_config_value_names_file_and_line(tmp_path, capsys, text, where):
@@ -319,12 +351,90 @@ def test_simulate_config_value_names_file_and_line(tmp_path, capsys, text, where
     assert where in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("games", ["0", "-2"])
+def test_simulate_rejects_games_below_one(tmp_path, capsys, games):
+    out = tmp_path / "out"
+    assert run(["simulate", "--games", games, "--out", str(out)]) == 2
+    assert "games must be at least 1" in capsys.readouterr().err
+    assert not (out / "manifest.tsv").exists()
+
+
+@pytest.mark.parametrize("manifest", ["valid", "missing"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_window_ms_exits_2_before_reading_the_corpus(
+    corpus_dir, tmp_path, capsys, source, manifest
+):
+    path = corpus_dir / "manifest.tsv" if manifest == "valid" else tmp_path / "none.tsv"
+    if source == "flag":
+        argv = ["pair", "--manifest", str(path), "--window-ms", "-5"]
+    else:
+        config = tmp_path / "pair.cfg"
+        config.write_text(f"manifest = {path}\nwindow_ms = -5\n")
+        argv = ["pair", "--config", str(config)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "window_ms must not be negative" in err
+    assert ".tsv" not in err
+
+
+_READERS = ["parse-input", "generate-input", "model", "strategic", "manifest",
+            "events", "comments", "gold", "config", "simulate-config",
+            "init-alignment", "matching"]
+
+
+@pytest.mark.parametrize("reader", _READERS)
+def test_non_utf8_line_names_file_and_line(corpus_dir, train_dir, tmp_path, capsys, reader):
+    """Each file the CLI reads, with a byte that is not UTF-8 at the end of
+    its second line: exit 2 and `<file>:2:`."""
+    games = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, games)
+    manifest = games / "manifest.tsv"
+    model = shutil.copy(train_dir / "model.tsv", tmp_path / "model.tsv")
+    alignment = shutil.copy(train_dir / "alignment.tsv", tmp_path / "alignment.tsv")
+    matching = shutil.copy(train_dir / "matching.tsv", tmp_path / "matching.tsv")
+    sentences = tmp_path / "sentences.txt"
+    sentences.write_text("pink1 kicks\npink2 passes to pink1\n")
+    mrs = tmp_path / "mrs.txt"
+    mrs.write_text("kick ( pink1 )\nballstopped\n")
+    strategic_path = tmp_path / "strategic.tsv"
+    strategic_path.write_text("kick\t0.5\t3\npass\t0.25\t4\n")
+    config = tmp_path / "pair.cfg"
+    config.write_text(f"manifest = {manifest}\nwindow_ms = 5000\n")
+    sim_config = tmp_path / "sim.cfg"
+    sim_config.write_text("games = 1\nseed = 3\n")
+    on_corpus = ["pair", "--manifest", str(manifest)]
+    file, argv = {
+        "parse-input": (sentences, ["parse", str(model), str(sentences)]),
+        "generate-input": (mrs, ["generate", str(model), str(mrs)]),
+        "model": (model, ["parse", str(model), str(sentences)]),
+        "strategic": (strategic_path, ["sportscast", str(model), str(strategic_path),
+                                       "--manifest", str(manifest)]),
+        "manifest": (manifest, on_corpus),
+        "events": (games / "game1.events.tsv", on_corpus),
+        "comments": (games / "game1.comments.tsv", on_corpus),
+        "gold": (games / "game1.gold.tsv", on_corpus),
+        "config": (config, ["pair", "--config", str(config)]),
+        "simulate-config": (sim_config, ["simulate", "--config", str(sim_config),
+                                         "--out", str(tmp_path / "sim")]),
+        "init-alignment": (alignment, ["train", "--manifest", str(manifest),
+                                       "--init-alignment", str(alignment)]),
+        "matching": (matching, ["evaluate", str(model), "--manifest", str(manifest),
+                                "--matching", str(matching)]),
+    }[reader]
+    lines = file.read_bytes().split(b"\n")
+    lines[1] += b"\xff"
+    file.write_bytes(b"\n".join(lines))
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{file}:2: byte 0xff is not valid UTF-8" in err
+
+
 def test_data_error_names_file_and_line(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("kick ( pink1\n")
     pairs = [(("x",), mrl.parse_mr("ballstopped"))]
     model_path = tmp_path / "m.tsv"
-    translator.save_model(translator.train(pairs, iterations=2), model_path)
+    translator.save_model(translator.train(pairs), model_path)
     assert run(["generate", str(model_path), str(bad)]) == 2
     err = capsys.readouterr().err
     assert "bad.txt:1:" in err
@@ -395,7 +505,7 @@ def test_malformed_strategic_names_file_and_line(
     strategic_path.write_text("".join(entry + "\n" for entry in lines))
     model_path = tmp_path / "model.tsv"
     pairs = [(("pink1", "kicks"), mrl.parse_mr("kick ( pink1 )"))]
-    translator.save_model(translator.train(pairs, iterations=2), model_path)
+    translator.save_model(translator.train(pairs), model_path)
     assert run([
         "sportscast", str(model_path), str(strategic_path),
         "--manifest", str(corpus_dir / "manifest.tsv"),
@@ -413,11 +523,11 @@ def test_write_report_deterministic(tmp_path):
     assert text.endswith("\n")
     assert "3.14159265359" in text      # 12 significant digits
     assert "true" in text
-    cli.write_report(table, tmp_path / "a.json", "json")
+    cli.write_report(table, tmp_path / "a.json")
     parsed = json.loads((tmp_path / "a.json").read_text())
     assert parsed[0]["value"] == pytest.approx(3.14159265358979)
     with pytest.raises(ValueError):
-        cli.write_report(table, tmp_path / "x.csv", "csv")
+        cli.write_report(table, tmp_path / "x.csv")
 
 
 # each subcommand's declared arguments, in declaration order

@@ -17,6 +17,8 @@ from sportscaster.corpus import (
     pairing_stats,
     pooled_examples,
     pooled_gold,
+    read_lines,
+    read_text,
     resolve_gold_event,
     tokenize,
     write_corpus,
@@ -189,6 +191,28 @@ def test_load_errors_name_file_and_line(tmp_path):
     (tmp_path / "manifest.tsv").write_text("g\tonly-two-fields\n", encoding="utf-8")
     with pytest.raises(FormatError):
         load_corpus(tmp_path / "manifest.tsv")
+
+
+def test_read_lines_splits_on_universal_newlines_only(tmp_path):
+    path = tmp_path / "lines.txt"
+    # \x0c and \u2028 end a line for str.splitlines, not for a file
+    path.write_bytes("a\r\nb\rc\n\n d\x0ce\u2028f\n".encode("utf-8"))
+    assert read_lines(path) == [(1, "a"), (2, "b"), (3, "c"), (5, " d\x0ce\u2028f")]
+    with open(path, encoding="utf-8") as f:
+        assert read_text(path) == f.read()
+
+
+@pytest.mark.parametrize(
+    "data, line",
+    [(b"\xff", 1), (b"a\nb\xfe\n", 2), (b"a\r\nb\rc\n\nd\xc3", 5),
+     (b"a\r\xe9", 2)],
+)
+def test_read_text_names_the_line_of_the_first_bad_byte(tmp_path, data, line):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    with pytest.raises(FormatError) as err:
+        read_text(path)
+    assert err.value.line == line and err.value.file == str(path)
 
 
 def test_gold_references_must_resolve(tmp_path):

@@ -210,19 +210,14 @@ def test_initial_training_set_empty_raises():
         learner.initial_training_set([])
 
 
-def test_evaluate_parse_score_matches_translator(sharp_model):
-    tokens = ("pink1", "boots", "it")
-    mr = _mr("kick ( pink1 )")
-    got = learner.evaluate_candidate(tokens, mr, sharp_model, ScoringStrategy("parse_score"))
-    assert got == translator.score_pair(tokens, mr, sharp_model)
-
-
 def test_evaluate_nist_gen_matches_manual(sharp_model):
     tokens = ("pink1", "boots", "it")
     mr = _mr("kick ( pink1 )")
     generated = translator.generate_topk(mr, sharp_model, 1)[0][0]
     expected = metrics.nist(list(tokens), list(generated))
-    got = learner.evaluate_candidate(tokens, mr, sharp_model, ScoringStrategy("nist_gen"))
+    got = learner.evaluate_candidate(
+        tokens, mr, sharp_model, ScoringStrategy("nist_gen"), None, {}
+    )
     assert got == pytest.approx(expected, rel=1e-12)
     assert got > 0
 
@@ -232,14 +227,16 @@ def test_evaluate_meteor_gen_matches_manual(sharp_model):
     mr = _mr("pass ( pink2 , pink3 )")
     generated = translator.generate_topk(mr, sharp_model, 1)[0][0]
     expected = metrics.meteor(list(tokens), list(generated))
-    got = learner.evaluate_candidate(tokens, mr, sharp_model, ScoringStrategy("meteor_gen"))
+    got = learner.evaluate_candidate(
+        tokens, mr, sharp_model, ScoringStrategy("meteor_gen"), None, {}
+    )
     assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_evaluate_missing_template_scores_zero(sharp_model):
     got = learner.evaluate_candidate(
         ("pink1", "boots", "it"), _mr("steal ( pink5 )"), sharp_model,
-        ScoringStrategy("nist_gen"),
+        ScoringStrategy("nist_gen"), None, {},
     )
     assert got == 0.0
 
@@ -248,7 +245,7 @@ def test_evaluate_igsl_needs_strategic_model(sharp_model):
     with pytest.raises(learner.MissingStrategicModel):
         learner.evaluate_candidate(
             ("pink1", "boots", "it"), _mr("kick ( pink1 )"), sharp_model,
-            ScoringStrategy("nist_igsl"),
+            ScoringStrategy("nist_igsl"), None, {},
         )
 
 
@@ -256,35 +253,43 @@ def test_evaluate_igsl_multiplies_event_probability(sharp_model):
     tokens = ("pink1", "boots", "it")
     mr = _mr("kick ( pink1 )")
     model = strategic.StrategicModel(prob={"kick": 0.25}, total_count={"kick": 4})
-    base = learner.evaluate_candidate(tokens, mr, sharp_model, ScoringStrategy("nist_gen"))
+    base = learner.evaluate_candidate(
+        tokens, mr, sharp_model, ScoringStrategy("nist_gen"), None, {}
+    )
     got = learner.evaluate_candidate(
-        tokens, mr, sharp_model, ScoringStrategy("nist_igsl"), model
+        tokens, mr, sharp_model, ScoringStrategy("nist_igsl"), model, {}
     )
     assert got == pytest.approx(0.25 * base, rel=1e-12)
     # an event type the strategic model has never seen contributes nothing
     assert learner.evaluate_candidate(
         ("pink2", "passes", "to", "pink3"), _mr("pass ( pink2 , pink3 )"),
-        sharp_model, ScoringStrategy("meteor_igsl"), model,
+        sharp_model, ScoringStrategy("meteor_igsl"), model, {},
     ) == 0.0
 
 
 def test_evaluate_rejects_non_scoring_kinds(sharp_model):
-    for kind in ("random", "gold"):
-        with pytest.raises(ValueError):
+    for kind in ("random", "parse_score", "gold"):
+        with pytest.raises(ValueError, match="no generation metric"):
             learner.evaluate_candidate(
-                ("pink1",), _mr("kick ( pink1 )"), sharp_model, ScoringStrategy(kind)
+                ("pink1",), _mr("kick ( pink1 )"), sharp_model, ScoringStrategy(kind),
+                None, {},
             )
 
 
+def _pair_score(tokens, mr, model):
+    """The kernel's score of one sentence under one candidate."""
+    [[score]] = translator.score_corpus([tokens], [[mr]], model)
+    return score
+
+
 def _reference_parse_matching(examples, model):
-    """parse_score picks made one evaluate_candidate call at a time, ranked
-    by (-score, time, surface form, id): {key: (event id, score)}."""
-    strategy = ScoringStrategy("parse_score")
+    """parse_score picks scored one candidate at a time, ranked by (-score,
+    time, surface form, id): {key: (event id, score)}."""
     picks = {}
     for ex in examples:
         tokens = ex.example.comment.tokens
         ranked = sorted(
-            (-learner.evaluate_candidate(tokens, c.mr, model, strategy),
+            (-_pair_score(tokens, c.mr, model),
              c.time_ms, mrl.serialize_mr(c.mr), c.id)
             for c in ex.example.candidates
         )
@@ -294,8 +299,7 @@ def _reference_parse_matching(examples, model):
 
 def _reference_validation_score(result, train, validation):
     """_validation_score with each validation sentence's best candidate found
-    by one evaluate_candidate call per candidate."""
-    strategy = ScoringStrategy("parse_score")
+    by scoring one candidate at a time."""
     tokens_of = {ex.key: ex.example.comment.tokens for ex in train}
     assigned = result.matching.assignments
     pruned = [tokens_of[key] for key in assigned if key not in result.trained_on]
@@ -306,7 +310,7 @@ def _reference_validation_score(result, train, validation):
     for ex in validation:
         tokens = ex.example.comment.tokens
         best = max(
-            learner.evaluate_candidate(tokens, c.mr, result.model, strategy)
+            _pair_score(tokens, c.mr, result.model)
             for c in ex.example.candidates
         )
         described = len(tokens) * math.log(best) if best > 0.0 else -math.inf
@@ -421,6 +425,8 @@ def test_retrain_is_deterministic(clean, tmp_path):
 def test_retrain_empty_examples_raise():
     with pytest.raises(learner.EmptyTrainingSet):
         learner.retrain_loop([], ScoringStrategy("parse_score"))
+    with pytest.raises(learner.EmptyTrainingSet, match="no ambiguous examples"):
+        learner.superfluous_cv([], [0.0], ScoringStrategy("parse_score"))
 
 
 @pytest.mark.parametrize("kind", ["random", "parse_score", "gold"])
@@ -583,10 +589,11 @@ def test_validation_split_fraction():
 
 def test_superfluous_cv_clean_corpus_prefers_no_pruning(clean):
     _, examples, gold, _ = clean
-    theta, filtered, result = learner.superfluous_cv(
+    theta, result = learner.superfluous_cv(
         examples, [0.0, 0.2], ScoringStrategy("parse_score"), gold=gold
     )
     assert theta == 0.0
+    filtered = result.trained_matching()
     assert filtered.assignments == result.matching.assignments
     assert metrics.matching_f1(filtered.event_ids(), gold).f1 == 1.0
 
@@ -594,10 +601,11 @@ def test_superfluous_cv_clean_corpus_prefers_no_pruning(clean):
 def test_superfluous_cv_returns_grid_member_and_subset(noisy):
     _, examples, gold = noisy
     grid = [0.0, 0.1, 0.2, 0.3]
-    theta, filtered, result = learner.superfluous_cv(
+    theta, result = learner.superfluous_cv(
         examples, grid, ScoringStrategy("parse_score"), gold=gold
     )
     assert theta in grid
+    filtered = result.trained_matching()
     assert set(filtered.assignments) <= set(result.matching.assignments)
     assert set(result.matching.assignments) == {ex.key for ex in examples}
     assert filtered.assignments == {
@@ -609,27 +617,10 @@ def test_superfluous_cv_noisy_corpus_prunes_only_chatter(noisy):
     # 20 paired comments, 4 of them chatter: the held-out score must pick a
     # pruning fraction, and everything pruned must be the chatter.
     _, examples, gold = noisy
-    theta, _, result = learner.superfluous_cv(
+    theta, result = learner.superfluous_cv(
         examples, [0.0, 0.1, 0.2, 0.3], ScoringStrategy("parse_score"), gold=gold
     )
     assert theta > 0.0
     pruned = {ex.key for ex in examples} - set(result.trained_on)
     assert pruned
     assert all(gold[key] is None for key in pruned)
-
-
-def test_report_lines_layout(clean):
-    _, examples, gold, _ = clean
-    with_gold = learner.retrain_loop(
-        examples, ScoringStrategy("parse_score"), gold=gold
-    )
-    text = learner.report_lines(with_gold)
-    lines = text.splitlines()
-    assert text.endswith("\n")
-    assert len(lines) == with_gold.iterations_run
-    first = with_gold.history[0]
-    assert lines[0].split("\t") == [
-        "1", f"{first.matching_f1:.12g}", str(len(examples))
-    ]
-    without = learner.retrain_loop(examples, ScoringStrategy("parse_score"))
-    assert learner.report_lines(without).splitlines()[0].split("\t")[1] == "-"

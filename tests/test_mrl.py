@@ -138,7 +138,8 @@ def test_derivation_shapes():
     assert deriv[0].lhs == "*S" and deriv[0].key == "pass"
     assert [p.key for p in deriv[1:]] == ["pink1", "pink2"]
     ballstopped = parse_mr("ballstopped")
-    assert derivation(ballstopped) == (mrl.production_for_predicate(ballstopped.predicate),)
+    head = next(p for p in mrl.PRODUCTIONS if p.key == "ballstopped")
+    assert derivation(ballstopped) == (head,)
 
 
 def test_enumeration_count_matches_arithmetic():

@@ -31,6 +31,16 @@ def _sharp_pairs():
     ]
 
 
+def _train_briefly(pairs):
+    """translator.train with 3 EM iterations: a model far from converged."""
+    alignment = translator.train_alignment(pairs, 3)
+    return translator.TranslationModel(
+        alignment,
+        translator.extract_templates(pairs, alignment),
+        translator.LanguageModel().fit([tokens for tokens, _ in pairs]),
+    )
+
+
 def _table(model):
     """The array as a dict of dicts: trained productions, nonzero cells."""
     table = {}
@@ -225,7 +235,7 @@ def test_lm_scores_with_the_order_it_was_fit_with(monkeypatch):
 
 def test_score_floor_for_no_overlap():
     model = translator.train(_sharp_pairs())
-    score = translator.score_pair(["sunny", "day"], _mr("kick(pink1)"), model)
+    [[score]] = translator.score_corpus([["sunny", "day"]], [[_mr("kick(pink1)")]], model)
     assert score == pytest.approx(translator.null_floor(model), rel=1e-12)
     assert translator.parse_sentence(["sunny", "day"], model) == []
 
@@ -251,9 +261,9 @@ def test_sharp_parse_beats_full_space():
     ranked = translator.parse_sentence(tokens, model)
     assert ranked[0][0] == _mr("pass(pink1,pink2)")
     assert ranked[1][0] == _mr("pass(pink2,pink1)")
-    assert ranked[1][1] > ranked[2][1]  # strict against every non-permutation
-    # score_pair is the same arithmetic: bit-identical, not merely close.
-    assert translator.score_pair(tokens, ranked[0][0], model) == ranked[0][1]
+    assert ranked[0][1] == ranked[1][1] > ranked[2][1]  # strict against every non-permutation
+    # Scoring the one MR is the same arithmetic: bit-identical, not merely close.
+    assert translator.score_corpus([tokens], [[ranked[0][0]]], model) == [[ranked[0][1]]]
 
 
 def test_uniform_model_ties_break_canonically():
@@ -268,13 +278,6 @@ def test_uniform_model_ties_break_canonically():
     assert len(ranked) == 2018
     assert ranked[0][0] == mrl.enumerate_mrs()[0]
     assert ranked[0][1] == ranked[-1][1]
-
-
-def test_parse_single_candidate():
-    model = translator.train(_sharp_pairs())
-    candidates = [_mr("kick(pink3)")]
-    ranked = translator.parse_sentence("pink3 boots it".split(), model, candidates)
-    assert [mr for mr, _ in ranked] == candidates
 
 
 def test_generate_topk_truncation_and_order():
@@ -377,8 +380,8 @@ def test_save_load_round_trip(tmp_path):
     assert path.read_bytes() == again.read_bytes()
     tokens = "pink1 kicks to pink2".split()
     mr = _mr("pass(pink1,pink2)")
-    original = translator.score_pair(tokens, mr, model)
-    reloaded = translator.score_pair(tokens, mr, loaded)
+    [[original]] = translator.score_corpus([tokens], [[mr]], model)
+    [[reloaded]] = translator.score_corpus([tokens], [[mr]], loaded)
     assert reloaded == pytest.approx(original, rel=1e-12)
     assert loaded.alignment.vocabulary == model.alignment.vocabulary
     assert set(loaded.lexicon.templates) == set(model.lexicon.templates)
@@ -454,7 +457,7 @@ _query = st.lists(st.sampled_from(["red", "blue", "runs", "fast", "goal", "offsi
 
 
 def _assert_lm_tables_match_reference(first, second, queries):
-    model = translator.train([(tokens, _mr(text)) for tokens, text in first], 1)
+    model = translator.train([(tokens, _mr(text)) for tokens, text in first])
     model.lm.fit([tokens for tokens, _ in second])
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.tsv"
@@ -483,24 +486,14 @@ def test_sentence_logprob_matches_reference_as_a_bigram_model(first, second, que
         _assert_lm_tables_match_reference(first, second, queries)
 
 
-def _reference_parse_sentence(tokens, model, candidates=None):
+def _reference_parse_sentence(tokens, model):
     """Ranking with one (-score, serialize_mr) sort key."""
-    mrs = mrl.enumerate_mrs() if candidates is None else tuple(candidates)
-    if not mrs:
-        return []
+    mrs = mrl.enumerate_mrs()
     scores = translator.score_candidates(tokens, mrs, model)
     if max(scores) <= translator.null_floor(model) * (1.0 + 1e-9):
         return []
     order = sorted(range(len(mrs)), key=lambda i: (-scores[i], mrl.serialize_mr(mrs[i])))
     return [(mrs[i], scores[i]) for i in order]
-
-
-def _assert_parse_matches_reference(tokens, model, candidates=None):
-    ranked = translator.parse_sentence(tokens, model, candidates)
-    reference = _reference_parse_sentence(tokens, model, candidates)
-    assert ranked == reference
-    # Equal candidates keep their input order: the same objects, in place.
-    assert [id(mr) for mr, _ in ranked] == [id(mr) for mr, _ in reference]
 
 
 _PARSE_SENTENCES = ["pink1 kicks to pink2", "pink2 boots it", "the ball is dead",
@@ -515,32 +508,15 @@ def sharp_model():
 def test_parse_sentence_matches_reference_on_the_full_space(sharp_model, noisy_model):
     for model in (sharp_model, noisy_model[0]):
         for text in _PARSE_SENTENCES:
-            _assert_parse_matches_reference(text.split(), model)
+            tokens = text.split()
+            assert translator.parse_sentence(tokens, model) == (
+                _reference_parse_sentence(tokens, model)
+            )
 
 
 _TIE_POOL = ["pass(pink1,pink2)", "pass(pink2,pink1)", "pass(pink1,pink1)",
              "kick(pink1)", "kick(pink2)", "badPass(pink3,pink1)",
              "badPass(pink1,pink3)", "ballstopped", "playmode(goal_l)"]
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.sampled_from(_TIE_POOL), max_size=12),
-       st.sampled_from(_PARSE_SENTENCES))
-def test_parse_sentence_matches_reference_on_candidate_tuples(sharp_model, texts, sentence):
-    # Each text parses to a new object, so repeats are equal but distinct.
-    candidates = tuple(_mr(text) for text in texts)
-    _assert_parse_matches_reference(sentence.split(), sharp_model, candidates)
-
-
-def test_parse_sentence_keeps_duplicates_and_permutation_ties_in_input_order(sharp_model):
-    candidates = tuple(_mr(text) for text in
-                       ["kick(pink1)", "pass(pink2,pink1)", "pass(pink1,pink2)",
-                        "pass(pink2,pink1)", "pass(pink1,pink2)"])
-    tokens = "pink1 kicks to pink2".split()
-    ranked = translator.parse_sentence(tokens, sharp_model, candidates)
-    assert [id(mr) for mr, _ in ranked] == [id(candidates[i]) for i in (2, 4, 1, 3, 0)]
-    assert ranked[0][1] == ranked[3][1] > ranked[4][1]
-    _assert_parse_matches_reference(tokens, sharp_model, candidates)
 
 
 def _reference_generate_topk(mr, model, k=5):
@@ -596,7 +572,7 @@ _POOL = ["kick(pink1)", "ballstopped", "pass(pink1,pink2)", "playmode(goal_l)",
 @settings(max_examples=25, deadline=None)
 @given(_corpora)
 def test_generate_topk_matches_exhaustive_reference_on_random_corpora(raw_pairs):
-    model = translator.train([(tokens, _mr(text)) for tokens, text in raw_pairs], 3)
+    model = _train_briefly([(tokens, _mr(text)) for tokens, text in raw_pairs])
     for text in _POOL:
         _assert_generation_matches_reference(_mr(text), model)
 
@@ -679,7 +655,7 @@ def test_generate_topk_keeps_ties_and_duplicates(lm):
 def test_generation_bound_is_admissible(raw_pairs):
     """Every combination of a learned lexicon scores at most its bound, both
     multiplied out in generate_topk's order."""
-    model = translator.train([(tokens, _mr(text)) for tokens, text in raw_pairs], 3)
+    model = _train_briefly([(tokens, _mr(text)) for tokens, text in raw_pairs])
     lm = model.lm
 
     def times_ceilings(value, tokens):
@@ -814,7 +790,6 @@ def _assert_kernel_matches_reference(model, sentences, candidates):
     assert translator.score_corpus(sentences, candidates, model) == reference
     for tokens, mrs, scores in zip(sentences, candidates, reference):
         assert translator.score_candidates(tokens, mrs, model) == scores
-        assert [translator.score_pair(tokens, mr, model) for mr in mrs] == scores
     full = mrl.enumerate_mrs()
     assert translator.score_corpus(sentences, None, model) == [
         _reference_score_candidates(s, full, model) for s in sentences
@@ -847,7 +822,7 @@ _SCORED_POOL = _TIE_POOL + ["steal(purple9)"]
 @given(_corpora, _batches,
        st.lists(st.lists(st.sampled_from(_SCORED_POOL), max_size=5), min_size=8, max_size=8))
 def test_score_corpus_matches_the_per_sentence_reference(raw_pairs, sentences, texts):
-    model = translator.train([(tokens, _mr(text)) for tokens, text in raw_pairs], 3)
+    model = _train_briefly([(tokens, _mr(text)) for tokens, text in raw_pairs])
     candidates = [[_mr(text) for text in row] for row in texts[: len(sentences)]]
     _assert_kernel_matches_reference(model, sentences, candidates)
 
