@@ -302,7 +302,14 @@ def _cmd_parse(args, sub: _Parser) -> int:
     return 0
 
 
+def _check_topk(args) -> None:
+    """Reject --topk below 1 before any input file is read."""
+    if args.topk < 1:
+        raise ValueError(f"--topk must be at least 1, got {args.topk}")
+
+
 def _cmd_generate(args, sub: _Parser) -> int:
+    _check_topk(args)
     model = translator.load_model(args.model)
     rows = []
     for lineno, raw in corpus.read_lines(args.input):
@@ -325,6 +332,7 @@ def _cmd_generate(args, sub: _Parser) -> int:
 
 
 def _cmd_sportscast(args, sub: _Parser) -> int:
+    _check_topk(args)
     model = translator.load_model(args.model)
     strat = strategic.load_strategic(args.strategic)
     loaded = corpus.load_corpus(args.manifest, args.window_ms)

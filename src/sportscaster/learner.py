@@ -1,12 +1,11 @@
 """Disambiguation by retraining: turn ambiguous supervision into a model.
 
 One loop serves every strategy.  Each iteration picks one candidate per
-sentence, prunes the lowest-scoring fraction of the picks, and retrains the
-translation model from scratch on the rest, until an iteration picks what
-the one before it did or max_iter iterations have run.  A scored strategy
-first trains on every (sentence, candidate) pair, or on external seed
-pairs, and then picks each sentence's best candidate under the current
-model:
+sentence, prunes the lowest-scoring fraction of the picks, and retrains
+from scratch on the rest, until an iteration picks what the one before it
+did or max_iter iterations have run.  A scored strategy first trains on
+every (sentence, candidate) pair, or on external seed pairs, and then picks
+each sentence's best candidate under the current model:
 
   parse_score  Model-1 parse likelihood of the pair
   nist_gen     NIST between the sentence and the MR's best generation
@@ -14,8 +13,12 @@ model:
   nist_igsl    nist_gen times the IGSL probability of the MR's type
   meteor_igsl  meteor_gen times the IGSL probability of the MR's type
 
-The baselines, random (one uniform pick per sentence) and gold (the gold
-matching), fix their picks up front and train on them once.
+The generation-scored strategies read the whole translation model, so
+each training builds all of it.  parse_score reads only the alignment, so
+each of its trainings runs alignment EM alone, and the template lexicon
+and LM are built once, from the last training pairs, for the returned
+model.  The baselines, random (one uniform pick per sentence) and gold
+(the gold matching), fix their picks up front and train on them once.
 
 superfluous_cv picks the pruning fraction by internal cross-validation, so
 sentences that describe nothing (superfluous commentary) stop polluting the
@@ -159,12 +162,14 @@ def evaluate_candidate(
 
 def _assign_best(
     examples: Sequence[GameExample],
-    model: translator.TranslationModel,
+    model: translator.AlignmentModel | translator.TranslationModel,
     strategy: ScoringStrategy,
     strategic_model: strategic.StrategicModel | None,
 ) -> Matching:
     """Each example's best candidate by (-score, time, surface form, id).
-    parse_score scores the whole corpus in one translator.score_corpus call."""
+    parse_score scores the whole corpus in one translator.score_corpus call
+    and reads an AlignmentModel; the generation-scored strategies read a
+    TranslationModel."""
     candidate_sets = [ex.example.candidates for ex in examples]
     if _SCORED_KINDS[strategy.kind][0] is None:
         scores = translator.score_corpus(
@@ -279,19 +284,22 @@ def retrain_loop(
         fixed = _random_matching(examples, strategy.seed)
     elif strategy.kind == "gold":
         fixed = _gold_matching(examples, gold)
-    else:
-        if _SCORED_KINDS[strategy.kind][1]:
-            if total_count is None:
-                raise MissingStrategicModel(
-                    f"{strategy.kind} needs per-predicate event totals"
-                )
-            # IGSL reads only the candidate sets, so one run serves every iteration
-            strategic_model = strategic.igsl(
-                [ex.example for ex in examples], total_count
+    elif _SCORED_KINDS[strategy.kind][1]:
+        if total_count is None:
+            raise MissingStrategicModel(
+                f"{strategy.kind} needs per-predicate event totals"
             )
-        model = translator.train(
-            initial_training_set(examples) if initial_pairs is None else initial_pairs
+        # IGSL reads only the candidate sets, so one run serves every iteration
+        strategic_model = strategic.igsl(
+            [ex.example for ex in examples], total_count
         )
+    # Picks that read only the alignment train only the alignment; the last
+    # one trained is completed into the returned model.
+    alignment_only = fixed is None and _SCORED_KINDS[strategy.kind][0] is None
+    fit = translator.train_alignment if alignment_only else translator.train
+    if fixed is None:
+        pairs = initial_training_set(examples) if initial_pairs is None else initial_pairs
+        model = fit(pairs)
 
     matching = Matching()
     kept: frozenset[Key] = frozenset()
@@ -313,9 +321,12 @@ def retrain_loop(
             break
         matching, previous = picked, event_ids
         kept = _prune_keys(matching, prune_fraction)
-        model = translator.train(_pairs_from_matching(examples, matching, kept))
+        pairs = _pairs_from_matching(examples, matching, kept)
+        model = fit(pairs)
         if fixed is not None:
             break
+    if alignment_only:
+        model = translator.complete(pairs, model)
     return DisambiguationResult(
         matching, model, strategic_model, history, trained_on=kept
     )
@@ -392,7 +403,7 @@ def _validation_score(
     scores = translator.score_corpus(
         [ex.example.comment.tokens for ex in validation],
         [[c.mr for c in ex.example.candidates] for ex in validation],
-        result.model,
+        result.model.alignment,
     )
     for ex, candidate_scores in zip(validation, scores):
         tokens = ex.example.comment.tokens

@@ -14,6 +14,10 @@ The model is a bundle of three independently trained parts:
     n-gram, one floor per seen context and one for unseen contexts, so
     scoring a sentence adds up table entries.
 
+train builds all three; complete adds the lexicon and LM to an alignment
+that train_alignment built, for a caller that reads only the alignment
+until its last training.
+
 Parsing ranks candidate MRs by the per-token-normalized Model-1 likelihood,
 ties broken by canonical surface form (serialize_mr, built once per MR);
 generation instantiates templates and ranks by the noisy-channel product
@@ -24,10 +28,10 @@ factors per argument, and scores only those that can still reach the top k.
 Scoring is implemented once, in score_corpus: one kernel over many
 sentences, each with its own candidate MRs, that groups the (sentence,
 candidate) pairs by sentence length and scores each group in whole-array
-passes.  score_candidates (one sentence), parse_sentence (one sentence,
-the full space) and the learner's parse-scored loop and validation scorer
-(the corpus) are views of that one kernel, so their scores can never
-disagree.
+passes.  It reads only the alignment.  score_candidates (one sentence),
+parse_sentence (one sentence, the full space) and the learner's
+parse-scored loop and validation scorer (the corpus) are views of that one
+kernel, so their scores can never disagree.
 """
 
 from __future__ import annotations
@@ -177,14 +181,15 @@ def train_alignment(pairs: Sequence[Pair], iterations: int = 25) -> AlignmentMod
     """Model-1 EM: uniform init, then expected-count renormalization.
 
     The corpus is flattened once into (token, production slot) cells of the
-    table; each E-step gathers them and np.add.at adds in corpus order.  A
+    table; each E-step gathers them, and one np.bincount adds their expected
+    counts into the table from 0.0 in corpus order.  A
     production's row total adds its expected counts left to right in
     first-reach order, the order a dict per row would hold them in.  That
     equals builtin sum up to Python 3.11; from 3.12 builtin sum compensates
     float rounding, and the two may differ in the last bit.
     """
     if not pairs:
-        raise EmptyTrainingSet("no (sentence, mr) pairs to align")
+        raise EmptyTrainingSet("no (sentence, mr) pairs to train on")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     vocabulary = tuple(sorted({w for tokens, _ in pairs for w in tokens}))
@@ -218,8 +223,8 @@ def train_alignment(pairs: Sequence[Pair], iterations: int = 25) -> AlignmentMod
         history.append(float(np.log(denominators / width).sum()))
         if step == iterations:
             break
-        expected = np.zeros(t.size, dtype=np.float64)
-        np.add.at(expected, cells, gathered / denominators[:, None])
+        weights = gathered / denominators[:, None]
+        expected = np.bincount(cells.ravel(), weights=weights.ravel(), minlength=t.size)
         # An outer-axis sum runs down each column left to right.
         totals = expected.take(groups).sum(axis=0)
         t[trained] = expected.reshape(t.shape)[trained] / totals[:, None]
@@ -300,19 +305,22 @@ def extract_templates(pairs: Sequence[Pair], alignment: AlignmentModel) -> Templ
     )
 
 
-def train(pairs: Sequence[Pair]) -> TranslationModel:
-    """Alignment EM, template extraction, and LM fit in one call."""
-    if not pairs:
-        raise EmptyTrainingSet("no (sentence, mr) pairs to train on")
-    alignment = train_alignment(pairs)
+def complete(pairs: Sequence[Pair], alignment: AlignmentModel) -> TranslationModel:
+    """The model of pairs around an alignment trained on them: the template
+    lexicon read off the alignment and the LM fit on the sentences."""
     lexicon = extract_templates(pairs, alignment)
     lm = LanguageModel().fit([tokens for tokens, _ in pairs])
     return TranslationModel(alignment=alignment, lexicon=lexicon, lm=lm)
 
 
-def null_floor(model: TranslationModel) -> float:
+def train(pairs: Sequence[Pair]) -> TranslationModel:
+    """Alignment EM, template extraction, and LM fit in one call."""
+    return complete(pairs, train_alignment(pairs))
+
+
+def null_floor(alignment: AlignmentModel) -> float:
     """Per-word score of a sentence with no vocabulary overlap at all."""
-    size = len(model.alignment.vocabulary)
+    size = len(alignment.vocabulary)
     return SMOOTHING_K / (1.0 + SMOOTHING_K * size)
 
 
@@ -362,7 +370,7 @@ def _word_columns(tokens: Tokens, alignment: AlignmentModel) -> np.ndarray:
 def score_corpus(
     sentences: Sequence[Tokens],
     candidates: Sequence[Sequence[mrl.MeaningRepresentation]] | None,
-    model: TranslationModel,
+    alignment: AlignmentModel,
 ) -> list[list[float]]:
     """Per-token-normalized Model-1 likelihood of each sentence under each of
     its candidate MRs, or under every grammar-valid MR (enumerate_mrs()
@@ -375,8 +383,8 @@ def score_corpus(
     candidate) pairs are grouped by sentence length, and each group is one
     (tokens x pairs) array pass with a scalar root.
     """
-    size = len(model.alignment.vocabulary)
-    smoothed = _extended_table(model.alignment.t, size)
+    size = len(alignment.vocabulary)
+    smoothed = _extended_table(alignment.t, size)
     smoothed[:_PAD_COLUMN] = (smoothed[:_PAD_COLUMN] + SMOOTHING_K) / (
         1.0 + SMOOTHING_K * size
     )
@@ -386,7 +394,7 @@ def score_corpus(
         counts = [len(full_widths)] * len(sentences)
     else:
         counts = [len(mrs) for mrs in candidates]
-    floor = null_floor(model)
+    floor = null_floor(alignment)
     scores = [[] if tokens else [floor] * count for tokens, count in zip(sentences, counts)]
     by_length: dict[int, list[int]] = defaultdict(list)
     for number, (tokens, count) in enumerate(zip(sentences, counts)):
@@ -394,7 +402,7 @@ def score_corpus(
             by_length[len(tokens)].append(number)
     for length, numbers in by_length.items():
         # (length, sentences) word columns, then one column per pair.
-        words = _word_columns([w for n in numbers for w in sentences[n]], model.alignment)
+        words = _word_columns([w for n in numbers for w in sentences[n]], alignment)
         words = words.reshape(len(numbers), length).T
         words = np.repeat(words, [counts[n] for n in numbers], axis=1)
         if candidates is None:
@@ -418,10 +426,10 @@ def score_corpus(
 def score_candidates(
     tokens: Tokens,
     mrs: Sequence[mrl.MeaningRepresentation],
-    model: TranslationModel,
+    alignment: AlignmentModel,
 ) -> list[float]:
     """score_corpus for one sentence and its candidates."""
-    return score_corpus([tokens], [mrs], model)[0]
+    return score_corpus([tokens], [mrs], alignment)[0]
 
 
 def parse_sentence(
@@ -433,8 +441,8 @@ def parse_sentence(
     all-NULL floor, i.e. the sentence shares nothing with the model.
     """
     mrs = mrl.enumerate_mrs()
-    [scores] = score_corpus([tokens], None, model)
-    if max(scores) <= null_floor(model) * (1.0 + 1e-9):
+    [scores] = score_corpus([tokens], None, model.alignment)
+    if max(scores) <= null_floor(model.alignment) * (1.0 + 1e-9):
         return []
     # Two stable sorts, the secondary key first, each keyed by a C-level
     # list lookup.

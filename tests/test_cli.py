@@ -274,6 +274,40 @@ def test_generate_reports_missing_template(tmp_path):
     assert lines[1].split("\t")[3] == "NO_TEMPLATE"
 
 
+@pytest.mark.parametrize("topk", ["0", "-3"])
+@pytest.mark.parametrize("mrs_text", ["", "kick ( pink1 )\n", None])  # None: no file
+def test_generate_rejects_topk_below_one_before_reading_input(
+    train_dir, tmp_path, capsys, mrs_text, topk
+):
+    mrs = tmp_path / "m.txt"
+    if mrs_text is not None:
+        mrs.write_text(mrs_text)
+    out = tmp_path / "gen"
+    rc = run(["generate", str(train_dir / "model.tsv"), str(mrs),
+              "--topk", topk, "--out", str(out)])
+    assert rc == 2
+    assert f"--topk must be at least 1, got {topk}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("inputs", ["valid", "missing"])
+def test_sportscast_rejects_topk_below_one_before_reading_input(
+    corpus_dir, train_dir, tmp_path, capsys, inputs
+):
+    model, strat, manifest = (tmp_path / "none" / name for name in (
+        "model.tsv", "strategic.tsv", "manifest.tsv"))
+    if inputs == "valid":
+        model, manifest = train_dir / "model.tsv", corpus_dir / "manifest.tsv"
+        strat = tmp_path / "igsl" / "strategic.tsv"
+        assert run(["igsl", "--manifest", str(manifest), "--out", str(strat.parent)]) == 0
+    out = tmp_path / "cast"
+    rc = run(["sportscast", str(model), str(strat), "--manifest", str(manifest),
+              "--topk", "0", "--out", str(out)])
+    assert rc == 2
+    assert "--topk must be at least 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sportscast_transcripts(corpus_dir, train_dir, tmp_path):
     igsl_dir = tmp_path / "igsl"
     assert run(["igsl", "--manifest", str(corpus_dir / "manifest.tsv"),

@@ -116,7 +116,10 @@ def _reference_retrain_loop(
     history = []
     iterations = 0
     for iteration in range(1, max_iter + 1):
-        new_matching = learner._assign_best(examples, model, strategy, strategic_model)
+        new_matching = learner._assign_best(
+            examples, model.alignment if strategy.kind == "parse_score" else model,
+            strategy, strategic_model,
+        )
         iterations = iteration
         if matching is None:
             changed = len(new_matching.assignments)
@@ -278,7 +281,7 @@ def test_evaluate_rejects_non_scoring_kinds(sharp_model):
 
 def _pair_score(tokens, mr, model):
     """The kernel's score of one sentence under one candidate."""
-    [[score]] = translator.score_corpus([tokens], [[mr]], model)
+    [[score]] = translator.score_corpus([tokens], [[mr]], model.alignment)
     return score
 
 
@@ -333,7 +336,7 @@ def test_parse_score_kernel_matches_per_candidate_scores(request, fixture):
     strategy = ScoringStrategy("parse_score")
     model = translator.train(learner.initial_training_set(examples))
     for current in (model, learner.retrain_loop(examples, strategy).model):
-        matching = learner._assign_best(examples, current, strategy, None)
+        matching = learner._assign_best(examples, current.alignment, strategy, None)
         assert matching.assignments == _reference_parse_matching(examples, current)
     train, validation = learner.validation_split(examples)
     for prune_fraction in (0.0, 0.2):
@@ -388,6 +391,35 @@ def test_retrain_runs_igsl_once_per_loop(clean, monkeypatch):
     assert result.iterations_run > 1
     assert len(calls) == 1
     assert result.strategic == real_igsl([ex.example for ex in examples], total)
+
+
+@pytest.mark.parametrize("kind", ["parse_score", "nist_igsl"])
+def test_retrain_loop_builds_only_what_it_reads(noisy, monkeypatch, tmp_path, kind):
+    """parse_score trains the alignment alone and completes the model once;
+    nist_igsl builds the whole model at every training."""
+    games, examples, gold = noisy
+    total = strategic.count_event_types(e for g in games for e in g.events)
+    calls = Counter()
+    for owner, name in ((translator, "train_alignment"), (translator, "extract_templates"),
+                        (translator.LanguageModel, "fit")):
+        def counting(*args, _real=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    result = learner.retrain_loop(
+        examples, ScoringStrategy(kind), total_count=total, gold=gold, prune_fraction=0.2
+    )
+    monkeypatch.undo()
+    # the first training, then one per iteration that changed the picks
+    trainings = 1 + sum(1 for record in result.history if record.changed)
+    assert calls["train_alignment"] == trainings
+    built = 1 if kind == "parse_score" else trainings
+    assert calls["extract_templates"] == calls["fit"] == built
+    pairs = learner._pairs_from_matching(examples, result.matching, result.trained_on)
+    assert _model_text(result.model, tmp_path / "loop.tsv") == _model_text(
+        translator.train(pairs), tmp_path / "train.tsv"
+    )
 
 
 def test_retrain_igsl_requires_totals(clean):

@@ -33,12 +33,7 @@ def _sharp_pairs():
 
 def _train_briefly(pairs):
     """translator.train with 3 EM iterations: a model far from converged."""
-    alignment = translator.train_alignment(pairs, 3)
-    return translator.TranslationModel(
-        alignment,
-        translator.extract_templates(pairs, alignment),
-        translator.LanguageModel().fit([tokens for tokens, _ in pairs]),
-    )
+    return translator.complete(pairs, translator.train_alignment(pairs, 3))
 
 
 def _table(model):
@@ -235,8 +230,10 @@ def test_lm_scores_with_the_order_it_was_fit_with(monkeypatch):
 
 def test_score_floor_for_no_overlap():
     model = translator.train(_sharp_pairs())
-    [[score]] = translator.score_corpus([["sunny", "day"]], [[_mr("kick(pink1)")]], model)
-    assert score == pytest.approx(translator.null_floor(model), rel=1e-12)
+    [[score]] = translator.score_corpus(
+        [["sunny", "day"]], [[_mr("kick(pink1)")]], model.alignment
+    )
+    assert score == pytest.approx(translator.null_floor(model.alignment), rel=1e-12)
     assert translator.parse_sentence(["sunny", "day"], model) == []
 
 
@@ -244,8 +241,8 @@ def test_score_invariant_to_candidate_list_order():
     model = translator.train(_sharp_pairs())
     tokens = "pink1 kicks to pink2".split()
     mrs = [_mr("pass(pink1,pink2)"), _mr("kick(pink1)"), _mr("ballstopped")]
-    forward = translator.score_candidates(tokens, mrs, model)
-    backward = translator.score_candidates(tokens, list(reversed(mrs)), model)
+    forward = translator.score_candidates(tokens, mrs, model.alignment)
+    backward = translator.score_candidates(tokens, list(reversed(mrs)), model.alignment)
     assert forward == list(reversed(backward))
 
 
@@ -263,7 +260,9 @@ def test_sharp_parse_beats_full_space():
     assert ranked[1][0] == _mr("pass(pink2,pink1)")
     assert ranked[0][1] == ranked[1][1] > ranked[2][1]  # strict against every non-permutation
     # Scoring the one MR is the same arithmetic: bit-identical, not merely close.
-    assert translator.score_corpus([tokens], [[ranked[0][0]]], model) == [[ranked[0][1]]]
+    assert translator.score_corpus([tokens], [[ranked[0][0]]], model.alignment) == [
+        [ranked[0][1]]
+    ]
 
 
 def test_uniform_model_ties_break_canonically():
@@ -380,8 +379,8 @@ def test_save_load_round_trip(tmp_path):
     assert path.read_bytes() == again.read_bytes()
     tokens = "pink1 kicks to pink2".split()
     mr = _mr("pass(pink1,pink2)")
-    [[original]] = translator.score_corpus([tokens], [[mr]], model)
-    [[reloaded]] = translator.score_corpus([tokens], [[mr]], loaded)
+    [[original]] = translator.score_corpus([tokens], [[mr]], model.alignment)
+    [[reloaded]] = translator.score_corpus([tokens], [[mr]], loaded.alignment)
     assert reloaded == pytest.approx(original, rel=1e-12)
     assert loaded.alignment.vocabulary == model.alignment.vocabulary
     assert set(loaded.lexicon.templates) == set(model.lexicon.templates)
@@ -441,6 +440,19 @@ def test_train_alignment_matches_dict_reference_on_random_corpora(raw_pairs):
     _assert_matches_reference([(tokens, _mr(text)) for tokens, text in raw_pairs])
 
 
+@settings(max_examples=25, deadline=None)
+@given(_corpora)
+def test_train_is_complete_after_train_alignment(raw_pairs):
+    pairs = [(tokens, _mr(text)) for tokens, text in raw_pairs]
+    with tempfile.TemporaryDirectory() as tmp:
+        trained, completed = Path(tmp) / "train.tsv", Path(tmp) / "complete.tsv"
+        translator.save_model(translator.train(pairs), trained)
+        translator.save_model(
+            translator.complete(pairs, translator.train_alignment(pairs)), completed
+        )
+        assert trained.read_bytes() == completed.read_bytes()
+
+
 def _reference_sentence_logprob(lm, tokens):
     """The per-token formula: log probability() of each padded token, summed."""
     order = translator.LM_ORDER
@@ -489,8 +501,8 @@ def test_sentence_logprob_matches_reference_as_a_bigram_model(first, second, que
 def _reference_parse_sentence(tokens, model):
     """Ranking with one (-score, serialize_mr) sort key."""
     mrs = mrl.enumerate_mrs()
-    scores = translator.score_candidates(tokens, mrs, model)
-    if max(scores) <= translator.null_floor(model) * (1.0 + 1e-9):
+    scores = translator.score_candidates(tokens, mrs, model.alignment)
+    if max(scores) <= translator.null_floor(model.alignment) * (1.0 + 1e-9):
         return []
     order = sorted(range(len(mrs)), key=lambda i: (-scores[i], mrl.serialize_mr(mrs[i])))
     return [(mrs[i], scores[i]) for i in order]
@@ -709,7 +721,7 @@ def _reference_score_candidates(tokens, mrs, model):
     if not mrs:
         return []
     if not tokens:
-        return [translator.null_floor(model)] * len(mrs)
+        return [translator.null_floor(model.alignment)] * len(mrs)
     pad = translator._PAD_COLUMN
     alignment = model.alignment
     columns = np.array([alignment.columns.get(w, -1) for w in tokens], dtype=np.intp)
@@ -787,11 +799,11 @@ def _assert_kernel_matches_reference(model, sentences, candidates):
     ==; extract_templates against its per-pair reference on the same pairs."""
     reference = [_reference_score_candidates(s, mrs, model)
                  for s, mrs in zip(sentences, candidates)]
-    assert translator.score_corpus(sentences, candidates, model) == reference
+    assert translator.score_corpus(sentences, candidates, model.alignment) == reference
     for tokens, mrs, scores in zip(sentences, candidates, reference):
-        assert translator.score_candidates(tokens, mrs, model) == scores
+        assert translator.score_candidates(tokens, mrs, model.alignment) == scores
     full = mrl.enumerate_mrs()
-    assert translator.score_corpus(sentences, None, model) == [
+    assert translator.score_corpus(sentences, None, model.alignment) == [
         _reference_score_candidates(s, full, model) for s in sentences
     ]
     pairs = [(s, mr) for s, mrs in zip(sentences, candidates) for mr in mrs]
