@@ -22,7 +22,8 @@ model.  The baselines, random (one uniform pick per sentence) and gold
 
 superfluous_cv picks the pruning fraction by internal cross-validation, so
 sentences that describe nothing (superfluous commentary) stop polluting the
-training set.
+training set.  Its validation scorer reads only the alignment, so under
+parse_score only the final run's model is completed.
 """
 
 from __future__ import annotations
@@ -273,6 +274,26 @@ def retrain_loop(
     initial_pairs replaces the all-candidates first training of a scored
     strategy; the baselines never read it.
     """
+    result, pairs = _retrain(
+        examples, strategy, max_iter, total_count, gold, initial_pairs, prune_fraction
+    )
+    if isinstance(result.model, translator.AlignmentModel):
+        result.model = translator.complete(pairs, result.model)
+    return result
+
+
+def _retrain(
+    examples: Sequence[GameExample],
+    strategy: ScoringStrategy,
+    max_iter: int,
+    total_count: Mapping[str, int] | None,
+    gold: Mapping[Key, int | None] | None,
+    initial_pairs: Sequence[Pair] | None,
+    prune_fraction: float,
+) -> tuple[DisambiguationResult, Sequence[Pair]]:
+    """retrain_loop up to its last training: the result and the pairs its
+    model trained on.  Under a strategy whose picks read only the alignment
+    that model is the AlignmentModel, not yet completed."""
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not examples:
@@ -293,8 +314,7 @@ def retrain_loop(
         strategic_model = strategic.igsl(
             [ex.example for ex in examples], total_count
         )
-    # Picks that read only the alignment train only the alignment; the last
-    # one trained is completed into the returned model.
+    # Picks that read only the alignment train only the alignment.
     alignment_only = fixed is None and _SCORED_KINDS[strategy.kind][0] is None
     fit = translator.train_alignment if alignment_only else translator.train
     if fixed is None:
@@ -325,11 +345,8 @@ def retrain_loop(
         model = fit(pairs)
         if fixed is not None:
             break
-    if alignment_only:
-        model = translator.complete(pairs, model)
-    return DisambiguationResult(
-        matching, model, strategic_model, history, trained_on=kept
-    )
+    result = DisambiguationResult(matching, model, strategic_model, history, trained_on=kept)
+    return result, pairs
 
 
 def init_from_external(
@@ -391,8 +408,12 @@ def _validation_score(
     likelihood and fits the chatter component to event vocabulary; pruning
     chatter sharpens the translation model and gives off-topic validation
     sentences a component that explains them.  With nothing pruned the
-    score is the described log-likelihood alone.
+    score is the described log-likelihood alone.  Only the alignment of
+    result.model is read, so it may be a run that _retrain left uncompleted.
     """
+    alignment = result.model
+    if isinstance(alignment, translator.TranslationModel):
+        alignment = alignment.alignment
     tokens_of = {ex.key: ex.example.comment.tokens for ex in train}
     assigned = result.matching.assignments
     pruned = [tokens_of[key] for key in assigned if key not in result.trained_on]
@@ -403,7 +424,7 @@ def _validation_score(
     scores = translator.score_corpus(
         [ex.example.comment.tokens for ex in validation],
         [[c.mr for c in ex.example.candidates] for ex in validation],
-        result.model.alignment,
+        alignment,
     )
     for ex, candidate_scores in zip(validation, scores):
         tokens = ex.example.comment.tokens
@@ -448,14 +469,8 @@ def superfluous_cv(
     grid = sorted(thresholds)
     best_theta, best_score = grid[0], -math.inf
     for theta in grid:
-        result = retrain_loop(
-            train,
-            strategy,
-            max_iter,
-            total_count=total_count,
-            gold=None,
-            prune_fraction=theta,
-        )
+        # The scorer reads only the alignment, so the run is not completed.
+        result, _ = _retrain(train, strategy, max_iter, total_count, None, None, theta)
         score = _validation_score(result, train, validation)
         if score > best_score:
             best_theta, best_score = theta, score

@@ -238,16 +238,14 @@ _SLOT_RE = re.compile(r"<(\d+)>\Z")
 @lru_cache(maxsize=1 << 16)
 def template_items(
     template: tuple[str, ...],
-) -> tuple[tuple[str | int, ...], tuple[int, ...], tuple[str, ...]]:
-    """The template with each "<i>" slot marker replaced by the int i, its
-    slot positions in order, and its literal tokens."""
+) -> tuple[tuple[str | int, ...], tuple[int, ...]]:
+    """The template with each "<i>" slot marker replaced by the int i, and
+    its slot positions in order."""
     items = tuple(
         int(match.group(1)) if (match := _SLOT_RE.match(item)) else item
         for item in template
     )
-    slots = tuple(item for item in items if isinstance(item, int))
-    literals = tuple(item for item in items if not isinstance(item, int))
-    return items, slots, literals
+    return items, tuple(item for item in items if isinstance(item, int))
 
 
 def check_template(predicate: str, template: tuple[str, ...]) -> None:
@@ -257,7 +255,7 @@ def check_template(predicate: str, template: tuple[str, ...]) -> None:
     if predicate not in _PREDICATE_BY_NAME:
         raise ValueError(f"unknown predicate {predicate!r}")
     arity = _PREDICATE_BY_NAME[predicate].arity
-    _, slots, _ = template_items(template)
+    _, slots = template_items(template)
     for slot in slots:
         if not 1 <= slot <= arity:
             raise ValueError(f"slot <{slot}> outside 1..{arity} for {predicate}")

@@ -25,6 +25,12 @@ generation instantiates templates and ranks by the noisy-channel product
 template/realization combinations best-first under an upper bound that
 factors per argument, and scores only those that can still reach the top k.
 
+What does not depend on the request is built once per model, on first
+use, and kept: the alignment's full-space table of per-word scores
+(AlignmentModel.full_space) and the generation plans and realization
+options with their bound parts (TranslationModel.generation).  A model is
+therefore not changed after its first parse or generation.
+
 Scoring is implemented once, in score_corpus: one kernel over many
 sentences, each with its own candidate MRs, that groups the (sentence,
 candidate) pairs by sentence length and scores each group in whole-array
@@ -81,7 +87,11 @@ class NoTemplate(LookupError):
 @dataclass
 class AlignmentModel:
     """t[row, column] = Pr(word | production): rows follow _COLUMN_KEYS, columns
-    the sorted vocabulary; a production absent from training has a zero row."""
+    the sorted vocabulary; a production absent from training has a zero row.
+
+    full_space is built on the first full-space parse, (|V|+1) x 2,018
+    float64 (1.1 MB at |V| = 69), and kept: t must not change after the
+    model's first parse."""
 
     t: np.ndarray
     vocabulary: tuple[str, ...]
@@ -91,6 +101,24 @@ class AlignmentModel:
     def columns(self) -> dict[str, int]:
         """Vocabulary word -> its column in t."""
         return {word: i for i, word in enumerate(self.vocabulary)}
+
+    @cached_property
+    def full_space(self) -> np.ndarray:
+        """Per-word scores of the full space: row w, column m is word column
+        w's score under enumerate_mrs()[m], the unknown-word row last.  Each
+        entry adds the MR's four smoothed t values in slot order and divides
+        by its width, as score_corpus's candidates branch does, so both give
+        the same bits.  Filled one word row at a time, so no second
+        full-size array is made."""
+        smoothed = _smoothed_table(self)
+        index, widths = _full_space_arrays()
+        table = np.empty((smoothed.shape[1], len(widths)), dtype=np.float64)
+        for values, row in zip(smoothed.T, table):
+            values.take(index[:, 0], out=row)
+            for slot in range(1, 4):
+                row += values.take(index[:, slot])
+            row /= widths
+        return table
 
 
 @dataclass
@@ -170,11 +198,79 @@ class LanguageModel:
         return math.exp(self.sentence_logprob(tokens))
 
 
+# A realization option of one constant: (bound part, tokens, weight).
+Option = tuple[float, tuple[str, ...], float]
+# A template's generation plan: its items with each maximal run of literal
+# tokens as one tuple and each slot as its 0-based argument index, its
+# weight, and its bound part.
+Plan = tuple[tuple[tuple[str, ...] | int, ...], float, float]
+
+
 @dataclass
 class TranslationModel:
+    """The three trained parts.
+
+    generation is built on the first generate_topk and kept: one plan per
+    template of the lexicon, and for each of the 37 grammar constants its
+    realization options sorted by part (39 plans and 72 options for the
+    README quick-start model).  The lexicon and LM must not change after
+    the model's first generation."""
+
     alignment: AlignmentModel
     lexicon: TemplateLexicon
     lm: LanguageModel
+
+    @cached_property
+    def generation(self) -> tuple[dict[str, list[Plan]], dict[str, list[Option]]]:
+        """(predicate name -> plans of its templates, in lexicon order;
+        constant token -> options, best part first).
+
+        A combination's upper bound is its template part times its
+        arguments' option parts.  An option's part is its weight times the
+        ceiling of each realization token: the token's context depends on
+        the template.  A template part is its weight times one factor per
+        literal token and </s>: the exact LM probability when the
+        LM_ORDER - 1 items before the token are all literals or <s>
+        padding, its ceiling otherwise.  Each factor is at least the LM
+        probability the combination's score takes for that token.  An
+        unseen constant is realized as its own token, with weight 1."""
+        lm, ceilings, unseen = self.lm, self.lm.ceilings, self.lm.unseen
+        options = {}
+        for constant in mrl.CONSTANTS:
+            realizations = self.lexicon.realizations.get(constant.token)
+            choices = []
+            for tokens, weight in (realizations or {(constant.token,): 1.0}).items():
+                part = weight
+                for token in tokens:
+                    part *= ceilings.get(token, unseen)
+                choices.append((part, tokens, weight))
+            choices.sort(key=lambda option: (-option[0], option[1]))
+            options[constant.token] = choices
+        plans = {}
+        for predicate, templates in self.lexicon.templates.items():
+            plans[predicate] = []
+            for template, weight in templates.items():
+                items, _ = mrl.template_items(template)
+                padded = (_START,) * (LM_ORDER - 1) + items + (_END,)
+                part = weight
+                for i in range(LM_ORDER - 1, len(padded)):
+                    token, context = padded[i], padded[i - LM_ORDER + 1 : i]
+                    if isinstance(token, int):
+                        continue
+                    if any(isinstance(item, int) for item in context):
+                        part *= ceilings.get(token, unseen)
+                    else:
+                        part *= lm.probability(token, context)
+                runs: list[tuple[str, ...] | int] = []
+                for is_slot, group in itertools.groupby(
+                    items, key=lambda item: isinstance(item, int)
+                ):
+                    if is_slot:
+                        runs.extend(slot - 1 for slot in group)
+                    else:
+                        runs.append(tuple(group))
+                plans[predicate].append((tuple(runs), weight, part))
+        return plans, options
 
 
 def train_alignment(pairs: Sequence[Pair], iterations: int = 25) -> AlignmentModel:
@@ -361,6 +457,16 @@ def _extended_table(values: np.ndarray, size: int) -> np.ndarray:
     return table
 
 
+def _smoothed_table(alignment: AlignmentModel) -> np.ndarray:
+    """The extended table of add-k t values: the pad row stays zero."""
+    size = len(alignment.vocabulary)
+    smoothed = _extended_table(alignment.t, size)
+    smoothed[:_PAD_COLUMN] = (smoothed[:_PAD_COLUMN] + SMOOTHING_K) / (
+        1.0 + SMOOTHING_K * size
+    )
+    return smoothed
+
+
 def _word_columns(tokens: Tokens, alignment: AlignmentModel) -> np.ndarray:
     """Each token's column in t, or the unknown-word column of _extended_table."""
     columns, unknown = alignment.columns, len(alignment.vocabulary)
@@ -381,18 +487,16 @@ def score_corpus(
     sentence's score is the product of its words' scores raised to one over
     its length, and an empty sentence scores null_floor.  The (sentence,
     candidate) pairs are grouped by sentence length, and each group is one
-    (tokens x pairs) array pass with a scalar root.
+    (tokens x pairs) array pass with a scalar root.  The full space reads
+    its per-word scores from alignment.full_space, which holds the same
+    bits the candidates branch computes.
     """
-    size = len(alignment.vocabulary)
-    smoothed = _extended_table(alignment.t, size)
-    smoothed[:_PAD_COLUMN] = (smoothed[:_PAD_COLUMN] + SMOOTHING_K) / (
-        1.0 + SMOOTHING_K * size
-    )
-    flat = smoothed.ravel()
     if candidates is None:
-        full_index, full_widths = _full_space_arrays()
-        counts = [len(full_widths)] * len(sentences)
+        full_space = alignment.full_space
+        counts = [full_space.shape[1]] * len(sentences)
     else:
+        smoothed = _smoothed_table(alignment)
+        flat = smoothed.ravel()
         counts = [len(mrs) for mrs in candidates]
     floor = null_floor(alignment)
     scores = [[] if tokens else [floor] * count for tokens, count in zip(sentences, counts)]
@@ -404,17 +508,16 @@ def score_corpus(
         # (length, sentences) word columns, then one column per pair.
         words = _word_columns([w for n in numbers for w in sentences[n]], alignment)
         words = words.reshape(len(numbers), length).T
-        words = np.repeat(words, [counts[n] for n in numbers], axis=1)
         if candidates is None:
-            index = np.tile(full_index, (len(numbers), 1))
-            widths = np.tile(full_widths, len(numbers))
+            per_word = full_space.take(words, axis=0).reshape(length, -1)
         else:
+            words = np.repeat(words, [counts[n] for n in numbers], axis=1)
             index, widths = _candidate_arrays([mr for n in numbers for mr in candidates[n]])
-        rows = index * smoothed.shape[1]
-        per_word = flat.take(words + rows[:, 0])
-        for slot in range(1, 4):
-            per_word += flat.take(words + rows[:, slot])
-        per_word /= widths
+            rows = index * smoothed.shape[1]
+            per_word = flat.take(words + rows[:, 0])
+            for slot in range(1, 4):
+                per_word += flat.take(words + rows[:, slot])
+            per_word /= widths
         group = (per_word.prod(axis=0) ** (1.0 / length)).tolist()
         start = 0
         for n in numbers:
@@ -442,14 +545,15 @@ def parse_sentence(
     """
     mrs = mrl.enumerate_mrs()
     [scores] = score_corpus([tokens], None, model.alignment)
-    if max(scores) <= null_floor(model.alignment) * (1.0 + 1e-9):
+    values = np.array(scores)
+    if values.max() <= null_floor(model.alignment) * (1.0 + 1e-9):
         return []
-    # Two stable sorts, the secondary key first, each keyed by a C-level
-    # list lookup.
+    # Two stable sorts, the secondary key first: the surface forms, then
+    # the negated scores taken in that order.
     surfaces = [mrl.serialize_mr(mr) for mr in mrs]
-    order = sorted(range(len(mrs)), key=surfaces.__getitem__)
-    order.sort(key=scores.__getitem__, reverse=True)
-    return [(mrs[i], scores[i]) for i in order]
+    order = np.array(sorted(range(len(mrs)), key=surfaces.__getitem__))
+    order = order[np.argsort(-values[order], kind="stable")]
+    return [(mrs[i], scores[i]) for i in order.tolist()]
 
 
 # Relative slack on the generation bound.  The bound is a product of
@@ -472,52 +576,31 @@ def generate_topk(
     load_model rejects any other.  A combination is one template plus one
     realization per argument; it scores LM probability x template weight x
     realization weights, ranked by (-score, tokens); two combinations that
-    realize the same sentence are both kept.  Its upper bound takes each
-    token's LM probability at the token's ceiling over all contexts, so it
-    factors into a template part (weight, literal tokens, </s>) and one part
-    per argument (realization weight, realization tokens).  A best-first
-    search over each template's argument choices, sorted by their part
-    (Huang & Chiang, 2005), pops combinations in bound order and scores them
-    until the best bound left, with _BOUND_SLACK, is below the k-th best
-    score: no combination left can then reach the top k, so the result is
-    that of scoring all.
+    realize the same sentence are both kept.  Its upper bound is the product
+    of a template part and one part per argument (TranslationModel.generation
+    builds them once per model).  A best-first search over each template's
+    argument choices, sorted by their part (Huang & Chiang, 2005), pops
+    combinations in bound order and scores them until the best bound left,
+    with _BOUND_SLACK, is below the k-th best score: no combination left can
+    then reach the top k, so the result is that of scoring all.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    templates = model.lexicon.templates.get(mr.predicate.name)
-    if not templates:
+    plans, options = model.generation
+    plans = plans.get(mr.predicate.name)
+    if not plans:
         raise NoTemplate(mr.predicate.name)
-    lm = model.lm
-    ceilings, unseen = lm.ceilings, lm.unseen
-    # (bound part, tokens, weight) per realization of each argument, best
-    # part first; an unseen constant is realized as its own token.
-    choices = []
-    for arg in mr.args:
-        options = []
-        realizations = model.lexicon.realizations.get(arg.token) or {(arg.token,): 1.0}
-        for tokens, weight in realizations.items():
-            part = weight
-            for token in tokens:
-                part *= ceilings.get(token, unseen)
-            options.append((part, tokens, weight))
-        options.sort(key=lambda option: (-option[0], option[1]))
-        choices.append(options)
+    choices = [options[arg.token] for arg in mr.args]
 
     def bound(part: float, indices: tuple[int, ...]) -> float:
-        for options, i in zip(choices, indices):
-            part *= options[i][0]
+        for argument, i in zip(choices, indices):
+            part *= argument[i][0]
         return part
 
-    plans = []  # (items, template weight, template part) per template
-    frontier = []  # (-bound, plan number, choice index per argument)
     start = (0,) * len(choices)
-    for template, weight in templates.items():
-        items, _, literals = mrl.template_items(template)
-        part = weight
-        for token in literals + (_END,):
-            part *= ceilings.get(token, unseen)
-        frontier.append((-bound(part, start), len(plans), start))
-        plans.append((items, weight, part))
+    # (-bound, plan number, choice index per argument)
+    frontier = [(-bound(part, start), number, start)
+                for number, (_, _, part) in enumerate(plans)]
     heapq.heapify(frontier)
 
     scored: list[tuple[tuple[str, ...], float]] = []
@@ -527,16 +610,16 @@ def generate_topk(
         if len(best) == k and best[0] >= _PRUNE_FLOOR and -negated * _BOUND_SLACK < best[0]:
             break
         heapq.heappop(frontier)
-        items, weight, part = plans[number]
+        runs, weight, part = plans[number]
         realized: list[str] = []
-        for item in items:
-            if isinstance(item, int):
-                _, tokens, realization_weight = choices[item - 1][indices[item - 1]]
+        for run in runs:
+            if isinstance(run, int):
+                _, tokens, realization_weight = choices[run][indices[run]]
                 realized.extend(tokens)
                 weight *= realization_weight
             else:
-                realized.append(item)
-        score = lm.sentence_prob(realized) * weight
+                realized.extend(run)
+        score = model.lm.sentence_prob(realized) * weight
         scored.append((tuple(realized), score))
         if len(best) < k:
             heapq.heappush(best, score)

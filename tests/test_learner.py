@@ -656,3 +656,36 @@ def test_superfluous_cv_noisy_corpus_prunes_only_chatter(noisy):
     pruned = {ex.key for ex in examples} - set(result.trained_on)
     assert pruned
     assert all(gold[key] is None for key in pruned)
+
+
+def test_superfluous_cv_completes_only_the_final_parse_score_model(noisy, monkeypatch, tmp_path):
+    """The threshold runs are scored on their alignment alone: one
+    translator.complete per parse_score run, and the same threshold and
+    model as a search that completes every run."""
+    _, examples, gold = noisy
+    grid = [0.0, 0.1, 0.2, 0.3]
+    strategy = ScoringStrategy("parse_score")
+    train, validation = learner.validation_split(examples)
+    scores = [
+        learner._validation_score(
+            learner.retrain_loop(train, strategy, prune_fraction=theta), train, validation
+        )
+        for theta in grid
+    ]
+    expected = grid[scores.index(max(scores))]
+    calls = []
+    complete = translator.complete
+
+    def counting(pairs, alignment):
+        calls.append(len(pairs))
+        return complete(pairs, alignment)
+
+    monkeypatch.setattr(translator, "complete", counting)
+    theta, result = learner.superfluous_cv(examples, grid, strategy, gold=gold)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    assert theta == expected
+    final = learner.retrain_loop(examples, strategy, gold=gold, prune_fraction=theta)
+    assert _model_text(result.model, tmp_path / "cv.tsv") == _model_text(
+        final.model, tmp_path / "final.tsv"
+    )

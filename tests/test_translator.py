@@ -662,40 +662,98 @@ def test_generate_topk_keeps_ties_and_duplicates(lm):
     assert len({score for _, score in top}) < len(top)
 
 
+def _ceiling_part(value, tokens, lm):
+    for token in tokens:
+        value *= lm.ceilings.get(token, lm.unseen)
+    return value
+
+
+def _assert_generation_bound_is_admissible(model, mrs):
+    """The compiled tables against the lexicon: one plan per template, whose
+    runs spell out the template and whose part is at most the all-ceilings
+    part; each constant's options are its realizations (or the unseen
+    fallback) with their ceiling parts, best first.  Every combination then
+    scores at most its bound, both multiplied out in generate_topk's order.
+    Returns how many of the plans checked are tighter than all-ceilings."""
+    lm = model.lm
+    plans, options = model.generation
+    assert set(plans) == set(model.lexicon.templates)
+    tighter = 0
+    for constant in mrl.CONSTANTS:
+        realizations = model.lexicon.realizations.get(constant.token) or {
+            (constant.token,): 1.0
+        }
+        expected = [(_ceiling_part(weight, tokens, lm), tokens, weight)
+                    for tokens, weight in realizations.items()]
+        assert options[constant.token] == sorted(expected, key=lambda o: (-o[0], o[1]))
+    for mr in mrs:
+        templates = model.lexicon.templates.get(mr.predicate.name, {})
+        assert len(plans.get(mr.predicate.name, [])) == len(templates)
+        for (template, weight), (runs, plan_weight, part) in zip(
+            templates.items(), plans.get(mr.predicate.name, [])
+        ):
+            items, _ = mrl.template_items(template)
+            literals = tuple(item for item in items if not isinstance(item, int))
+            spelled = []
+            for run in runs:
+                spelled.extend([run + 1] if isinstance(run, int) else run)
+            assert tuple(spelled) == items
+            assert plan_weight == weight
+            ceiling = _ceiling_part(weight, literals + ("</s>",), lm)
+            assert part <= ceiling
+            tighter += part < ceiling
+            choices = [options[arg.token] for arg in mr.args]
+            for indices in itertools.product(*(range(len(c)) for c in choices)):
+                realized, combined = [], weight
+                for item in items:
+                    if isinstance(item, int):
+                        _, tokens, realization_weight = choices[item - 1][indices[item - 1]]
+                        realized.extend(tokens)
+                        combined *= realization_weight
+                    else:
+                        realized.append(item)
+                bound = part
+                for argument, i in zip(choices, indices):
+                    bound *= argument[i][0]
+                score = lm.sentence_prob(realized) * combined
+                assert score <= bound * translator._BOUND_SLACK
+    return tighter
+
+
 @settings(max_examples=25, deadline=None)
 @given(_corpora)
 def test_generation_bound_is_admissible(raw_pairs):
-    """Every combination of a learned lexicon scores at most its bound, both
-    multiplied out in generate_topk's order."""
     model = _train_briefly([(tokens, _mr(text)) for tokens, text in raw_pairs])
-    lm = model.lm
+    _assert_generation_bound_is_admissible(model, [_mr(text) for text in _POOL])
 
-    def times_ceilings(value, tokens):
-        for token in tokens:
-            value *= lm.ceilings.get(token, lm.unseen)
-        return value
 
-    for text in _POOL:
-        mr = _mr(text)
-        for template, weight in model.lexicon.templates.get(mr.predicate.name, {}).items():
-            items, slots, literals = mrl.template_items(template)
-            part = times_ceilings(times_ceilings(weight, literals), ["</s>"])
-            choices = []
-            for position in slots:
-                constant = mr.args[position - 1].token
-                realizations = model.lexicon.realizations.get(constant) or {(constant,): 1.0}
-                choices.append(list(realizations.items()))
-            for combo in itertools.product(*choices):
-                chosen = dict(zip(slots, combo))
-                realized = []
-                for item in items:
-                    realized.extend(chosen[item][0] if isinstance(item, int) else [item])
-                combined, bound = weight, part
-                for tokens, realization_weight in combo:
-                    combined *= realization_weight
-                    bound *= times_ceilings(realization_weight, tokens)
-                score = lm.sentence_prob(realized) * combined
-                assert score <= bound * translator._BOUND_SLACK
+def test_generation_bound_is_admissible_on_noisy_model(noisy_model):
+    assert _assert_generation_bound_is_admissible(*noisy_model) > 0
+
+
+def test_generation_tables_are_built_once_per_model(noisy_model, monkeypatch):
+    model, mrs = noisy_model
+    model = translator.TranslationModel(model.alignment, model.lexicon, model.lm)
+    calls = Counter()
+    for owner, name in ((mrl, "template_items"), (translator.LanguageModel, "probability")):
+        def counting(*args, _real=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+    translator.generate_topk(mrs[0], model, 1)
+    tables = model.generation
+    assert calls["template_items"] == sum(map(len, model.lexicon.templates.values()))
+    assert calls["probability"] > 0
+    calls.clear()
+    for mr in mrs * 3:
+        for k in (1, 5):
+            try:
+                translator.generate_topk(mr, model, k)
+            except translator.NoTemplate:
+                pass
+    assert calls == Counter()
+    assert model.generation is tables
 
 
 def test_generate_topk_scores_fewer_than_every_combination(noisy_model, monkeypatch):
@@ -851,3 +909,37 @@ def test_score_corpus_matches_the_per_sentence_reference_on_trained_models(
         # overlapping candidate lists, each with the pool's first two again
         candidates = [pool[i:] + pool[:2] for i in range(len(sentences))]
         _assert_kernel_matches_reference(model, sentences, candidates)
+
+
+def _assert_full_space_matches_candidates(alignment, sentences):
+    everything = [mrl.enumerate_mrs()] * len(sentences)
+    assert translator.score_corpus(sentences, None, alignment) == (
+        translator.score_corpus(sentences, everything, alignment)
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@given(_corpora, _batches)
+def test_full_space_table_matches_the_candidates_branch(raw_pairs, sentences):
+    model = _train_briefly([(tokens, _mr(text)) for tokens, text in raw_pairs])
+    _assert_full_space_matches_candidates(model.alignment, sentences)
+
+
+def test_full_space_table_matches_the_candidates_branch_on_trained_models(
+    sharp_model, noisy_model, tmp_path
+):
+    # equal-length sentences, empty ones and unknown words, in one call
+    texts = ["", "pink1 boots it", "pink2 kicks to", "zorp blee grum", "",
+             "pink1 kicks to pink2", "pink3 kicks zorp pink1", "the ball is dead",
+             "pink2"]
+    sentences = [text.split() for text in texts]
+    translator.save_model(sharp_model, tmp_path / "model.tsv")
+    loaded = translator.load_model(tmp_path / "model.tsv")
+    for model in (sharp_model, noisy_model[0], loaded):
+        _assert_full_space_matches_candidates(model.alignment, sentences)
+        for tokens in sentences:
+            assert all(type(score) is float
+                       for _, score in translator.parse_sentence(tokens, model))
+    assert loaded.alignment.full_space.shape == (
+        len(loaded.alignment.vocabulary) + 1, len(mrl.enumerate_mrs())
+    )
