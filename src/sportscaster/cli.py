@@ -200,10 +200,8 @@ def _load_matching(path) -> dict[tuple[str, int], int]:
     for lineno, fields in corpus.read_records(path, 4):
         if lineno == 1 and fields[0] == "game":
             continue
-        try:
+        with corpus.at_line(path, lineno):
             predicted[(fields[0], int(fields[1]))] = int(fields[2])
-        except ValueError as err:
-            raise corpus.FormatError(str(path), lineno, str(err)) from None
     return predicted
 
 
@@ -313,10 +311,8 @@ def _cmd_generate(args, sub: _Parser) -> int:
     model = translator.load_model(args.model)
     rows = []
     for lineno, raw in corpus.read_lines(args.input):
-        try:
+        with corpus.at_line(args.input, lineno):
             mr = mrl.parse_mr(raw)
-        except mrl.MalformedMR as err:
-            raise corpus.FormatError(str(args.input), lineno, str(err)) from None
         surface = mrl.serialize_mr(mr)
         try:
             ranked = translator.generate_topk(mr, model, args.topk)
@@ -524,10 +520,8 @@ def _load_cli_config(path, sub: _Parser) -> dict:
     for lineno, key, value in corpus.key_values(corpus.read_lines(path), path):
         if key not in defaults:
             raise corpus.FormatError(str(path), lineno, f"unknown key {key!r}")
-        try:
+        with corpus.at_line(path, lineno):
             overrides[key] = _coerce(value, defaults[key])
-        except ValueError as err:
-            raise corpus.FormatError(str(path), lineno, str(err)) from None
     return overrides
 
 

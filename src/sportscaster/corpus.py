@@ -7,15 +7,18 @@ gold matching is available it maps each comment to the event that actually
 prompted it (or to nothing, for superfluous chatter).
 
 The file helpers here (fmt, write_lines, read_text, read_lines,
-read_records) are shared by every module that reads or writes files.
+read_records) are shared by every module that reads or writes files, and
+at_line is the one rule for reporting a bad line: every reader wraps the
+work on a line in it, so an error there reads `<file>:<line>: <reason>`.
 """
 
 from __future__ import annotations
 
 import unicodedata
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import mrl
 from .mrl import MeaningRepresentation
@@ -99,6 +102,20 @@ def read_records(path, n: int) -> list[tuple[int, list[str]]]:
         (lineno, split_fields(path, lineno, line, n))
         for lineno, line in read_lines(path)
     ]
+
+
+@contextmanager
+def at_line(
+    path: str | Path | None, lineno: int, reason: Callable[[ValueError], str] = str
+) -> Iterator[None]:
+    """Report a ValueError raised in the block as FormatError(path, lineno,
+    reason(error)); a FormatError passes through unchanged."""
+    try:
+        yield
+    except FormatError:
+        raise
+    except ValueError as err:
+        raise FormatError(path if path is None else str(path), lineno, reason(err)) from None
 
 
 def key_values(
@@ -290,18 +307,14 @@ def _load_events(path: Path) -> tuple[GameEvent, ...]:
     events = []
     last_time = -1
     for lineno, parts in read_records(path, 2):
-        try:
+        with at_line(path, lineno, lambda _: f"bad timestamp {parts[0]!r}"):
             time_ms = int(parts[0])
-        except ValueError:
-            raise FormatError(str(path), lineno, f"bad timestamp {parts[0]!r}") from None
         if time_ms < 0:
             raise FormatError(str(path), lineno, "negative timestamp")
         if time_ms < last_time:
             raise FormatError(str(path), lineno, "event times must be non-decreasing")
-        try:
+        with at_line(path, lineno, lambda err: f"bad MR: {err}"):
             mr = mrl.parse_mr(parts[1])
-        except mrl.MalformedMR as err:
-            raise FormatError(str(path), lineno, f"bad MR: {err}") from None
         events.append(GameEvent(time_ms, mr, len(events)))
         last_time = time_ms
     return tuple(events)
@@ -310,14 +323,10 @@ def _load_events(path: Path) -> tuple[GameEvent, ...]:
 def _load_comments(path: Path) -> tuple[Comment, ...]:
     comments = []
     for lineno, parts in read_records(path, 3):
-        try:
+        with at_line(path, lineno, lambda _: f"bad timestamp {parts[0]!r}"):
             time_ms = int(parts[0])
-        except ValueError:
-            raise FormatError(str(path), lineno, f"bad timestamp {parts[0]!r}") from None
-        try:
+        with at_line(path, lineno):
             comments.append(make_comment(time_ms, parts[2], parts[1], len(comments)))
-        except ValueError as err:
-            raise FormatError(str(path), lineno, str(err)) from None
     return tuple(comments)
 
 
@@ -329,10 +338,8 @@ def _load_gold(
 ) -> GoldMatch:
     matches: dict[int, int | None] = {}
     for lineno, parts in read_records(path, 2):
-        try:
+        with at_line(path, lineno, lambda _: f"bad comment id {parts[0]!r}"):
             comment_id = int(parts[0])
-        except ValueError:
-            raise FormatError(str(path), lineno, f"bad comment id {parts[0]!r}") from None
         if not 0 <= comment_id < len(comments):
             raise DanglingGoldReference(
                 str(path), lineno, f"comment id {comment_id} not in corpus"
@@ -340,10 +347,8 @@ def _load_gold(
         if parts[1] == "NONE":
             matches[comment_id] = None
             continue
-        try:
+        with at_line(path, lineno, lambda err: f"bad MR: {err}"):
             mr = mrl.parse_mr(parts[1])
-        except mrl.MalformedMR as err:
-            raise FormatError(str(path), lineno, f"bad MR: {err}") from None
         event = resolve_gold_event(
             events, comments[comment_id].time_ms, mr, window_ms
         )

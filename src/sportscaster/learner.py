@@ -37,7 +37,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import metrics, mrl, strategic, translator
-from .corpus import FormatError, GameExample, read_records
+from .corpus import GameExample, at_line, read_records
 from .simgen import Prng
 
 Key = tuple[str, int]
@@ -361,11 +361,9 @@ def init_from_external(
     wanted: dict[Key, mrl.MeaningRepresentation] = {}
     warnings = 0
     for number, (game, comment_id, surface) in read_records(path, 3):
-        try:
+        with at_line(path, number):
             key: Key = (game, int(comment_id))
             wanted[key] = mrl.parse_mr(surface)
-        except (ValueError, mrl.MalformedMR) as err:
-            raise FormatError(str(path), number, str(err)) from err
     by_key = {ex.key: ex.example for ex in examples}
     pairs: list[Pair] = []
     for key, mr in wanted.items():

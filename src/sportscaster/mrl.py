@@ -47,9 +47,6 @@ class Production:
     rhs: tuple[str, ...]
     key: str
 
-    def __str__(self) -> str:
-        return f"{self.lhs} -> {' '.join(self.rhs)}"
-
 
 @dataclass(frozen=True)
 class MeaningRepresentation:
@@ -162,24 +159,15 @@ def serialize_mr(mr: MeaningRepresentation) -> str:
     return mr.surface
 
 
+# A token is one of "(),", or a maximal run of other characters that are not
+# whitespace (\s is str.isspace).
+_TOKEN_RE = re.compile(r"[(),]|[^\s(),]+")
+
+
 def parse_mr(text: str) -> MeaningRepresentation:
     """Parse an MR surface string, accepting arbitrary whitespace between tokens."""
     normalized = unicodedata.normalize("NFC", text)
-    tokens: list[tuple[str, int]] = []
-    i = 0
-    while i < len(normalized):
-        ch = normalized[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "(),":
-            tokens.append((ch, i))
-            i += 1
-        else:
-            j = i
-            while j < len(normalized) and not normalized[j].isspace() and normalized[j] not in "(),":
-                j += 1
-            tokens.append((normalized[i:j], i))
-            i = j
+    tokens = [(m.group(), m.start()) for m in _TOKEN_RE.finditer(normalized)]
 
     if not tokens:
         raise MalformedMR("empty MR", 0)

@@ -25,10 +25,10 @@ from .corpus import (
     DEFAULT_WINDOW_MS,
     Comment,
     Corpus,
-    FormatError,
     Game,
     GameEvent,
     GoldMatch,
+    at_line,
     key_values,
     make_comment,
     read_text,
@@ -383,7 +383,7 @@ def parse_config(text: str, path: str | Path | None = None) -> SimulationSpec:
     constant_tokens = {c.token for c in mrl.CONSTANTS}
 
     for lineno, key, value in key_values(enumerate(text.split("\n"), start=1), path):
-        try:
+        with at_line(path, lineno):
             if key == "seed":
                 world_fields["seed"] = int(value)
             elif key == "duration_ms":
@@ -434,8 +434,6 @@ def parse_config(text: str, path: str | Path | None = None) -> SimulationSpec:
                 name_prefix = value
             else:
                 raise ValueError(f"unknown key {key!r}")
-        except ValueError as err:
-            raise FormatError(path, lineno, str(err)) from None
 
     world = replace(world, event_type_weights=weights, **world_fields)
     profile = replace(

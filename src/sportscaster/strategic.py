@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from . import mrl, translator
-from .corpus import AmbiguousExample, FormatError, GameEvent, fmt, read_records, write_lines
+from .corpus import AmbiguousExample, GameEvent, at_line, fmt, read_records, write_lines
 from .simgen import Prng
 
 DEFAULT_MAX_ITER = 50
@@ -183,13 +183,11 @@ def load_strategic(path) -> StrategicModel:
     prob: dict[str, float] = {}
     total: dict[str, int] = {}
     for lineno, (predicate, p, count) in read_records(path, 3):
-        try:
+        with at_line(path, lineno):
             prob[predicate] = float(p)
             total[predicate] = int(count)
-        except ValueError as err:
-            raise FormatError(str(path), lineno, str(err)) from None
-        if not 0.0 <= prob[predicate] <= 1.0:
-            raise FormatError(str(path), lineno, f"probability {p!r} not in [0, 1]")
-        if total[predicate] < 0:
-            raise FormatError(str(path), lineno, f"negative count {count!r}")
+            if not 0.0 <= prob[predicate] <= 1.0:
+                raise ValueError(f"probability {p!r} not in [0, 1]")
+            if total[predicate] < 0:
+                raise ValueError(f"negative count {count!r}")
     return StrategicModel(prob=prob, total_count=total)

@@ -416,10 +416,9 @@ _READERS = ["parse-input", "generate-input", "model", "strategic", "manifest",
             "init-alignment", "matching"]
 
 
-@pytest.mark.parametrize("reader", _READERS)
-def test_non_utf8_line_names_file_and_line(corpus_dir, train_dir, tmp_path, capsys, reader):
-    """Each file the CLI reads, with a byte that is not UTF-8 at the end of
-    its second line: exit 2 and `<file>:2:`."""
+def _reader_files(corpus_dir, train_dir, tmp_path):
+    """Reader name -> (a copy under tmp_path of a file the CLI reads, a
+    command line that reads it)."""
     games = tmp_path / "corpus"
     shutil.copytree(corpus_dir, games)
     manifest = games / "manifest.tsv"
@@ -437,7 +436,7 @@ def test_non_utf8_line_names_file_and_line(corpus_dir, train_dir, tmp_path, caps
     sim_config = tmp_path / "sim.cfg"
     sim_config.write_text("games = 1\nseed = 3\n")
     on_corpus = ["pair", "--manifest", str(manifest)]
-    file, argv = {
+    return {
         "parse-input": (sentences, ["parse", str(model), str(sentences)]),
         "generate-input": (mrs, ["generate", str(model), str(mrs)]),
         "model": (model, ["parse", str(model), str(sentences)]),
@@ -454,7 +453,14 @@ def test_non_utf8_line_names_file_and_line(corpus_dir, train_dir, tmp_path, caps
                                        "--init-alignment", str(alignment)]),
         "matching": (matching, ["evaluate", str(model), "--manifest", str(manifest),
                                 "--matching", str(matching)]),
-    }[reader]
+    }
+
+
+@pytest.mark.parametrize("reader", _READERS)
+def test_non_utf8_line_names_file_and_line(corpus_dir, train_dir, tmp_path, capsys, reader):
+    """Each file the CLI reads, with a byte that is not UTF-8 at the end of
+    its second line: exit 2 and `<file>:2:`."""
+    file, argv = _reader_files(corpus_dir, train_dir, tmp_path)[reader]
     lines = file.read_bytes().split(b"\n")
     lines[1] += b"\xff"
     file.write_bytes(b"\n".join(lines))
@@ -463,7 +469,21 @@ def test_non_utf8_line_names_file_and_line(corpus_dir, train_dir, tmp_path, caps
     assert f"{file}:2: byte 0xff is not valid UTF-8" in err
 
 
-def test_data_error_names_file_and_line(tmp_path, capsys):
+# Reader name -> (the field of line 2 made non-numeric, the reason reported).
+_NON_NUMERIC = {
+    "model": (2, "could not convert string to float: 'x'"),
+    "strategic": (1, "could not convert string to float: 'x'"),
+    "events": (0, "bad timestamp 'x'"),
+    "comments": (0, "bad timestamp 'x'"),
+    "gold": (0, "bad comment id 'x'"),
+    "config": (1, "invalid literal for int() with base 10: 'x'"),
+    "simulate-config": (1, "invalid literal for int() with base 10: 'x'"),
+    "init-alignment": (1, "invalid literal for int() with base 10: 'x'"),
+    "matching": (2, "invalid literal for int() with base 10: 'x'"),
+}
+
+
+def test_data_error_names_file_and_line(corpus_dir, train_dir, tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("kick ( pink1\n")
     pairs = [(("x",), mrl.parse_mr("ballstopped"))]
@@ -472,6 +492,17 @@ def test_data_error_names_file_and_line(tmp_path, capsys):
     assert run(["generate", str(model_path), str(bad)]) == 2
     err = capsys.readouterr().err
     assert "bad.txt:1:" in err
+    # One non-numeric field on line 2 of each file whose lines hold numbers.
+    for reader, (field, reason) in _NON_NUMERIC.items():
+        file, argv = _reader_files(corpus_dir, train_dir, tmp_path / reader)[reader]
+        lines = file.read_text().split("\n")
+        separator = " = " if reader.endswith("config") else "\t"
+        fields = lines[1].split(separator)
+        fields[field] = "x"
+        lines[1] = separator.join(fields)
+        file.write_text("\n".join(lines))
+        assert run(argv) == 2, reader
+        assert capsys.readouterr().err == f"error: {file}:2: {reason}\n"
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sportscaster import mrl
 from sportscaster.mrl import MalformedMR, derivation, enumerate_mrs, parse_mr, serialize_mr
@@ -77,6 +78,45 @@ def test_parse_errors_carry_position():
     with pytest.raises(MalformedMR) as err:
         parse_mr("kick ( pink1 ) extra")
     assert err.value.position == len("kick ( pink1 ) ")
+
+
+def _reference_tokens(text):
+    """parse_mr's tokens as a character loop: each of "()," alone, or a
+    maximal run of other characters for which str.isspace is false."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "(),":
+            tokens.append((ch, i))
+            i += 1
+        else:
+            j = i
+            while j < len(text) and not text[j].isspace() and text[j] not in "(),":
+                j += 1
+            tokens.append((text[i:j], i))
+            i = j
+    return tokens
+
+
+# ASCII and Unicode spaces, the separators that str.isspace counts
+# (\x1c-\x1f), and look-alikes it does not (zero-width space, BOM).
+_MR_CHARACTERS = st.one_of(
+    st.sampled_from(
+        list("(),kick pink1\t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0")
+        + ["\u1680", "\u2000", "\u200a", "\u2028", "\u2029", "\u202f",
+           "\u205f", "\u3000", "\u200b", "\ufeff"]
+    ),
+    st.characters(),
+)
+
+
+@given(st.text(_MR_CHARACTERS, max_size=40))
+def test_token_pattern_matches_the_reference_loop(text):
+    tokens = [(m.group(), m.start()) for m in mrl._TOKEN_RE.finditer(text)]
+    assert tokens == _reference_tokens(text)
 
 
 def test_parse_is_closed_world():

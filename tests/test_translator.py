@@ -361,6 +361,21 @@ def test_lm_refit_survives_save_load(tmp_path):
     assert loaded.ceilings == lm.ceilings
 
 
+def test_a_sentence_holding_the_end_token_survives_save_load(tmp_path):
+    """The LM vocabulary is every word the counts predict but </s>, so a
+    training sentence holding the token </s> gives the same LM in memory
+    and reloaded."""
+    mr = _mr("kick ( pink1 )")
+    model = translator.train([(("pink1", "kicks", "</s>"), mr)])
+    path = tmp_path / "model.tsv"
+    translator.save_model(model, path)
+    loaded = translator.load_model(path)
+    assert loaded.lm.vocabulary == model.lm.vocabulary == {"pink1", "kicks"}
+    for tokens in (["pink1", "kicks"], ["pink1", "kicks", "</s>"], ["unseen"]):
+        assert loaded.lm.sentence_prob(tokens) == model.lm.sentence_prob(tokens)
+    assert translator.generate_topk(mr, loaded) == translator.generate_topk(mr, model)
+
+
 def test_lm_ceilings_bound_every_context():
     lm = translator.train(_sharp_pairs()).lm
     words = set(lm.vocabulary) | {"</s>", "unseen"}
