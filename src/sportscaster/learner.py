@@ -459,11 +459,17 @@ def superfluous_cv(
     and is scored by _validation_score on the held-out fold; on equal
     scores the smallest threshold wins.  Returns (best threshold, the
     full-run result): its matching still covers every sentence, and
-    trained_matching() keeps the pairs that survived pruning.
+    trained_matching() keeps the pairs that survived pruning.  Raises
+    EmptyTrainingSet when the training fold is empty.
     """
     if not thresholds:
         raise ValueError("need at least one threshold")
     train, validation = validation_split(examples)
+    if validation and not train:
+        raise EmptyTrainingSet(
+            f"the cross-validation training fold is empty (0 training, "
+            f"{len(validation)} validation examples)"
+        )
     grid = sorted(thresholds)
     best_theta, best_score = grid[0], -math.inf
     for theta in grid:

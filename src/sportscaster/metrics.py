@@ -49,16 +49,10 @@ class EvalReport:
     breakdown: dict[str, dict[str, float]] = field(default_factory=dict)
 
 
-def f1_score(precision: float, recall: float) -> float:
-    if precision + recall <= 0:
-        return 0.0
-    return 2 * precision * recall / (precision + recall)
-
-
 def _prf(correct: int, predicted: int, gold_total: int) -> tuple[float, float, float]:
     p = correct / predicted if predicted else 0.0
     r = correct / gold_total if gold_total else 0.0
-    return p, r, f1_score(p, r)
+    return p, r, (2 * p * r / (p + r) if p + r > 0 else 0.0)
 
 
 def matching_f1(
@@ -258,12 +252,18 @@ def expand_references(
     return refs
 
 
+_SCALARS = ("precision", "recall", "f1", "bleu", "nist")
+
+
+def _scalars(report: EvalReport) -> list[tuple[str, float]]:
+    """(name, value) of each scalar score the report sets, in _SCALARS order."""
+    values = ((name, getattr(report, name)) for name in _SCALARS)
+    return [(name, value) for name, value in values if value is not None]
+
+
 def report_to_tsv(report: EvalReport) -> str:
     lines = [f"task\t{report.task}"]
-    for name in ("precision", "recall", "f1", "bleu", "nist"):
-        value = getattr(report, name)
-        if value is not None:
-            lines.append(f"{name}\t{fmt(value)}")
+    lines.extend(f"{name}\t{fmt(value)}" for name, value in _scalars(report))
     for name in sorted(report.counts):
         lines.append(f"count.{name}\t{report.counts[name]}")
     for split in sorted(report.breakdown):
@@ -274,10 +274,7 @@ def report_to_tsv(report: EvalReport) -> str:
 
 def report_to_text(report: EvalReport) -> str:
     parts = [f"== {report.task} =="]
-    for name in ("precision", "recall", "f1", "bleu", "nist"):
-        value = getattr(report, name)
-        if value is not None:
-            parts.append(f"  {name:<9} {fmt(value)}")
+    parts.extend(f"  {name:<9} {fmt(value)}" for name, value in _scalars(report))
     if report.counts:
         counts = ", ".join(f"{k}={report.counts[k]}" for k in sorted(report.counts))
         parts.append(f"  counts    {counts}")
@@ -289,11 +286,7 @@ def report_to_text(report: EvalReport) -> str:
 
 
 def report_to_json(report: EvalReport) -> str:
-    payload: dict = {"task": report.task}
-    for name in ("precision", "recall", "f1", "bleu", "nist"):
-        value = getattr(report, name)
-        if value is not None:
-            payload[name] = value
+    payload: dict = {"task": report.task, **dict(_scalars(report))}
     if report.counts:
         payload["counts"] = dict(sorted(report.counts.items()))
     if report.breakdown:

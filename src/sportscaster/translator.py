@@ -5,7 +5,8 @@ The model is a bundle of three independently trained parts:
   * AlignmentModel: IBM-Model-1 word/production translation table, one
     (production x word) array trained by EM over (sentence, MR) pairs.  Words
     align to the productions of the MR's derivation plus a NULL production
-    that absorbs function words.
+    that absorbs function words.  The array is stored framed by a zero pad
+    row and a zero unknown-word column, the layout every reader indexes.
   * TemplateLexicon: per-predicate sentence templates with numbered argument
     slots, plus per-constant surface realizations, both read off the trained
     alignment by argmax assignment.
@@ -27,10 +28,11 @@ template/realization combinations best-first under an upper bound that
 factors per argument, and scores only those that can still reach the top k.
 
 What does not depend on the request is built once per model, on first
-use, and kept: the alignment's full-space table of per-word scores
-(AlignmentModel.full_space) and the generation plans and realization
+use, and kept: the alignment's add-k smoothed table
+(AlignmentModel.smoothed) and full-space table of per-word scores
+(AlignmentModel.full_space), and the generation plans and realization
 options with their bound parts (TranslationModel.generation).  A model is
-therefore not changed after its first parse or generation.
+therefore not changed after its first use.
 
 Scoring is implemented once, in score_corpus: one kernel over many
 sentences, each with its own candidate MRs, that groups the (sentence,
@@ -88,12 +90,15 @@ class NoTemplate(LookupError):
 
 @dataclass
 class AlignmentModel:
-    """t[row, column] = Pr(word | production): rows follow _COLUMN_KEYS, columns
-    the sorted vocabulary; a production absent from training has a zero row.
+    """t[row, column] = Pr(word | production): rows follow _COLUMN_KEYS, then
+    a zero pad row (_PAD_COLUMN); columns follow the sorted vocabulary, then
+    a zero unknown-word column.  A production absent from training has a
+    zero row.
 
-    full_space is built on the first full-space parse, (|V|+1) x 2,018
-    float64 (1.1 MB at |V| = 69), and kept: t must not change after the
-    model's first parse."""
+    smoothed and full_space are built on first use and kept: smoothed by
+    the first scoring, full_space, (|V|+1) x 2,018 float64 (1.1 MB at
+    |V| = 69), by the first full-space parse.  t must not change after
+    either is built."""
 
     t: np.ndarray
     vocabulary: tuple[str, ...]
@@ -105,12 +110,19 @@ class AlignmentModel:
         return {word: i for i, word in enumerate(self.vocabulary)}
 
     @cached_property
+    def smoothed(self) -> np.ndarray:
+        """t in the same layout with add-k t values; the pad row stays zero."""
+        smoothed = (self.t + SMOOTHING_K) / (1.0 + SMOOTHING_K * len(self.vocabulary))
+        smoothed[_PAD_COLUMN] = 0.0
+        return smoothed
+
+    @cached_property
     def full_space(self) -> np.ndarray:
         """Per-word scores of the full space: row w, column m is word column
         w's score under enumerate_mrs()[m] (_word_scores), the unknown-word
         row last.  Filled one word row at a time, so no second full-size
         array is made."""
-        smoothed = _smoothed_table(self)
+        smoothed = self.smoothed
         index, widths = _full_space_arrays()
         table = np.empty((smoothed.shape[1], len(widths)), dtype=np.float64)
         for word in range(len(table)):
@@ -290,22 +302,24 @@ def train_alignment(pairs: Sequence[Pair], iterations: int = 25) -> AlignmentMod
     if not vocabulary:
         raise EmptyTrainingSet("training pairs contain no words")
     size = len(vocabulary)
+    stride = size + 1  # t's row stride: the vocabulary, then unknown words
     column = {word: i for i, word in enumerate(vocabulary)}
     index, widths = _candidate_arrays([mr for _, mr in pairs])
     lengths = [len(tokens) for tokens, _ in pairs]
     words = np.array([column[w] for tokens, _ in pairs for w in tokens], dtype=np.intp)
     rows = np.repeat(index, lengths, axis=0)
     width = np.repeat(widths, lengths)
-    cells = rows * size + words[:, None]  # flat (row, word) cell per token slot
+    cells = rows * stride + words[:, None]  # flat (row, word) cell per token slot
     # Trained rows' cells in first-reach order and each cell's row.  A stable
     # sort and bincount, not np.unique, kept peak RSS 0.7 MB lower.
     reached, first = np.unique(cells[rows != _PAD_COLUMN], return_index=True)
     reached = reached[np.argsort(first, kind="stable")]
-    owners = reached // size
+    owners = reached // stride
     trained = np.flatnonzero(np.bincount(owners))
-    # The pad row stays zero, so padded slots add nothing.
-    t = np.zeros((_PAD_COLUMN + 1, size), dtype=np.float64)
-    t[trained] = 1.0 / size
+    # The pad row stays zero, so padded slots add nothing, and no token
+    # reaches the unknown-word column, so it stays zero too.
+    t = np.zeros((_PAD_COLUMN + 1, stride), dtype=np.float64)
+    t[trained, :size] = 1.0 / size
     history = []
     for step in range(iterations + 1):
         gathered = t.take(cells)
@@ -317,9 +331,7 @@ def train_alignment(pairs: Sequence[Pair], iterations: int = 25) -> AlignmentMod
         expected = np.bincount(cells.ravel(), weights=weights.ravel(), minlength=t.size)
         totals = np.bincount(owners, weights=expected.take(reached), minlength=len(t))
         t[trained] = expected.reshape(t.shape)[trained] / totals[trained, None]
-    return AlignmentModel(
-        t=t[:_PAD_COLUMN], vocabulary=vocabulary, log_likelihoods=tuple(history)
-    )
+    return AlignmentModel(t=t, vocabulary=vocabulary, log_likelihoods=tuple(history))
 
 
 def extract_templates(pairs: Sequence[Pair], alignment: AlignmentModel) -> TemplateLexicon:
@@ -346,9 +358,9 @@ def extract_templates(pairs: Sequence[Pair], alignment: AlignmentModel) -> Templ
     # One gather for the corpus: each token's t values under its pair's
     # productions in tie order, 0 for an unknown word or a pad column.
     lengths = [len(tokens) for tokens, _ in pairs]
-    table = _extended_table(alignment.t, len(alignment.vocabulary))
+    t = alignment.t
     words = _word_columns([w for tokens, _ in pairs for w in tokens], alignment)
-    raw = table.take(np.repeat(tie_columns, lengths, axis=0) * table.shape[1] + words[:, None])
+    raw = t.take(np.repeat(tie_columns, lengths, axis=0) * t.shape[1] + words[:, None])
     # argmax takes the first maximum, i.e. the tie order of keys.
     winners = raw.argmax(axis=1).tolist()
     start = 0
@@ -442,24 +454,6 @@ def _full_space_arrays() -> tuple[np.ndarray, np.ndarray]:
     return _candidate_arrays(mrl.enumerate_mrs())
 
 
-def _extended_table(values: np.ndarray, size: int) -> np.ndarray:
-    """values (one row per production column, one column per vocabulary
-    word) framed by a zero pad row and a zero column for unknown words."""
-    table = np.zeros((_PAD_COLUMN + 1, size + 1), dtype=np.float64)
-    table[:_PAD_COLUMN, :size] = values
-    return table
-
-
-def _smoothed_table(alignment: AlignmentModel) -> np.ndarray:
-    """The extended table of add-k t values: the pad row stays zero."""
-    size = len(alignment.vocabulary)
-    smoothed = _extended_table(alignment.t, size)
-    smoothed[:_PAD_COLUMN] = (smoothed[:_PAD_COLUMN] + SMOOTHING_K) / (
-        1.0 + SMOOTHING_K * size
-    )
-    return smoothed
-
-
 def _word_scores(
     smoothed: np.ndarray, words, index: np.ndarray, widths: np.ndarray
 ) -> np.ndarray:
@@ -476,7 +470,7 @@ def _word_scores(
 
 
 def _word_columns(tokens: Tokens, alignment: AlignmentModel) -> np.ndarray:
-    """Each token's column in t, or the unknown-word column of _extended_table."""
+    """Each token's column in t, or t's last column, that of unknown words."""
     columns, unknown = alignment.columns, len(alignment.vocabulary)
     return np.array([columns.get(w, unknown) for w in tokens], dtype=np.intp)
 
@@ -503,7 +497,7 @@ def score_corpus(
         full_space = alignment.full_space
         counts = [full_space.shape[1]] * len(sentences)
     else:
-        smoothed = _smoothed_table(alignment)
+        smoothed = alignment.smoothed
         counts = [len(mrs) for mrs in candidates]
     floor = null_floor(alignment)
     scores = [[] if tokens else [floor] * count for tokens, count in zip(sentences, counts)]
@@ -652,9 +646,11 @@ def _probability(text: str) -> float:
 
 def save_model(model: TranslationModel, path) -> None:
     lines = ["[alignment]"]
+    alignment = model.alignment
+    size = len(alignment.vocabulary)
     for key in sorted(_COLUMN_KEYS):
-        probs = model.alignment.t[_COLUMN_INDEX[key]].tolist()
-        for word, prob in zip(model.alignment.vocabulary, probs):
+        probs = alignment.t[_COLUMN_INDEX[key], :size].tolist()
+        for word, prob in zip(alignment.vocabulary, probs):
             if prob > 0.0:
                 lines.append(f"{key}\t{word}\t{fmt(prob)}")
     lines.append("[templates]")
@@ -709,7 +705,7 @@ def load_model(path) -> TranslationModel:
                 if bucket[word] < 1:
                     raise ValueError(f"LM count {count!r} below 1")
     vocabulary = tuple(sorted({word for _, word, _ in entries}))
-    t = np.zeros((len(_COLUMN_KEYS), len(vocabulary)), dtype=np.float64)
+    t = np.zeros((_PAD_COLUMN + 1, len(vocabulary) + 1), dtype=np.float64)
     alignment = AlignmentModel(t=t, vocabulary=vocabulary)
     for row, word, prob in entries:
         alignment.t[row, alignment.columns[word]] = prob

@@ -195,6 +195,23 @@ def test_train_refuses_an_init_alignment_it_would_ignore(
     assert not out.exists()
 
 
+def test_superfluous_cv_names_an_empty_training_fold(tmp_path, capsys):
+    # Comments 0 and 1 have no event in their window, so the one example is
+    # ("game1", 2), which validation_split puts in the validation fold.
+    (tmp_path / "manifest.tsv").write_text("game1\tevents.tsv\tcomments.tsv\t-\n")
+    (tmp_path / "events.tsv").write_text("50554\tkick ( pink11 )\n")
+    (tmp_path / "comments.tsv").write_text(
+        "0\ten\tzorp\n0\ten\tblee\n53843\ten\tday an soccer fans day a\n"
+    )
+    out = tmp_path / "out"
+    rc = run(["train", "--manifest", str(tmp_path / "manifest.tsv"),
+              "--superfluous-cv", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "training fold is empty (0 training, 1 validation examples)" in err
+    assert not out.exists()
+
+
 def test_config_file_rejects_unknown_key(corpus_dir, tmp_path):
     config = tmp_path / "bad.cfg"
     config.write_text("strategyy = gold\n")

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sportscaster import corpus, learner, metrics, mrl, strategic, translator
+from sportscaster import corpus, learner, metrics, mrl, simgen, strategic, translator
 from sportscaster.learner import Matching, ScoringStrategy
 
 
@@ -459,6 +459,17 @@ def test_retrain_empty_examples_raise():
         learner.retrain_loop([], ScoringStrategy("parse_score"))
     with pytest.raises(learner.EmptyTrainingSet, match="no ambiguous examples"):
         learner.superfluous_cv([], [0.0], ScoringStrategy("parse_score"))
+
+
+def test_superfluous_cv_names_an_empty_training_fold():
+    games = simgen.simulate_corpus(simgen.default_world(5), simgen.default_profile(5), 1).games
+    examples = [ex for ex in corpus.pooled_examples(games) if ex.key == ("game1", 2)]
+    assert learner.validation_split(examples) == ([], examples)
+    with pytest.raises(
+        learner.EmptyTrainingSet,
+        match=r"training fold is empty \(0 training, 1 validation examples\)",
+    ):
+        learner.superfluous_cv(examples, [0.0], ScoringStrategy("parse_score"))
 
 
 @pytest.mark.parametrize("kind", ["random", "parse_score", "gold"])

@@ -82,7 +82,7 @@ def _assert_matches_reference(pairs):
     model = translator.train_alignment(pairs, iterations=25)
     t, vocabulary, history = _reference_train_alignment(pairs, 25)
     assert model.vocabulary == vocabulary
-    assert model.t.shape == (len(translator._COLUMN_KEYS), len(vocabulary))
+    assert model.t.shape == (translator._PAD_COLUMN + 1, len(vocabulary) + 1)
     for row, key in enumerate(translator._COLUMN_KEYS):
         for column, word in enumerate(vocabulary):
             assert model.t[row, column] == t.get(key, {}).get(word, 0.0), (key, word)
@@ -91,6 +91,29 @@ def _assert_matches_reference(pairs):
 
 def test_train_alignment_matches_dict_reference():
     _assert_matches_reference(_sharp_pairs())
+
+
+def _assert_framed(alignment):
+    """t holds the production and NULL rows, then a zero pad row; the
+    vocabulary columns, then a zero unknown-word column."""
+    pad, size = translator._PAD_COLUMN, len(alignment.vocabulary)
+    assert alignment.t.shape == (pad + 1, size + 1)
+    assert not alignment.t[pad].any()
+    assert not alignment.t[:, size].any()
+    assert alignment.t[:pad, :size].any()
+
+
+def test_trained_and_loaded_tables_share_the_framed_layout(tmp_path):
+    model = translator.train(_sharp_pairs())
+    _assert_framed(model.alignment)
+    first, second = tmp_path / "first.tsv", tmp_path / "second.tsv"
+    translator.save_model(model, first)
+    loaded = translator.load_model(first)
+    _assert_framed(loaded.alignment)
+    translator.save_model(loaded, second)
+    reloaded = translator.load_model(second)
+    assert first.read_bytes() == second.read_bytes()
+    assert loaded.alignment.t.tobytes() == reloaded.alignment.t.tobytes()
 
 
 def test_train_alignment_empty_raises():
@@ -267,7 +290,9 @@ def test_sharp_parse_beats_full_space():
 
 def test_uniform_model_ties_break_canonically():
     vocabulary = ("left", "right")
-    t = np.full((len(translator._COLUMN_KEYS), len(vocabulary)), 0.5)
+    pad = translator._PAD_COLUMN
+    t = np.zeros((pad + 1, len(vocabulary) + 1))
+    t[:pad, : len(vocabulary)] = 0.5
     model = translator.TranslationModel(
         alignment=translator.AlignmentModel(t=t, vocabulary=vocabulary),
         lexicon=translator.TemplateLexicon(templates={}, realizations={}),
@@ -628,7 +653,7 @@ def test_generate_topk_matches_exhaustive_reference_on_noisy_model(noisy_model):
 def _lexicon_model(templates, realizations, lm):
     return translator.TranslationModel(
         alignment=translator.AlignmentModel(
-            t=np.zeros((len(translator._COLUMN_KEYS), 0)), vocabulary=()
+            t=np.zeros((translator._PAD_COLUMN + 1, 1)), vocabulary=()
         ),
         lexicon=translator.TemplateLexicon(templates, realizations),
         lm=lm,
@@ -800,7 +825,7 @@ def _reference_score_candidates(tokens, mrs, model):
     columns = np.array([alignment.columns.get(w, -1) for w in tokens], dtype=np.intp)
     known = columns >= 0
     raw = np.zeros((len(tokens), pad + 1), dtype=np.float64)
-    raw[known, :pad] = alignment.t[:, columns[known]].T
+    raw[known, :pad] = alignment.t[:pad, columns[known]].T
     denominator = 1.0 + translator.SMOOTHING_K * len(alignment.vocabulary)
     table = (raw + translator.SMOOTHING_K) / denominator
     table[:, pad] = 0.0
@@ -827,7 +852,7 @@ def _reference_extract_templates(pairs, alignment):
         columns = np.array([alignment.columns.get(w, -1) for w in tokens], dtype=np.intp)
         known = columns >= 0
         raw = np.zeros((len(tokens), pad + 1), dtype=np.float64)
-        raw[known, :pad] = alignment.t[:, columns[known]].T
+        raw[known, :pad] = alignment.t[:pad, columns[known]].T
         raw = raw[:, [translator._COLUMN_INDEX[key] for key in keys]]
         assigned = [keys[i] for i in raw.argmax(axis=1).tolist()]
         open_slots = defaultdict(list)
