@@ -18,14 +18,14 @@ def main() -> None:
     game = simgen.simulate_corpus(world, profile, 1).games[0]
 
     print(f"{game.name}: {len(game.events)} events, {len(game.comments)} comments")
-    stats = corpus.pairing_stats(game.events, game.comments)
+    examples = corpus.pair_with_window(game.events, game.comments)
+    stats = corpus.candidate_stats([len(ex.candidates) for ex in examples])
     print(f"mean candidates per comment: {stats['mean_candidates']:.2f} "
           f"(max {stats['max_candidates']})")
     superfluous = sum(1 for v in game.gold.matches.values() if v is None)
     print(f"superfluous comments (no true event): {superfluous}")
 
     print("\nFirst four ambiguous examples:")
-    examples = corpus.pair_with_window(game.events, game.comments)
     by_id = {e.id: e for e in game.events}
     for ex in examples[:4]:
         print(f"  [{ex.comment.time_ms:>6} ms] \"{' '.join(ex.comment.tokens)}\"")

@@ -4,7 +4,9 @@ A corpus holds one or more games.  Each game is an event trace plus a comment
 stream; supervision is ambiguous because a comment is paired with every event
 in the preceding window rather than with a single annotated meaning.  When a
 gold matching is available it maps each comment to the event that actually
-prompted it (or to nothing, for superfluous chatter).
+prompted it (or to nothing, for superfluous chatter), an event of that same
+window.  event_window is the one window rule: pairing and gold resolution
+both read it, and it sorts a game's events once.
 
 The file helpers here (fmt, write_lines, read_text, read_lines,
 read_records) are shared by every module that reads or writes files, and
@@ -14,6 +16,7 @@ work on a line in it, so an error there reads `<file>:<line>: <reason>`.
 
 from __future__ import annotations
 
+import bisect
 import unicodedata
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -203,25 +206,38 @@ class GameExample(NamedTuple):
         return (self.game, self.example.comment.id)
 
 
+EventWindow = Callable[[int], tuple[GameEvent, ...]]
+
+
+def event_window(events: Iterable[GameEvent], window_ms: int) -> EventWindow:
+    """The one pairing-window rule, for one game's events.
+
+    Sorts the events once by (time, id); the returned function gives the
+    events at most window_ms before a time, in that order.  Both bounds are
+    inclusive: an event at the comment's own timestamp and one exactly
+    window_ms earlier are both in the comment's window.
+    """
+    ordered = sorted(events, key=lambda e: (e.time_ms, e.id))
+    times = [e.time_ms for e in ordered]
+
+    def window(time_ms: int) -> tuple[GameEvent, ...]:
+        lo = bisect.bisect_left(times, time_ms - window_ms)
+        return tuple(ordered[lo : bisect.bisect_right(times, time_ms, lo)])
+
+    return window
+
+
 def pair_with_window(
     events: Iterable[GameEvent],
     comments: Iterable[Comment],
     window_ms: int = DEFAULT_WINDOW_MS,
 ) -> list[AmbiguousExample]:
-    """Pair each comment with every event at most window_ms before it.
-
-    Both window boundaries are inclusive: an event at the comment's own
-    timestamp and one exactly window_ms earlier are both candidates.
-    Comments with no candidate are omitted (they cannot supervise anything).
-    """
-    ordered = sorted(events, key=lambda e: (e.time_ms, e.id))
-    out = []
-    for comment in comments:
-        lo = comment.time_ms - window_ms
-        cands = tuple(e for e in ordered if lo <= e.time_ms <= comment.time_ms)
-        if cands:
-            out.append(AmbiguousExample(comment, cands))
-    return out
+    """Each comment whose window (see event_window) holds an event, paired
+    with every event in it.  Comments with no candidate are omitted: they
+    cannot supervise anything."""
+    window = event_window(events, window_ms)
+    examples = (AmbiguousExample(c, window(c.time_ms)) for c in comments)
+    return [ex for ex in examples if ex.candidates]
 
 
 def candidate_stats(counts: Sequence[int]) -> dict:
@@ -237,38 +253,18 @@ def candidate_stats(counts: Sequence[int]) -> dict:
     }
 
 
-def pairing_stats(
-    events: Iterable[GameEvent],
-    comments: Iterable[Comment],
-    window_ms: int = DEFAULT_WINDOW_MS,
-) -> dict:
-    """Per-game pairing summary used by reports."""
-    comments = list(comments)
-    examples = pair_with_window(events, comments, window_ms)
-    return {
-        "comments": len(comments),
-        **candidate_stats([len(ex.candidates) for ex in examples]),
-    }
-
-
 def resolve_gold_event(
-    events: Iterable[GameEvent],
-    comment_time_ms: int,
-    mr: MeaningRepresentation,
-    window_ms: int = DEFAULT_WINDOW_MS,
+    window: EventWindow, comment_time_ms: int, mr: MeaningRepresentation
 ) -> GameEvent | None:
-    """Earliest in-window event bearing the given MR, or None.
+    """The first event of the comment's window (see event_window) that bears
+    the given MR, or None.
 
     Gold files store an MR surface rather than an event id, so two identical
     events inside one window are indistinguishable there.  Resolution always
     picks the earliest, the same preference the disambiguation loop uses for
     score ties, so a matcher that recovers the right MR is never penalized.
     """
-    lo = comment_time_ms - window_ms
-    for e in sorted(events, key=lambda e: (e.time_ms, e.id)):
-        if lo <= e.time_ms <= comment_time_ms and e.mr == mr:
-            return e
-    return None
+    return next((e for e in window(comment_time_ms) if e.mr == mr), None)
 
 
 def pooled_examples(
@@ -336,6 +332,7 @@ def _load_gold(
     comments: tuple[Comment, ...],
     window_ms: int,
 ) -> GoldMatch:
+    window = event_window(events, window_ms)
     matches: dict[int, int | None] = {}
     for lineno, parts in read_records(path, 2):
         with at_line(path, lineno, lambda _: f"bad comment id {parts[0]!r}"):
@@ -349,9 +346,7 @@ def _load_gold(
             continue
         with at_line(path, lineno, lambda err: f"bad MR: {err}"):
             mr = mrl.parse_mr(parts[1])
-        event = resolve_gold_event(
-            events, comments[comment_id].time_ms, mr, window_ms
-        )
+        event = resolve_gold_event(window, comments[comment_id].time_ms, mr)
         if event is None:
             raise DanglingGoldReference(
                 str(path),

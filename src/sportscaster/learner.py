@@ -460,14 +460,16 @@ def superfluous_cv(
     scores the smallest threshold wins.  Returns (best threshold, the
     full-run result): its matching still covers every sentence, and
     trained_matching() keeps the pairs that survived pruning.  Raises
-    EmptyTrainingSet when the training fold is empty.
+    EmptyTrainingSet when either fold is empty: with no validation example
+    every threshold would score 0.0.
     """
     if not thresholds:
         raise ValueError("need at least one threshold")
     train, validation = validation_split(examples)
-    if validation and not train:
+    if examples and not (train and validation):
+        empty = "validation" if train else "training"
         raise EmptyTrainingSet(
-            f"the cross-validation training fold is empty (0 training, "
+            f"the cross-validation {empty} fold is empty ({len(train)} training, "
             f"{len(validation)} validation examples)"
         )
     grid = sorted(thresholds)

@@ -29,6 +29,7 @@ from .corpus import (
     GameEvent,
     GoldMatch,
     at_line,
+    event_window,
     key_values,
     make_comment,
     read_text,
@@ -118,8 +119,11 @@ class CommentatorProfile:
         if not 0.0 <= self.superfluous_rate:
             raise ValueError("superfluous_rate must be nonnegative")
         lo, hi = self.lag_ms_range
-        if lo < 0 or hi < lo:
-            raise ValueError("lag_ms_range must satisfy 0 <= min <= max")
+        if not 0 <= lo <= hi <= DEFAULT_WINDOW_MS:
+            raise ValueError(
+                f"lag_ms_range ({lo}, {hi}) must satisfy 0 <= lag_ms_min <= "
+                f"lag_ms_max <= {DEFAULT_WINDOW_MS} ms, the pairing window"
+            )
 
 
 def _validate_templates(profile: CommentatorProfile) -> None:
@@ -196,16 +200,18 @@ def commentate(
 ) -> tuple[tuple[Comment, ...], GoldMatch]:
     """Comment stream plus the gold matching that produced it.
 
-    Gold entries are canonicalized through the same earliest-equal-MR rule the
-    corpus loader applies at the default window, so writing and reloading a
-    generated corpus reproduces the matching exactly.
+    Gold entries are canonicalized through corpus.resolve_gold_event at the
+    default window, the rule the corpus loader applies, so writing and
+    reloading a generated corpus reproduces the matching exactly.  The
+    profile keeps every lag within that window, so the described event is
+    always in the comment's window.
     """
     _validate_templates(profile)
     prng = Prng(profile.seed)
     lag_lo, lag_hi = profile.lag_ms_range
     duration_ms = events[-1].time_ms + 1 if events else 1
 
-    drafted: list[tuple[int, list[str], int | None]] = []
+    drafted: list[tuple[int, list[str], mrl.MeaningRepresentation | None]] = []
     for event in events:
         if prng.uniform() >= profile.comment_prob.get(event.mr.predicate.name, 0.0):
             continue
@@ -213,7 +219,7 @@ def commentate(
         templates = profile.lexicon[event.mr.predicate.name]
         template, _ = templates[prng.weighted_index([w for _, w in templates])]
         words = _realize(prng, profile, template, event.mr)
-        drafted.append((event.time_ms + lag, words, event.id))
+        drafted.append((event.time_ms + lag, words, event.mr))
 
     n_normal = len(drafted)
     vocabulary = profile.superfluous_vocabulary
@@ -230,20 +236,16 @@ def commentate(
         drafted.append((time_ms, words, None))
 
     drafted.sort(key=lambda item: item[0])
-    by_id = {e.id: e for e in events}
+    window = event_window(events, DEFAULT_WINDOW_MS)
     comments: list[Comment] = []
     matches: dict[int, int | None] = {}
-    for comment_id, (time_ms, words, event_id) in enumerate(drafted):
+    for comment_id, (time_ms, words, mr) in enumerate(drafted):
         comments.append(
             make_comment(time_ms, " ".join(words), profile.language, comment_id)
         )
-        if event_id is None:
-            matches[comment_id] = None
-        else:
-            resolved = resolve_gold_event(
-                events, time_ms, by_id[event_id].mr, DEFAULT_WINDOW_MS
-            )
-            matches[comment_id] = resolved.id if resolved is not None else event_id
+        matches[comment_id] = (
+            None if mr is None else resolve_gold_event(window, time_ms, mr).id
+        )
     return tuple(comments), GoldMatch(matches)
 
 

@@ -212,6 +212,24 @@ def test_superfluous_cv_names_an_empty_training_fold(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_superfluous_cv_names_an_empty_validation_fold(tmp_path, capsys):
+    # Comment 2 has no event in its window, so the examples are ("game1", 0),
+    # ("game1", 1) and ("game1", 3), which validation_split all trains on.
+    (tmp_path / "manifest.tsv").write_text("game1\tevents.tsv\tcomments.tsv\t-\n")
+    (tmp_path / "events.tsv").write_text("1000\tkick ( pink1 )\n")
+    (tmp_path / "comments.tsv").write_text(
+        "1000\ten\tpink1 kicks\n2000\ten\tpink1 shoots\n0\ten\tzorp\n"
+        "3000\ten\tpink1 kicks it\n"
+    )
+    out = tmp_path / "out"
+    rc = run(["train", "--manifest", str(tmp_path / "manifest.tsv"),
+              "--superfluous-cv", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "validation fold is empty (3 training, 0 validation examples)" in err
+    assert not out.exists()
+
+
 def test_config_file_rejects_unknown_key(corpus_dir, tmp_path):
     config = tmp_path / "bad.cfg"
     config.write_text("strategyy = gold\n")
@@ -400,6 +418,17 @@ def test_simulate_config_value_names_file_and_line(tmp_path, capsys, text, where
     rc = run(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert where in capsys.readouterr().err
+
+
+def test_simulate_rejects_a_lag_beyond_the_pairing_window(tmp_path, capsys):
+    # A comment lagging its event by more than the window could not be
+    # paired with it, and the gold file written would not load back.
+    config = tmp_path / "sim.cfg"
+    config.write_text("lag_ms_min = 5500\nlag_ms_max = 8000\ngames = 1\nseed = 3\n")
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    assert "lag_ms_max <= 5000 ms, the pairing window" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("games", ["0", "-2"])

@@ -11,10 +11,11 @@ from sportscaster.corpus import (
     Game,
     GameEvent,
     GoldMatch,
+    candidate_stats,
+    event_window,
     load_corpus,
     make_comment,
     pair_with_window,
-    pairing_stats,
     pooled_examples,
     pooled_gold,
     read_lines,
@@ -74,8 +75,8 @@ def test_candidates_are_time_ordered_and_zero_candidate_comments_dropped():
     examples = pair_with_window(events, comments, 5000)
     assert len(examples) == 1
     assert [c.id for c in examples[0].candidates] == [1, 2, 0]
-    stats = pairing_stats(events, comments, 5000)
-    assert stats["comments"] == 2
+    stats = candidate_stats([len(ex.candidates) for ex in examples])
+    assert len(comments) == 2
     assert stats["with_candidates"] == 1
     assert stats["max_candidates"] == 3
     assert stats["mean_candidates"] == 3.0
@@ -105,10 +106,62 @@ def test_resolve_gold_prefers_earliest_duplicate():
         _event(2000, 1, "kick ( pink1 )"),
         _event(3000, 2, "kick ( pink2 )"),
     ]
-    got = resolve_gold_event(events, 4000, mrl.parse_mr("kick ( pink1 )"), 5000)
+    window = event_window(events, 5000)
+    got = resolve_gold_event(window, 4000, mrl.parse_mr("kick ( pink1 )"))
     assert got.id == 0
-    assert resolve_gold_event(events, 4000, mrl.parse_mr("steal ( pink1 )"), 5000) is None
-    assert resolve_gold_event(events, 20000, mrl.parse_mr("kick ( pink1 )"), 5000) is None
+    assert resolve_gold_event(window, 4000, mrl.parse_mr("steal ( pink1 )")) is None
+    assert resolve_gold_event(window, 20000, mrl.parse_mr("kick ( pink1 )")) is None
+
+
+def _reference_pair_with_window(events, comments, window_ms):
+    """Pairing as a scan of every event for each comment."""
+    ordered = sorted(events, key=lambda e: (e.time_ms, e.id))
+    out = []
+    for comment in comments:
+        lo = comment.time_ms - window_ms
+        cands = tuple(e for e in ordered if lo <= e.time_ms <= comment.time_ms)
+        if cands:
+            out.append(AmbiguousExample(comment, cands))
+    return out
+
+
+def _reference_resolve_gold_event(events, comment_time_ms, mr, window_ms):
+    """Gold resolution as a scan of the sorted events."""
+    lo = comment_time_ms - window_ms
+    for e in sorted(events, key=lambda e: (e.time_ms, e.id)):
+        if lo <= e.time_ms <= comment_time_ms and e.mr == mr:
+            return e
+    return None
+
+
+_SURFACES = ("ballstopped", "kick ( pink1 )", "kick ( pink2 )")
+
+
+@st.composite
+def _unsorted_events(draw):
+    """Events in no time order, with repeated times and MRs, and ids that
+    are not their positions."""
+    drawn = draw(st.lists(st.tuples(st.integers(0, 20), st.sampled_from(_SURFACES)),
+                          max_size=30))
+    ids = draw(st.permutations(range(len(drawn))))
+    return [_event(100 * t, i, surface) for i, (t, surface) in zip(ids, drawn)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(events=_unsorted_events(), comment_times=st.lists(st.integers(0, 25), max_size=15),
+       window=st.integers(0, 3000))
+def test_window_matches_reference_scans(events, comment_times, window):
+    comments = [_comment(100 * t, i) for i, t in enumerate(comment_times)]
+    assert pair_with_window(events, comments, window) == _reference_pair_with_window(
+        events, comments, window
+    )
+    window_of = event_window(events, window)
+    for comment in comments:
+        for surface in _SURFACES:
+            mr = mrl.parse_mr(surface)
+            assert resolve_gold_event(window_of, comment.time_ms, mr) == (
+                _reference_resolve_gold_event(events, comment.time_ms, mr, window)
+            )
 
 
 def test_pooled_examples_and_gold_use_composite_keys():

@@ -472,6 +472,20 @@ def test_superfluous_cv_names_an_empty_training_fold():
         learner.superfluous_cv(examples, [0.0], ScoringStrategy("parse_score"))
 
 
+def test_superfluous_cv_names_an_empty_validation_fold():
+    # With no held-out example every threshold would score 0.0 and the
+    # smallest would win unseen.
+    games = simgen.simulate_corpus(simgen.default_world(5), simgen.default_profile(5), 1).games
+    keys = {("game1", 0), ("game1", 1), ("game1", 3)}
+    examples = [ex for ex in corpus.pooled_examples(games) if ex.key in keys]
+    assert learner.validation_split(examples) == (examples, [])
+    with pytest.raises(
+        learner.EmptyTrainingSet,
+        match=r"validation fold is empty \(3 training, 0 validation examples\)",
+    ):
+        learner.superfluous_cv(examples, [0.0, 0.2, 0.4], ScoringStrategy("parse_score"))
+
+
 @pytest.mark.parametrize("kind", ["random", "parse_score", "gold"])
 def test_retrain_rejects_max_iter_below_one(clean, kind):
     _, examples, gold, _ = clean

@@ -220,7 +220,9 @@ def test_ambiguity_grows_with_event_density():
     def mean_candidates(gap):
         events = simulate_events(_world(mean_event_gap_ms=gap, seed=6))
         comments, _ = commentate(events, _chatty_profile())
-        return corpus.pairing_stats(events, list(comments), 5000)["mean_candidates"]
+        examples = corpus.pair_with_window(events, list(comments), 5000)
+        counts = [len(ex.candidates) for ex in examples]
+        return corpus.candidate_stats(counts)["mean_candidates"]
 
     assert mean_candidates(1500) > mean_candidates(6000)
 
@@ -292,6 +294,7 @@ def test_parse_config_template_lines_replace_then_accumulate():
         ("template.kick = <1> kicks | heavy\n", "bad weight"),
         ("surface.pink1 =\n", "empty phrase"),
         ("seed 5\n", "key = value"),
+        ("lag_ms_max = 8000\n", "lag_ms_max <= 5000 ms, the pairing window"),
     ],
 )
 def test_parse_config_rejects_bad_lines(text, fragment):
@@ -316,3 +319,6 @@ def test_world_config_validation():
         CommentatorProfile({"kick": 1.5}, {}, 0.0, (0, 100), (), 0)
     with pytest.raises(ValueError):
         CommentatorProfile({}, {}, 0.0, (100, 50), (), 0)
+    with pytest.raises(ValueError, match=r"\(5500, 8000\) .* lag_ms_max <= 5000 ms"):
+        CommentatorProfile({}, {}, 0.0, (5500, 8000), (), 0)
+    CommentatorProfile({}, {}, 0.0, (5000, 5000), (), 0)  # the window is inclusive

@@ -46,6 +46,15 @@ def _table(model):
     return table
 
 
+def _sum_left_to_right(values):
+    """The sum numpy's EM takes: builtin sum compensates rounding from
+    Python 3.12, which would break the exact comparison below."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _reference_train_alignment(pairs, iterations):
     """Model-1 EM over a dict of dicts, one loop per token and production."""
     prepared = [
@@ -68,11 +77,11 @@ def _reference_train_alignment(pairs, iterations):
         expected = {key: defaultdict(float) for key in keys}
         for tokens, ks in prepared:
             for word in tokens:
-                denom = sum(t[key].get(word, 0.0) for key in ks)
+                denom = _sum_left_to_right(t[key].get(word, 0.0) for key in ks)
                 for key in ks:
                     expected[key][word] += t[key].get(word, 0.0) / denom
         for key in keys:
-            total = sum(expected[key].values())
+            total = _sum_left_to_right(expected[key].values())
             t[key] = {word: c / total for word, c in sorted(expected[key].items())}
         history.append(log_likelihood())
     return t, vocabulary, history
