@@ -14,11 +14,20 @@ each sentence's best candidate under the current model:
   meteor_igsl  meteor_gen times the IGSL probability of the MR's type
 
 The generation-scored strategies read the whole translation model, so
-each training builds all of it.  parse_score reads only the alignment, so
-each of its trainings runs alignment EM alone, and the template lexicon
-and LM are built once, from the last training pairs, for the returned
-model.  The baselines, random (one uniform pick per sentence) and gold
-(the gold matching), fix their picks up front and train on them once.
+each training builds all of it.  Each of their loops keeps one metric
+cache: (comment tokens, generated tokens) -> the metric's raw value, before
+the IGSL weight.  The metric is a pure function of the two token tuples,
+so an iteration that meets a pair again (the same sentence and the same
+best generation under a retrained model) reads the value an earlier one
+computed.  The cache lives only as long as its loop: it is not global, so
+each superfluous_cv threshold run starts a fresh one and its memory ends
+with the run.
+
+parse_score reads only the alignment, so each of its trainings runs
+alignment EM alone, and the template lexicon and LM are built once, from
+the last training pairs, for the returned model.  The baselines, random
+(one uniform pick per sentence) and gold (the gold matching), fix their
+picks up front and train on them once.
 
 superfluous_cv picks the pruning fraction by internal cross-validation, so
 sentences that describe nothing (superfluous commentary) stop polluting the
@@ -42,6 +51,8 @@ from .simgen import Prng
 
 Key = tuple[str, int]
 Pair = tuple[tuple[str, ...], mrl.MeaningRepresentation]
+# (comment tokens, generated tokens) -> the metric's value between them
+MetricCache = dict[tuple[tuple[str, ...], tuple[str, ...]], float]
 
 # scored kind -> (name of the `metrics` function comparing the sentence with
 # the MR's best generation, None to score the parse likelihood instead;
@@ -137,9 +148,12 @@ def evaluate_candidate(
     strategy: ScoringStrategy,
     strategic_model: strategic.StrategicModel | None,
     cache: dict[str, tuple[str, ...] | None],
+    metric_cache: MetricCache | None = None,
 ) -> float:
     """A generation-scored strategy's score of one candidate.  cache maps an
-    MR's surface form to its best generation, None without a template."""
+    MR's surface form to its best generation, None without a template;
+    metric_cache keeps the metric's value, before the IGSL weight, across
+    calls."""
     kind = strategy.kind
     metric, weighted = _SCORED_KINDS.get(kind, (None, False))
     if metric is None:
@@ -155,7 +169,11 @@ def evaluate_candidate(
     generated = cache[cache_key]
     if generated is None:
         return 0.0
-    score = getattr(metrics, metric)(list(tokens), list(generated))
+    metric_cache = {} if metric_cache is None else metric_cache
+    pair = (tuple(tokens), generated)
+    if pair not in metric_cache:
+        metric_cache[pair] = getattr(metrics, metric)(list(tokens), list(generated))
+    score = metric_cache[pair]
     if weighted:
         score *= strategic_model.probability(mr.predicate.name)
     return score
@@ -166,11 +184,12 @@ def _assign_best(
     model: translator.AlignmentModel | translator.TranslationModel,
     strategy: ScoringStrategy,
     strategic_model: strategic.StrategicModel | None,
+    metric_cache: MetricCache | None = None,
 ) -> Matching:
     """Each example's best candidate by (-score, time, surface form, id).
     parse_score scores the whole corpus in one translator.score_corpus call
     and reads an AlignmentModel; the generation-scored strategies read a
-    TranslationModel."""
+    TranslationModel and pass metric_cache on to evaluate_candidate."""
     candidate_sets = [ex.example.candidates for ex in examples]
     if _SCORED_KINDS[strategy.kind][0] is None:
         scores = translator.score_corpus(
@@ -183,7 +202,8 @@ def _assign_best(
         scores = [
             [
                 evaluate_candidate(
-                    ex.example.comment.tokens, c.mr, model, strategy, strategic_model, cache
+                    ex.example.comment.tokens, c.mr, model, strategy, strategic_model,
+                    cache, metric_cache,
                 )
                 for c in candidates
             ]
@@ -325,9 +345,10 @@ def _retrain(
     kept: frozenset[Key] = frozenset()
     previous: dict[Key, int] = {}
     history: list[IterationRecord] = []
+    metric_cache: MetricCache = {}
     for iteration in range(1, max_iter + 1):
         picked = (
-            _assign_best(examples, model, strategy, strategic_model)
+            _assign_best(examples, model, strategy, strategic_model, metric_cache)
             if fixed is None
             else fixed
         )

@@ -44,6 +44,15 @@ class EmptyLexicon(ValueError):
     """A commentable predicate has no usable template."""
 
 
+class InvalidSetting(ValueError):
+    """A WorldConfig or CommentatorProfile value that its check rejects;
+    settings are the parse_config keys whose values the check read."""
+
+    def __init__(self, message: str, *settings: str) -> None:
+        super().__init__(message)
+        self.settings = settings
+
+
 class Prng:
     """splitmix64: tiny, fast, and identical across implementations."""
 
@@ -91,12 +100,17 @@ class WorldConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        weights = self.event_type_weights
         if self.duration_ms <= 0:
-            raise ValueError("duration_ms must be positive")
-        if any(w < 0 for w in self.event_type_weights.values()):
-            raise ValueError("event weights must be nonnegative")
-        if not any(w > 0 for w in self.event_type_weights.values()):
-            raise ValueError("at least one event weight must be positive")
+            raise InvalidSetting("duration_ms must be positive", "duration_ms")
+        for name, w in weights.items():
+            if w < 0:
+                raise InvalidSetting("event weights must be nonnegative", f"weight.{name}")
+        if not any(w > 0 for w in weights.values()):
+            raise InvalidSetting(
+                "at least one event weight must be positive",
+                *(f"weight.{name}" for name in weights),
+            )
 
 
 Template = tuple[tuple[str, ...], float]
@@ -115,14 +129,17 @@ class CommentatorProfile:
     def __post_init__(self) -> None:
         for name, p in self.comment_prob.items():
             if not 0.0 <= p <= 1.0:
-                raise ValueError(f"comment_prob[{name}] out of [0,1]")
+                raise InvalidSetting(
+                    f"comment_prob[{name}] out of [0,1]", f"comment_prob.{name}"
+                )
         if not 0.0 <= self.superfluous_rate:
-            raise ValueError("superfluous_rate must be nonnegative")
+            raise InvalidSetting("superfluous_rate must be nonnegative", "superfluous_rate")
         lo, hi = self.lag_ms_range
         if not 0 <= lo <= hi <= DEFAULT_WINDOW_MS:
-            raise ValueError(
+            raise InvalidSetting(
                 f"lag_ms_range ({lo}, {hi}) must satisfy 0 <= lag_ms_min <= "
-                f"lag_ms_max <= {DEFAULT_WINDOW_MS} ms, the pairing window"
+                f"lag_ms_max <= {DEFAULT_WINDOW_MS} ms, the pairing window",
+                "lag_ms_min", "lag_ms_max",
             )
 
 
@@ -368,7 +385,9 @@ def parse_config(text: str, path: str | Path | None = None) -> SimulationSpec:
     values are word sequences, optionally followed by `| weight`; a template
     must name each slot <1>..<arity> once (mrl.check_template).  Lines end
     at LF, as corpus.read_text leaves them.  A bad line raises FormatError
-    naming `path` (the file the text came from) and line.
+    naming `path` (the file the text came from) and line; a value that only
+    the WorldConfig or CommentatorProfile check rejects is reported at the
+    last line that set one of the keys the check read.
     """
     world = default_world()
     profile = default_profile()
@@ -383,8 +402,10 @@ def parse_config(text: str, path: str | Path | None = None) -> SimulationSpec:
     profile_fields: dict[str, object] = {}
     predicate_names = {p.name for p in mrl.PREDICATES}
     constant_tokens = {c.token for c in mrl.CONSTANTS}
+    lines: dict[str, int] = {}
 
     for lineno, key, value in key_values(enumerate(text.split("\n"), start=1), path):
+        lines[key] = lineno
         with at_line(path, lineno):
             if key == "seed":
                 world_fields["seed"] = int(value)
@@ -437,10 +458,14 @@ def parse_config(text: str, path: str | Path | None = None) -> SimulationSpec:
             else:
                 raise ValueError(f"unknown key {key!r}")
 
-    world = replace(world, event_type_weights=weights, **world_fields)
-    profile = replace(
-        profile, comment_prob=comment_prob, lexicon=lexicon, **profile_fields
-    )
+    try:
+        world = replace(world, event_type_weights=weights, **world_fields)
+        profile = replace(
+            profile, comment_prob=comment_prob, lexicon=lexicon, **profile_fields
+        )
+    except InvalidSetting as err:
+        with at_line(path, max(lines[key] for key in err.settings if key in lines)):
+            raise
     return SimulationSpec(world, profile, games, name_prefix)
 
 

@@ -3,7 +3,11 @@
 igsl estimates a per-predicate probability of being commented on without
 any matching: it distributes each sentence's single match over its
 candidate event types in proportion to the current probabilities and
-iterates to a fixed point (synchronous updates, min(.,1) clamp).
+iterates to a fixed point (synchronous updates, min(.,1) clamp).  A
+sentence's shares depend only on its candidate types in candidate order and
+on the current probabilities, so each iteration splits once per distinct
+type sequence and adds the shares sentence by sentence, in corpus order,
+as it would have added each sentence's own split: every sum is the same.
 
 select_event and assemble_sportscast turn a strategic model into an actual
 transcript: stage 1 picks among co-occurring events by normalized
@@ -78,19 +82,20 @@ def igsl(
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    sentences: list[list[str]] = []
+    sentences: list[tuple[str, ...]] = []
     for example in examples:
         if not example.candidates:
             raise EmptyCandidates(
                 f"comment {example.comment.id} has no candidate events"
             )
-        sentences.append([e.mr.predicate.name for e in example.candidates])
+        sentences.append(tuple(e.mr.predicate.name for e in example.candidates))
     predicates = sorted({p for names in sentences for p in names} | set(total_count))
     prob = {p: 1.0 for p in predicates}
     for _ in range(max_iter):
+        shares = {names: igsl_match_shares(names, prob) for names in set(sentences)}
         match_count: defaultdict[str, float] = defaultdict(float)
         for names in sentences:
-            for p, share in igsl_match_shares(names, prob).items():
+            for p, share in shares[names].items():
                 match_count[p] += share
         updated = {}
         for p in predicates:

@@ -196,13 +196,16 @@ class LanguageModel:
 
     def sentence_logprob(self, tokens: Tokens) -> float:
         """Sum of log probability() over the padded sentence, read from the
-        tables _index builds and added left to right."""
+        tables _index builds.  The terms are added one at a time, left to
+        right, so the order of addition is the same on every Python version
+        (from 3.12 builtin sum compensates its rounding)."""
         padded = [_START] * (LM_ORDER - 1) + list(tokens) + [_END]
         grams, floors, unseen = self.log_grams, self.log_floors, self.log_unseen
-        return sum(
-            grams[gram] if gram in grams else floors.get(gram[:-1], unseen)
-            for gram in zip(*(padded[i:] for i in range(LM_ORDER)))
-        )
+        total = 0.0
+        for gram in zip(*(padded[i:] for i in range(LM_ORDER))):
+            logprob = grams.get(gram)
+            total += floors.get(gram[:-1], unseen) if logprob is None else logprob
+        return total
 
     def sentence_prob(self, tokens: Tokens) -> float:
         return math.exp(self.sentence_logprob(tokens))

@@ -410,6 +410,10 @@ def test_exit_codes():
         ("template.kick = <2> kicks\n", "sim.cfg:1:"),                 # slot outside 1..arity
         ("games = 2\ngames = -2\n", "sim.cfg:2:"),
         ("seed = 1\x0c\ngames = x\n", "sim.cfg:2:"),                  # \x0c ends no line
+        # rejected by the CommentatorProfile check, after every line is read
+        ("games = 2\nlag_ms_max = 8000\n", "sim.cfg:2: lag_ms_range (200, 8000)"),
+        ("comment_prob.kick = 1.5\n", "sim.cfg:1: comment_prob[kick] out of [0,1]"),
+        ("lag_ms_min = 3000\nseed = 2\nlag_ms_max = 2500\n", "sim.cfg:3:"),  # the later line
     ],
 )
 def test_simulate_config_value_names_file_and_line(tmp_path, capsys, text, where):

@@ -422,6 +422,34 @@ def test_retrain_loop_builds_only_what_it_reads(noisy, monkeypatch, tmp_path, ki
     )
 
 
+@pytest.mark.parametrize("kind", ["nist_igsl", "meteor_gen"])
+def test_retrain_loop_scores_each_pair_once(noisy, monkeypatch, tmp_path, kind):
+    """One metric call per distinct (comment tokens, generation) pair of the
+    loop, with the matching and model of the loop that scores every pick."""
+    games, examples, gold = noisy
+    total = strategic.count_event_types(e for g in games for e in g.events)
+    strategy = ScoringStrategy(kind)
+    scored = []
+    for name in ("nist", "meteor"):
+        def counting(candidate, reference, _real=getattr(metrics, name)):
+            scored.append((tuple(candidate), tuple(reference)))
+            return _real(candidate, reference)
+
+        monkeypatch.setattr(metrics, name, counting)
+    result = learner.retrain_loop(examples, strategy, total_count=total, gold=gold)
+    loop_pairs, scored[:] = list(scored), []
+    matching, model, *_ = _reference_retrain_loop(
+        examples, strategy, total_count=total, gold=gold
+    )
+    monkeypatch.undo()
+    assert len(set(scored)) < len(scored)  # the reference meets pairs again
+    assert sorted(loop_pairs) == sorted(set(scored))
+    assert result.matching.assignments == matching.assignments
+    assert _model_text(result.model, tmp_path / "a.tsv") == _model_text(
+        model, tmp_path / "b.tsv"
+    )
+
+
 def test_retrain_igsl_requires_totals(clean):
     _, examples, _, _ = clean
     with pytest.raises(learner.MissingStrategicModel):

@@ -295,6 +295,16 @@ def test_parse_config_template_lines_replace_then_accumulate():
         ("surface.pink1 =\n", "empty phrase"),
         ("seed 5\n", "key = value"),
         ("lag_ms_max = 8000\n", "lag_ms_max <= 5000 ms, the pairing window"),
+        # values only the WorldConfig or CommentatorProfile check rejects
+        ("seed = 1\ncomment_prob.kick = 1.5\n", r"line 2: comment_prob\[kick\] out of"),
+        ("lag_ms_min = 3000\ngames = 2\nlag_ms_max = 2500\n",
+         r"line 3: lag_ms_range \(3000, 2500\)"),
+        ("lag_ms_max = 2500\nlag_ms_min = 3000\ngames = 2\n",
+         r"line 2: lag_ms_range \(3000, 2500\)"),
+        ("games = 2\nweight.kick = -1\n", "line 2: event weights must be nonnegative"),
+        # every weight zeroed: the last weight line
+        ("".join(f"weight.{p.name} = 0\n" for p in mrl.PREDICATES) + "games = 2\n",
+         f"line {len(mrl.PREDICATES)}: at least one event weight must be positive"),
     ],
 )
 def test_parse_config_rejects_bad_lines(text, fragment):

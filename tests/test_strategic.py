@@ -1,6 +1,10 @@
 """Strategy estimation, IGSL fixed points, and stochastic sportscasting."""
 
+from collections import defaultdict
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sportscaster import corpus, mrl, simgen, strategic, translator
 from sportscaster.corpus import AmbiguousExample, Comment, GameEvent
@@ -78,6 +82,68 @@ def test_igsl_match_shares_scale_invariant():
 def test_igsl_match_shares_zero_denominator():
     shares = strategic.igsl_match_shares(["kick"], {"kick": 0.0})
     assert shares == {"kick": 0.0}
+
+
+def _reference_igsl(examples, total_count, max_iter=strategic.DEFAULT_MAX_ITER):
+    """igsl's probabilities as it computed them before reusing shares: every
+    sentence's split computed afresh in every iteration."""
+    sentences = [[e.mr.predicate.name for e in ex.candidates] for ex in examples]
+    predicates = sorted({p for names in sentences for p in names} | set(total_count))
+    prob = {p: 1.0 for p in predicates}
+    for _ in range(max_iter):
+        match_count = defaultdict(float)
+        for names in sentences:
+            for p, share in strategic.igsl_match_shares(names, prob).items():
+                match_count[p] += share
+        updated = {}
+        for p in predicates:
+            count = total_count.get(p, 0)
+            updated[p] = min(match_count[p] / count, 1.0) if count else 0.0
+        delta = max(abs(updated[p] - prob[p]) for p in predicates)
+        prob = updated
+        if delta < strategic._TOLERANCE:
+            break
+    return prob
+
+
+_SURFACES = {
+    "kick": "kick ( pink1 )",
+    "pass": "pass ( pink1 , pink2 )",
+    "ballstopped": "ballstopped",
+    "turnover": "turnover ( pink3 , purple1 )",
+    "steal": "steal ( purple2 )",
+}
+
+
+@st.composite
+def _candidate_corpora(draw):
+    """Sentences drawn from a few candidate-type sequences, each reordered at
+    will, so sequences repeat both in and out of order; totals may omit a
+    candidate type or give it zero."""
+    sequences = draw(st.lists(
+        st.lists(st.sampled_from(sorted(_SURFACES)), min_size=1, max_size=4),
+        min_size=1, max_size=4,
+    ))
+    sentences = draw(st.lists(
+        st.sampled_from(sequences).flatmap(st.permutations), min_size=1, max_size=20
+    ))
+    totals = draw(st.dictionaries(
+        st.sampled_from([*sorted(_SURFACES), "block"]), st.integers(0, 8), min_size=3
+    ))
+    examples = [
+        _example(i, *(_event(t * 1000, _SURFACES[name], t) for t, name in enumerate(names)))
+        for i, names in enumerate(sentences)
+    ]
+    return examples, totals
+
+
+@settings(max_examples=150, deadline=None)
+@given(_candidate_corpora(), st.sampled_from([1, 2, strategic.DEFAULT_MAX_ITER]))
+def test_igsl_matches_per_sentence_reference(corpus_and_totals, max_iter):
+    examples, totals = corpus_and_totals
+    assert strategic.igsl(examples, totals, max_iter).prob == _reference_igsl(
+        examples, totals, max_iter
+    )
 
 
 def test_igsl_recovers_rank_order_on_synthetic_corpus():

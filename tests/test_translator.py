@@ -503,13 +503,16 @@ def test_train_is_complete_after_train_alignment(raw_pairs):
 
 
 def _reference_sentence_logprob(lm, tokens):
-    """The per-token formula: log probability() of each padded token, summed."""
+    """The per-token formula: log probability() of each padded token, added
+    left to right one at a time, as sentence_logprob adds them (builtin sum
+    compensates its rounding from Python 3.12, so it would not give the same
+    bits)."""
     order = translator.LM_ORDER
     padded = [translator._START] * (order - 1) + list(tokens) + [translator._END]
-    return sum(
-        math.log(lm.probability(padded[i], tuple(padded[i - order + 1 : i])))
-        for i in range(order - 1, len(padded))
-    )
+    total = 0.0
+    for i in range(order - 1, len(padded)):
+        total += math.log(lm.probability(padded[i], tuple(padded[i - order + 1 : i])))
+    return total
 
 
 # Includes words no corpus has, so queries reach unseen words and contexts.
