@@ -148,7 +148,7 @@ def evaluate_candidate(
     strategy: ScoringStrategy,
     strategic_model: strategic.StrategicModel | None,
     cache: dict[str, tuple[str, ...] | None],
-    metric_cache: MetricCache | None = None,
+    metric_cache: MetricCache,
 ) -> float:
     """A generation-scored strategy's score of one candidate.  cache maps an
     MR's surface form to its best generation, None without a template;
@@ -169,7 +169,6 @@ def evaluate_candidate(
     generated = cache[cache_key]
     if generated is None:
         return 0.0
-    metric_cache = {} if metric_cache is None else metric_cache
     pair = (tuple(tokens), generated)
     if pair not in metric_cache:
         metric_cache[pair] = getattr(metrics, metric)(list(tokens), list(generated))
@@ -184,7 +183,7 @@ def _assign_best(
     model: translator.AlignmentModel | translator.TranslationModel,
     strategy: ScoringStrategy,
     strategic_model: strategic.StrategicModel | None,
-    metric_cache: MetricCache | None = None,
+    metric_cache: MetricCache,
 ) -> Matching:
     """Each example's best candidate by (-score, time, surface form, id).
     parse_score scores the whole corpus in one translator.score_corpus call

@@ -34,14 +34,14 @@ use, and kept: the alignment's add-k smoothed table
 options with their bound parts (TranslationModel.generation).  A model is
 therefore not changed after its first use.
 
-Scoring is implemented once, in score_corpus: one kernel over many
-sentences, each with its own candidate MRs, that groups the (sentence,
-candidate) pairs by sentence length and scores each group in whole-array
-passes.  It reads only the alignment, and a word's score under an MR has
-one rule, _word_scores, which also fills the full-space table.
-score_candidates (one sentence), parse_sentence (one sentence, the full
-space) and the learner's parse-scored loop and validation scorer (the
-corpus) are views of that one kernel, so their scores can never disagree.
+Scoring reads only the alignment and has two rules: a word's score under
+an MR (_word_scores) and a sentence's score from its words' scores
+(_sentence_scores).  score_corpus scores candidate sets: many sentences,
+each with its own candidate MRs, grouped by sentence length, each group
+in whole-array passes.  score_candidates (one sentence) and the learner's
+parse-scored loop and validation scorer (the corpus) are views of it.
+parse_sentence gathers the sentence's rows of the full-space table, which
+_word_scores fills, so its scores can never disagree with score_corpus's.
 """
 
 from __future__ import annotations
@@ -368,7 +368,6 @@ def extract_templates(pairs: Sequence[Pair], alignment: AlignmentModel) -> Templ
     winners = raw.argmax(axis=1).tolist()
     start = 0
     for (tokens, mr), deriv, keys, length in zip(pairs, derivations, tie_keys, lengths):
-        tokens = tuple(tokens)
         assigned = [keys[i] for i in winners[start : start + length]]
         start += length
         # Argument positions still wanting a slot, queued per constant key.
@@ -376,22 +375,14 @@ def extract_templates(pairs: Sequence[Pair], alignment: AlignmentModel) -> Templ
         for position, production in enumerate(deriv[1:], start=1):
             open_slots[production.key].append(position)
         items: list[str] = []
-        i = 0
-        while i < len(tokens):
-            key = assigned[i]
+        for key, group in itertools.groupby(zip(tokens, assigned), key=lambda item: item[1]):
+            run = tuple(token for token, _ in group)
             if key in open_slots:
-                j = i
-                while j < len(tokens) and assigned[j] == key:
-                    j += 1
-                realization_counts[key][tokens[i:j]] += 1
+                realization_counts[key][run] += 1
                 if open_slots[key]:
                     items.append(f"<{open_slots[key].pop(0)}>")
-                else:
-                    items.extend(tokens[i:j])
-                i = j
-            else:
-                items.append(tokens[i])
-                i += 1
+                    continue
+            items.extend(run)
         template = tuple(items)
         try:
             mrl.check_template(mr.predicate.name, template)
@@ -478,30 +469,29 @@ def _word_columns(tokens: Tokens, alignment: AlignmentModel) -> np.ndarray:
     return np.array([columns.get(w, unknown) for w in tokens], dtype=np.intp)
 
 
+def _sentence_scores(per_word: np.ndarray) -> np.ndarray:
+    """Each MR's sentence score from (words x MRs) per-word scores: product, then root."""
+    return per_word.prod(axis=0) ** (1.0 / len(per_word))
+
+
 def score_corpus(
     sentences: Sequence[Tokens],
-    candidates: Sequence[Sequence[mrl.MeaningRepresentation]] | None,
+    candidates: Sequence[Sequence[mrl.MeaningRepresentation]],
     alignment: AlignmentModel,
 ) -> list[list[float]]:
     """Per-token-normalized Model-1 likelihood of each sentence under each of
-    its candidate MRs, or under every grammar-valid MR (enumerate_mrs()
-    order) when candidates is None.
+    its candidate MRs.
 
     A word's score under an MR (_word_scores) is the mean of its add-k t
     values over the derivation's productions and NULL, added in derivation
-    order; a sentence's score is the product of its words' scores raised to
-    one over its length, and an empty sentence scores null_floor.  The
-    (sentence, candidate) pairs are grouped by sentence length, and each
-    group is one (tokens x pairs) array pass with a scalar root.  The full
-    space reads its per-word scores from alignment.full_space, which
-    _word_scores fills once per model.
+    order; a sentence's score (_sentence_scores) is the product of its
+    words' scores raised to one over its length, and an empty sentence
+    scores null_floor.  The (sentence, candidate) pairs are grouped by
+    sentence length, and each group is one (tokens x pairs) array pass with
+    a scalar root.
     """
-    if candidates is None:
-        full_space = alignment.full_space
-        counts = [full_space.shape[1]] * len(sentences)
-    else:
-        smoothed = alignment.smoothed
-        counts = [len(mrs) for mrs in candidates]
+    smoothed = alignment.smoothed
+    counts = [len(mrs) for mrs in candidates]
     floor = null_floor(alignment)
     scores = [[] if tokens else [floor] * count for tokens, count in zip(sentences, counts)]
     by_length: dict[int, list[int]] = defaultdict(list)
@@ -512,13 +502,9 @@ def score_corpus(
         # (length, sentences) word columns, then one column per pair.
         words = _word_columns([w for n in numbers for w in sentences[n]], alignment)
         words = words.reshape(len(numbers), length).T
-        if candidates is None:
-            per_word = full_space.take(words, axis=0).reshape(length, -1)
-        else:
-            words = np.repeat(words, [counts[n] for n in numbers], axis=1)
-            index, widths = _candidate_arrays([mr for n in numbers for mr in candidates[n]])
-            per_word = _word_scores(smoothed, words, index, widths)
-        group = (per_word.prod(axis=0) ** (1.0 / length)).tolist()
+        words = np.repeat(words, [counts[n] for n in numbers], axis=1)
+        index, widths = _candidate_arrays([mr for n in numbers for mr in candidates[n]])
+        group = _sentence_scores(_word_scores(smoothed, words, index, widths)).tolist()
         start = 0
         for n in numbers:
             scores[n] = group[start : start + counts[n]]
@@ -538,21 +524,24 @@ def score_candidates(
 def parse_sentence(
     tokens: Tokens, model: TranslationModel
 ) -> list[tuple[mrl.MeaningRepresentation, float]]:
-    """Rank every grammar-valid MR by (-score, serialize_mr), or abstain.
-
-    Abstention: an empty result whenever even the best MR scores at the
-    all-NULL floor, i.e. the sentence shares nothing with the model.
-    """
-    mrs = mrl.enumerate_mrs()
-    [scores] = score_corpus([tokens], None, model.alignment)
-    values = np.array(scores)
+    """Rank every grammar-valid MR by (-score, serialize_mr), or abstain:
+    score_corpus's scores over enumerate_mrs(), read from the sentence's
+    rows of alignment.full_space.  Abstention: an empty result for an empty
+    sentence, or when even the best MR scores at the all-NULL floor, i.e.
+    the sentence shares nothing with the model."""
+    if not tokens:
+        return []
+    per_word = model.alignment.full_space.take(_word_columns(tokens, model.alignment), axis=0)
+    values = _sentence_scores(per_word)
     if values.max() <= null_floor(model.alignment) * (1.0 + 1e-9):
         return []
     # Two stable sorts, the secondary key first: the surface forms, then
     # the negated scores taken in that order.
+    mrs = mrl.enumerate_mrs()
     surfaces = [mrl.serialize_mr(mr) for mr in mrs]
     order = np.array(sorted(range(len(mrs)), key=surfaces.__getitem__))
     order = order[np.argsort(-values[order], kind="stable")]
+    scores = values.tolist()
     return [(mrs[i], scores[i]) for i in order.tolist()]
 
 
@@ -639,6 +628,14 @@ _SECTION_FIELDS = {"alignment": 3, "templates": 4, "lm": 3}
 _CONSTANT_TOKENS = frozenset(c.token for c in mrl.CONSTANTS)
 
 
+def _words(text: str) -> tuple[str, ...]:
+    """A model-file field's space-separated words, none of them empty."""
+    words = tuple(text.split(" "))
+    if "" in words:
+        raise ValueError(f"empty word in {text!r}")
+    return words
+
+
 def _probability(text: str) -> float:
     """A model-file probability or weight: a finite number in (0, 1]."""
     value = float(text)
@@ -689,10 +686,11 @@ def load_model(path) -> TranslationModel:
                 key, word, prob = fields
                 if key not in _COLUMN_INDEX:
                     raise ValueError(f"unknown production key {key!r}")
+                _words(word)
                 entries.append((_COLUMN_INDEX[key], word, _probability(prob)))
             elif section == "templates":
                 kind, name, weight, body = fields
-                items = tuple(body.split(" "))
+                items = _words(body)
                 if kind == "S":
                     mrl.check_template(name, items)
                 elif kind != "C":
@@ -703,7 +701,8 @@ def load_model(path) -> TranslationModel:
                 target.setdefault(name, {})[items] = _probability(weight)
             else:
                 context, word, count = fields
-                bucket = counts.setdefault(tuple(context.split(" ")), Counter())
+                _words(word)
+                bucket = counts.setdefault(_words(context), Counter())
                 bucket[word] = int(count)
                 if bucket[word] < 1:
                     raise ValueError(f"LM count {count!r} below 1")

@@ -583,6 +583,14 @@ def test_data_error_names_file_and_line(corpus_dir, train_dir, tmp_path, capsys)
         (2, "pink1\tpink1\t-0.5"),
         (6, "x\tpink1\t0"),                  # LM count below 1
         (6, "x\tpink1\t-3"),
+        (4, "S\tkick\t1\t<1>  kicks"),       # empty word in a template
+        (4, "S\tballstopped\t1\t"),
+        (4, "C\tpink1\t1\t"),                # empty word in a realization
+        (4, "C\tpink1\t1\tpinky "),
+        (2, "pink1\t\t1"),                  # empty alignment word
+        (6, "x  y\tpink1\t1"),              # empty word in an LM context
+        (6, "\tpink1\t1"),
+        (6, "x\t\t1"),                      # empty LM word
     ],
 )
 def test_malformed_model_names_file_and_line(tmp_path, capsys, line, bad):

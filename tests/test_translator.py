@@ -904,18 +904,38 @@ def _reference_extract_templates(pairs, alignment):
     )
 
 
+def _full_space_scores(model, sentences):
+    """score_corpus with every grammar-valid MR as each sentence's candidates."""
+    full = mrl.enumerate_mrs()
+    return translator.score_corpus(sentences, [full] * len(sentences), model.alignment)
+
+
+def _assert_parse_scores(model, sentences, expected):
+    """parse_sentence scores every MR as expected (enumerate_mrs() order)
+    says, with ==, and abstains only where no MR beats the floor."""
+    full = mrl.enumerate_mrs()
+    floor = translator.null_floor(model.alignment)
+    for tokens, scores in zip(sentences, expected):
+        ranked = dict(translator.parse_sentence(tokens, model))
+        if ranked:
+            assert [ranked[mr] for mr in full] == scores
+        else:
+            assert max(scores) <= floor * (1.0 + 1e-9)
+
+
 def _assert_kernel_matches_reference(model, sentences, candidates):
-    """score_corpus and its views against the per-sentence reference, with
-    ==; extract_templates against its per-pair reference on the same pairs."""
+    """score_corpus, its views and parse_sentence against the per-sentence
+    reference, with ==; extract_templates against its per-pair reference on
+    the same pairs."""
     reference = [_reference_score_candidates(s, mrs, model)
                  for s, mrs in zip(sentences, candidates)]
     assert translator.score_corpus(sentences, candidates, model.alignment) == reference
     for tokens, mrs, scores in zip(sentences, candidates, reference):
         assert translator.score_candidates(tokens, mrs, model.alignment) == scores
     full = mrl.enumerate_mrs()
-    assert translator.score_corpus(sentences, None, model.alignment) == [
-        _reference_score_candidates(s, full, model) for s in sentences
-    ]
+    full_reference = [_reference_score_candidates(s, full, model) for s in sentences]
+    assert _full_space_scores(model, sentences) == full_reference
+    _assert_parse_scores(model, sentences, full_reference)
     pairs = [(s, mr) for s, mrs in zip(sentences, candidates) for mr in mrs]
     assert translator.extract_templates(pairs, model.alignment) == (
         _reference_extract_templates(pairs, model.alignment)
@@ -963,35 +983,31 @@ def test_score_corpus_matches_the_per_sentence_reference_on_trained_models(
         _assert_kernel_matches_reference(model, sentences, candidates)
 
 
-def _assert_full_space_matches_candidates(alignment, sentences):
-    everything = [mrl.enumerate_mrs()] * len(sentences)
-    assert translator.score_corpus(sentences, None, alignment) == (
-        translator.score_corpus(sentences, everything, alignment)
-    )
-
-
 @settings(max_examples=15, deadline=None)
 @given(_corpora, _batches)
 def test_full_space_table_matches_the_candidates_branch(raw_pairs, sentences):
     model = _train_briefly([(tokens, _mr(text)) for tokens, text in raw_pairs])
-    _assert_full_space_matches_candidates(model.alignment, sentences)
+    _assert_parse_scores(model, sentences, _full_space_scores(model, sentences))
 
 
 def test_full_space_table_matches_the_candidates_branch_on_trained_models(
     sharp_model, noisy_model, tmp_path
 ):
-    # equal-length sentences, empty ones and unknown words, in one call
+    # equal-length sentences, empty ones and unknown words, in one call; the
+    # last has one known word among 99 unknown ones, so its best score is
+    # just above the floor and it still parses
     texts = ["", "pink1 boots it", "pink2 kicks to", "zorp blee grum", "",
              "pink1 kicks to pink2", "pink3 kicks zorp pink1", "the ball is dead",
-             "pink2"]
+             "pink2", "zorp " * 99 + "pink1"]
     sentences = [text.split() for text in texts]
     translator.save_model(sharp_model, tmp_path / "model.tsv")
     loaded = translator.load_model(tmp_path / "model.tsv")
     for model in (sharp_model, noisy_model[0], loaded):
-        _assert_full_space_matches_candidates(model.alignment, sentences)
+        _assert_parse_scores(model, sentences, _full_space_scores(model, sentences))
         for tokens in sentences:
             assert all(type(score) is float
                        for _, score in translator.parse_sentence(tokens, model))
+        assert translator.parse_sentence(sentences[-1], model)
     assert loaded.alignment.full_space.shape == (
         len(loaded.alignment.vocabulary) + 1, len(mrl.enumerate_mrs())
     )
