@@ -14,14 +14,17 @@ each sentence's best candidate under the current model:
   meteor_igsl  meteor_gen times the IGSL probability of the MR's type
 
 The generation-scored strategies read the whole translation model, so
-each training builds all of it.  Each of their loops keeps one metric
-cache: (comment tokens, generated tokens) -> the metric's raw value, before
-the IGSL weight.  The metric is a pure function of the two token tuples,
-so an iteration that meets a pair again (the same sentence and the same
-best generation under a retrained model) reads the value an earlier one
-computed.  The cache lives only as long as its loop: it is not global, so
-each superfluous_cv threshold run starts a fresh one and its memory ends
-with the run.
+each training builds all of it.  A candidate's best generation comes from
+translator.generate_topk, which keeps each result for the model's life:
+an iteration searches each distinct candidate MR once, and the next
+iteration's retrained model starts with none kept.  Each of their loops
+also keeps one metric cache: (comment tokens, generated tokens) -> the
+metric's raw value, before the IGSL weight.  The metric is a pure
+function of the two token tuples, so an iteration that meets a pair again
+(the same sentence and the same best generation under a retrained model)
+reads the value an earlier one computed.  The cache lives only as long as
+its loop: it is not global, so each superfluous_cv threshold run starts a
+fresh one and its memory ends with the run.
 
 parse_score reads only the alignment, so each of its trainings runs
 alignment EM alone, and the template lexicon and LM are built once, from
@@ -147,27 +150,20 @@ def evaluate_candidate(
     model: translator.TranslationModel,
     strategy: ScoringStrategy,
     strategic_model: strategic.StrategicModel | None,
-    cache: dict[str, tuple[str, ...] | None],
     metric_cache: MetricCache,
 ) -> float:
-    """A generation-scored strategy's score of one candidate.  cache maps an
-    MR's surface form to its best generation, None without a template;
-    metric_cache keeps the metric's value, before the IGSL weight, across
-    calls."""
+    """A generation-scored strategy's score of one candidate: 0 for an MR
+    with no template.  metric_cache keeps the metric's value, before the
+    IGSL weight, across calls."""
     kind = strategy.kind
     metric, weighted = _SCORED_KINDS.get(kind, (None, False))
     if metric is None:
         raise ValueError(f"strategy {kind!r} has no generation metric")
     if weighted and strategic_model is None:
         raise MissingStrategicModel(f"{kind} needs a strategic model")
-    cache_key = mrl.serialize_mr(mr)
-    if cache_key not in cache:
-        try:
-            cache[cache_key] = translator.generate_topk(mr, model, 1)[0][0]
-        except translator.NoTemplate:
-            cache[cache_key] = None
-    generated = cache[cache_key]
-    if generated is None:
+    try:
+        generated = translator.generate_topk(mr, model, 1)[0][0]
+    except translator.NoTemplate:
         return 0.0
     pair = (tuple(tokens), generated)
     if pair not in metric_cache:
@@ -197,12 +193,11 @@ def _assign_best(
             model,
         )
     else:
-        cache: dict = {}
         scores = [
             [
                 evaluate_candidate(
                     ex.example.comment.tokens, c.mr, model, strategy, strategic_model,
-                    cache, metric_cache,
+                    metric_cache,
                 )
                 for c in candidates
             ]

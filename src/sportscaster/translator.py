@@ -31,8 +31,10 @@ What does not depend on the request is built once per model, on first
 use, and kept: the alignment's add-k smoothed table
 (AlignmentModel.smoothed) and full-space table of per-word scores
 (AlignmentModel.full_space), and the generation plans and realization
-options with their bound parts (TranslationModel.generation).  A model is
-therefore not changed after its first use.
+options with their bound parts (TranslationModel.generation).  So is each
+generate_topk result, per (MR, k) (TranslationModel.generated): the event
+space is closed, so serving one model asks the same question again and
+again.  A model is therefore not changed after its first use.
 
 Scoring reads only the alignment and has two rules: a word's score under
 an MR (_word_scores) and a sentence's score from its words' scores
@@ -217,6 +219,8 @@ Option = tuple[float, tuple[str, ...], float]
 # tokens as one tuple and each slot as its 0-based argument index, its
 # weight, and its bound part.
 Plan = tuple[tuple[tuple[str, ...] | int, ...], float, float]
+# generate_topk's combinations, as (sentence tokens, score), best first.
+Ranked = tuple[tuple[tuple[str, ...], float], ...]
 
 
 @dataclass
@@ -226,12 +230,18 @@ class TranslationModel:
     generation is built on the first generate_topk and kept: one plan per
     template of the lexicon, and for each of the 37 grammar constants its
     realization options sorted by part (39 plans and 72 options for the
-    README quick-start model).  The lexicon and LM must not change after
-    the model's first generation."""
+    README quick-start model).  generated holds each generate_topk result,
+    keyed on (MR surface form, k): the ranked combinations, or () for a
+    predicate with no template.  The lexicon and LM must not change after
+    the model's first generation: both the tables and the results read
+    them."""
 
     alignment: AlignmentModel
     lexicon: TemplateLexicon
     lm: LanguageModel
+    generated: dict[tuple[str, int], Ranked] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @cached_property
     def generation(self) -> tuple[dict[str, list[Plan]], dict[str, list[Option]]]:
@@ -572,13 +582,30 @@ def generate_topk(
     combinations in bound order and scores them until the best bound left,
     with _BOUND_SLACK, is below the k-th best score: no combination left can
     then reach the top k, so the result is that of scoring all.
+
+    Each (MR, k) is searched once per model: model.generated keeps the
+    result, a repeat returns a fresh list of it, and a predicate with no
+    template raises NoTemplate on every call.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    key = (mr.surface, k)
+    ranked = model.generated.get(key)
+    if ranked is None:
+        ranked = model.generated[key] = _search_topk(mr, model, k)
+    if not ranked:
+        raise NoTemplate(mr.predicate.name)
+    return list(ranked)
+
+
+def _search_topk(
+    mr: mrl.MeaningRepresentation, model: TranslationModel, k: int
+) -> Ranked:
+    """generate_topk's best-first search; () for a predicate with no template."""
     plans, options = model.generation
     plans = plans.get(mr.predicate.name)
     if not plans:
-        raise NoTemplate(mr.predicate.name)
+        return ()
     choices = [options[arg.token] for arg in mr.args]
 
     def bound(part: float, indices: tuple[int, ...]) -> float:
@@ -621,7 +648,7 @@ def generate_topk(
                 successor = indices[:a] + (indices[a] + 1,) + indices[a + 1 :]
                 heapq.heappush(frontier, (-bound(part, successor), number, successor, a))
     scored.sort(key=lambda item: (-item[1], item[0]))
-    return scored[:k]
+    return tuple(scored[:k])
 
 
 _SECTION_FIELDS = {"alignment": 3, "templates": 4, "lm": 3}
@@ -700,12 +727,15 @@ def load_model(path) -> TranslationModel:
                 target = templates if kind == "S" else realizations
                 target.setdefault(name, {})[items] = _probability(weight)
             else:
-                context, word, count = fields
+                text, word, count = fields
                 _words(word)
-                bucket = counts.setdefault(_words(context), Counter())
+                context = _words(text)
+                bucket = counts.setdefault(context, Counter())
                 bucket[word] = int(count)
                 if bucket[word] < 1:
                     raise ValueError(f"LM count {count!r} below 1")
+                if len(context) != LM_ORDER - 1:
+                    raise ValueError(f"LM context {text!r} is not {LM_ORDER - 1} words")
     vocabulary = tuple(sorted({word for _, word, _ in entries}))
     t = np.zeros((_PAD_COLUMN + 1, len(vocabulary) + 1), dtype=np.float64)
     alignment = AlignmentModel(t=t, vocabulary=vocabulary)

@@ -591,11 +591,13 @@ def test_data_error_names_file_and_line(corpus_dir, train_dir, tmp_path, capsys)
         (6, "x  y\tpink1\t1"),              # empty word in an LM context
         (6, "\tpink1\t1"),
         (6, "x\t\t1"),                      # empty LM word
+        (6, "x\tpink1\t1"),                 # LM context of one word
+        (6, "a b c\tpink1\t1"),             # LM context of three words
     ],
 )
 def test_malformed_model_names_file_and_line(tmp_path, capsys, line, bad):
     lines = ["[alignment]", "pink1\tpink1\t1", "[templates]",
-             "S\tkick\t1\t<1> kicks", "[lm]", "x\tpink1\t1"]
+             "S\tkick\t1\t<1> kicks", "[lm]", "<s> <s>\tpink1\t1"]
     lines[line - 1] = bad
     model_path = tmp_path / "model.tsv"
     model_path.write_text("".join(entry + "\n" for entry in lines))

@@ -219,7 +219,7 @@ def test_evaluate_nist_gen_matches_manual(sharp_model):
     generated = translator.generate_topk(mr, sharp_model, 1)[0][0]
     expected = metrics.nist(list(tokens), list(generated))
     got = learner.evaluate_candidate(
-        tokens, mr, sharp_model, ScoringStrategy("nist_gen"), None, {}, {}
+        tokens, mr, sharp_model, ScoringStrategy("nist_gen"), None, {}
     )
     assert got == pytest.approx(expected, rel=1e-12)
     assert got > 0
@@ -231,7 +231,7 @@ def test_evaluate_meteor_gen_matches_manual(sharp_model):
     generated = translator.generate_topk(mr, sharp_model, 1)[0][0]
     expected = metrics.meteor(list(tokens), list(generated))
     got = learner.evaluate_candidate(
-        tokens, mr, sharp_model, ScoringStrategy("meteor_gen"), None, {}, {}
+        tokens, mr, sharp_model, ScoringStrategy("meteor_gen"), None, {}
     )
     assert got == pytest.approx(expected, rel=1e-12)
 
@@ -239,7 +239,7 @@ def test_evaluate_meteor_gen_matches_manual(sharp_model):
 def test_evaluate_missing_template_scores_zero(sharp_model):
     got = learner.evaluate_candidate(
         ("pink1", "boots", "it"), _mr("steal ( pink5 )"), sharp_model,
-        ScoringStrategy("nist_gen"), None, {}, {},
+        ScoringStrategy("nist_gen"), None, {},
     )
     assert got == 0.0
 
@@ -248,7 +248,7 @@ def test_evaluate_igsl_needs_strategic_model(sharp_model):
     with pytest.raises(learner.MissingStrategicModel):
         learner.evaluate_candidate(
             ("pink1", "boots", "it"), _mr("kick ( pink1 )"), sharp_model,
-            ScoringStrategy("nist_igsl"), None, {}, {},
+            ScoringStrategy("nist_igsl"), None, {},
         )
 
 
@@ -257,16 +257,16 @@ def test_evaluate_igsl_multiplies_event_probability(sharp_model):
     mr = _mr("kick ( pink1 )")
     model = strategic.StrategicModel(prob={"kick": 0.25}, total_count={"kick": 4})
     base = learner.evaluate_candidate(
-        tokens, mr, sharp_model, ScoringStrategy("nist_gen"), None, {}, {}
+        tokens, mr, sharp_model, ScoringStrategy("nist_gen"), None, {}
     )
     got = learner.evaluate_candidate(
-        tokens, mr, sharp_model, ScoringStrategy("nist_igsl"), model, {}, {}
+        tokens, mr, sharp_model, ScoringStrategy("nist_igsl"), model, {}
     )
     assert got == pytest.approx(0.25 * base, rel=1e-12)
     # an event type the strategic model has never seen contributes nothing
     assert learner.evaluate_candidate(
         ("pink2", "passes", "to", "pink3"), _mr("pass ( pink2 , pink3 )"),
-        sharp_model, ScoringStrategy("meteor_igsl"), model, {}, {},
+        sharp_model, ScoringStrategy("meteor_igsl"), model, {},
     ) == 0.0
 
 
@@ -275,7 +275,7 @@ def test_evaluate_rejects_non_scoring_kinds(sharp_model):
         with pytest.raises(ValueError, match="no generation metric"):
             learner.evaluate_candidate(
                 ("pink1",), _mr("kick ( pink1 )"), sharp_model, ScoringStrategy(kind),
-                None, {}, {},
+                None, {},
             )
 
 

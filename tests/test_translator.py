@@ -808,10 +808,8 @@ def test_generation_tables_are_built_once_per_model(noisy_model, monkeypatch):
     assert model.generation is tables
 
 
-def test_generate_topk_scores_fewer_than_every_combination(noisy_model, monkeypatch):
-    model, _ = noisy_model
-    mr = _mr("ballstopped")
-    combinations = len(_reference_generate_topk(mr, model, k=10**9))
+def _counting_sentence_prob(monkeypatch):
+    """The sentences LanguageModel.sentence_prob is called with from now on."""
     calls = []
     sentence_prob = translator.LanguageModel.sentence_prob
 
@@ -820,8 +818,65 @@ def test_generate_topk_scores_fewer_than_every_combination(noisy_model, monkeypa
         return sentence_prob(self, tokens)
 
     monkeypatch.setattr(translator.LanguageModel, "sentence_prob", counting)
+    return calls
+
+
+def test_generate_topk_scores_fewer_than_every_combination(noisy_model, monkeypatch):
+    model, _ = noisy_model
+    model = translator.TranslationModel(model.alignment, model.lexicon, model.lm)
+    mr = _mr("ballstopped")
+    combinations = len(_reference_generate_topk(mr, model, k=10**9))
+    calls = _counting_sentence_prob(monkeypatch)
     translator.generate_topk(mr, model, 1)
     assert 0 < len(calls) < combinations
+
+
+def test_generate_topk_answers_a_repeat_from_the_model(noisy_model, monkeypatch):
+    model, _ = noisy_model
+    model = translator.TranslationModel(model.alignment, model.lexicon, model.lm)
+    mr = _mr("pass(pink1,pink2)")
+    calls = _counting_sentence_prob(monkeypatch)
+    first = translator.generate_topk(mr, model, 5)
+    assert calls and len(first) == 5
+    calls.clear()
+    second = translator.generate_topk(mr, model, 5)
+    assert calls == []
+    assert second == first and second is not first
+    second.clear()
+    second.append((("mutated",), 1.0))
+    assert translator.generate_topk(mr, model, 5) == first
+    assert translator.generate_topk(_mr("pass(pink1, pink2)"), model, 5) == first
+
+
+def test_generate_topk_keeps_k_apart(noisy_model, monkeypatch):
+    model, _ = noisy_model
+    model = translator.TranslationModel(model.alignment, model.lexicon, model.lm)
+    mr = _mr("ballstopped")
+    top5 = translator.generate_topk(mr, model, 5)
+    calls = _counting_sentence_prob(monkeypatch)
+    top1 = translator.generate_topk(mr, model, 1)
+    assert calls  # k=1 is its own search, not a slice of k=5
+    assert len(top5) == 5 and top1 == top5[:1]
+    assert set(model.generated) == {(mrl.serialize_mr(mr), 1), (mrl.serialize_mr(mr), 5)}
+
+
+def test_generate_topk_raises_no_template_on_every_call():
+    model = translator.train(_sharp_pairs())
+    mr = _mr("steal(purple4)")
+    for _ in range(2):
+        with pytest.raises(translator.NoTemplate) as raised:
+            translator.generate_topk(mr, model, 1)
+        assert raised.value.predicate == "steal"
+    assert model.generated == {(mrl.serialize_mr(mr), 1): ()}
+
+
+def test_a_rebuilt_model_keeps_no_generated_results():
+    model = translator.train(_sharp_pairs())
+    ranked = translator.generate_topk(_mr("kick(pink1)"), model, 1)
+    rebuilt = translator.TranslationModel(model.alignment, model.lexicon, model.lm)
+    assert rebuilt.generated == {}
+    assert rebuilt == model
+    assert translator.generate_topk(_mr("kick(pink1)"), rebuilt, 1) == ranked
 
 
 def _reference_score_candidates(tokens, mrs, model):
