@@ -211,6 +211,8 @@ def _cmd_train(args, sub: _Parser) -> int:
         raise _UsageError("train: --init-alignment has no effect with --superfluous-cv")
     if args.init_alignment and args.strategy in ("random", "gold"):
         raise _UsageError(f"train: --init-alignment has no effect on {args.strategy}")
+    if args.superfluous_cv and args.strategy in ("random", "gold"):
+        raise _UsageError(f"train: --superfluous-cv has no effect on {args.strategy}")
     loaded = corpus.load_corpus(args.manifest, args.window_ms)
     examples = corpus.pooled_examples(loaded.games, args.window_ms)
     gold = corpus.pooled_gold(loaded.games) or None

@@ -476,10 +476,13 @@ def superfluous_cv(
     full-run result): its matching still covers every sentence, and
     trained_matching() keeps the pairs that survived pruning.  Raises
     EmptyTrainingSet when either fold is empty: with no validation example
-    every threshold would score 0.0.
+    every threshold would score 0.0.  Raises ValueError for random and gold:
+    their picks are fixed, so no threshold prunes any pair.
     """
     if not thresholds:
         raise ValueError("need at least one threshold")
+    if strategy.kind not in _SCORED_KINDS:
+        raise ValueError(f"{strategy.kind} fixes its picks: no pruning fraction to choose")
     train, validation = validation_split(examples)
     if examples and not (train and validation):
         empty = "validation" if train else "training"

@@ -138,38 +138,57 @@ def bleu_document(
     segments: Iterable[tuple[Tokens, Sequence[Tokens]]],
     max_n: int = 4,
 ) -> float:
-    """Corpus BLEU over (candidate, references) segments pooled as one document."""
+    """Corpus BLEU over (candidate, references) segments pooled as one document.
+
+    Segments often share one reference list (every segment of an MR), so the
+    lengths and clip tables of each distinct list are built once
+    (_clip_tables)."""
     matched = [0] * max_n
     total = [0] * max_n
     candidate_len = 0
     reference_len = 0
+    tables: dict[tuple[tuple[str, ...], ...], tuple[set[int], list[dict]]] = {}
     for candidate, references in segments:
-        references = list(references)
-        if not references:
+        key = tuple(map(tuple, references))
+        if not key:
             raise EmptyReferences("segment has no reference sentences")
+        if key not in tables:
+            tables[key] = _clip_tables(key, max_n)
+        lengths, clips = tables[key]
         candidate_len += len(candidate)
         # Closest reference length; ties prefer the shorter reference.
-        reference_len += min(
-            (abs(len(r) - len(candidate)), len(r)) for r in references
-        )[1]
-        for n in range(1, max_n + 1):
+        reference_len += min((abs(length - len(candidate)), length) for length in lengths)[1]
+        for n, clip in enumerate(clips, start=1):
             cand_counts = _ngram_counts(candidate, n)
             if not cand_counts:
                 continue
-            clip: Counter = Counter()
-            for r in references:
-                ref_counts = _ngram_counts(r, n)
-                for gram, count in ref_counts.items():
-                    clip[gram] = max(clip[gram], count)
             total[n - 1] += sum(cand_counts.values())
             matched[n - 1] += sum(
-                min(count, clip[gram]) for gram, count in cand_counts.items()
+                min(count, clip.get(gram, 0)) for gram, count in cand_counts.items()
             )
     if candidate_len == 0 or any(m == 0 for m in matched) or any(t == 0 for t in total):
         return 0.0
     log_precision = sum(math.log(m / t) for m, t in zip(matched, total)) / max_n
     brevity = math.exp(min(0.0, 1.0 - reference_len / candidate_len))
     return brevity * math.exp(log_precision)
+
+
+def _clip_tables(
+    references: Sequence[tuple[str, ...]], max_n: int
+) -> tuple[set[int], list[dict]]:
+    """A reference list's distinct sentence lengths, and for n = 1..max_n its
+    clip table: each n-gram's largest count in any one sentence.  A maximum
+    ignores repeats, so each distinct sentence is counted once."""
+    distinct = set(references)
+    clips = []
+    for n in range(1, max_n + 1):
+        clip: dict[tuple[str, ...], int] = {}
+        for reference in distinct:
+            for gram, count in _ngram_counts(reference, n).items():
+                if count > clip.get(gram, 0):
+                    clip[gram] = count
+        clips.append(clip)
+    return {len(reference) for reference in distinct}, clips
 
 
 def nist(candidate: Tokens, reference: Tokens) -> float:

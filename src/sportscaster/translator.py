@@ -25,13 +25,17 @@ ties broken by canonical surface form (serialize_mr, built once per MR);
 generation instantiates templates and ranks by the noisy-channel product
 (LM probability times template and realization weights).  It searches the
 template/realization combinations best-first under an upper bound that
-factors per argument, and scores only those that can still reach the top k.
+factors into a template part and one part per argument, each exact for
+every trigram window whose context it knows, and scores only those that
+can still reach the top k.
 
 What does not depend on the request is built once per model, on first
 use, and kept: the alignment's add-k smoothed table
 (AlignmentModel.smoothed) and full-space table of per-word scores
-(AlignmentModel.full_space), and the generation plans and realization
-options with their bound parts (TranslationModel.generation).  So is each
+(AlignmentModel.full_space), the generation plans with their template
+parts (TranslationModel.generation), each constant's options with their
+bound parts per slot context (SlotOptions), and the pair ceilings those
+read (TranslationModel.pair_ceilings).  So is each
 generate_topk result, per (MR, k) (TranslationModel.generated): the event
 space is closed, so serving one model asks the same question again and
 again.  A model is therefore not changed after its first use.
@@ -146,14 +150,16 @@ class LanguageModel:
     counts: dict[tuple[str, ...], Counter] = field(default_factory=dict)
     # Derived from counts by _index: the vocabulary (every predicted word but
     # </s>), the count total of each context, each word's largest
-    # probability over all contexts, and the log-probability tables
-    # sentence_logprob reads: one entry per seen (context..., word) n-gram,
-    # one floor per seen context for its unseen words, and log_unseen for a
-    # context with no counts.
+    # probability over all contexts, and the tables probability() and
+    # sentence_logprob read: one probability and one log-probability per
+    # seen (context..., word) n-gram, one floor per seen context for its
+    # unseen words, and unseen for a context with no counts.
     vocabulary: frozenset[str] = field(init=False, repr=False, compare=False)
     totals: dict[tuple[str, ...], int] = field(init=False, repr=False, compare=False)
     ceilings: dict[str, float] = field(init=False, repr=False, compare=False)
     unseen: float = field(init=False, repr=False, compare=False)
+    grams: dict[tuple[str, ...], float] = field(init=False, repr=False, compare=False)
+    floors: dict[tuple[str, ...], float] = field(init=False, repr=False, compare=False)
     log_grams: dict[tuple[str, ...], float] = field(init=False, repr=False, compare=False)
     log_floors: dict[tuple[str, ...], float] = field(init=False, repr=False, compare=False)
     log_unseen: float = field(init=False, repr=False, compare=False)
@@ -177,24 +183,25 @@ class LanguageModel:
         ) - {_END}
         self.totals = {context: sum(bucket.values()) for context, bucket in self.counts.items()}
         smoothing = LM_K * (len(self.vocabulary) + 1)
-        # probability() of any word in a context with no counts.
+        # The add-k estimate (seen + LM_K) / (total + smoothing): of any
+        # word in a context with no counts, of a word a context has not
+        # seen, and of each seen n-gram.
         self.unseen = LM_K / smoothing
         self.log_unseen = math.log(self.unseen)
-        self.ceilings, self.log_grams, self.log_floors = {}, {}, {}
+        self.ceilings, self.grams, self.floors, self.log_grams, self.log_floors = {}, {}, {}, {}, {}
         for context, bucket in self.counts.items():
-            # probability() of a word this context has not seen.
-            self.log_floors[context] = math.log(LM_K / (self.totals[context] + smoothing))
-            for word in bucket:
-                p = self.probability(word, context)
+            denominator = self.totals[context] + smoothing
+            floor = self.floors[context] = LM_K / denominator
+            self.log_floors[context] = math.log(floor)
+            for word, seen in bucket.items():
+                p = self.grams[context + (word,)] = (seen + LM_K) / denominator
                 self.log_grams[context + (word,)] = math.log(p)
                 if p > self.ceilings.get(word, self.unseen):
                     self.ceilings[word] = p
 
     def probability(self, word: str, context: tuple[str, ...]) -> float:
-        bucket = self.counts.get(context)
-        seen = bucket[word] if bucket else 0
-        total = self.totals.get(context, 0)
-        return (seen + LM_K) / (total + LM_K * (len(self.vocabulary) + 1))
+        p = self.grams.get(context + (word,))
+        return self.floors.get(context, self.unseen) if p is None else p
 
     def sentence_logprob(self, tokens: Tokens) -> float:
         """Sum of log probability() over the padded sentence, read from the
@@ -213,14 +220,76 @@ class LanguageModel:
         return math.exp(self.sentence_logprob(tokens))
 
 
-# A realization option of one constant: (bound part, tokens, weight).
+# A realization option of one constant in one slot context:
+# (bound part, tokens, weight).
 Option = tuple[float, tuple[str, ...], float]
+# The items around a slot that its options' bound parts read: the
+# LM_ORDER - 1 items before it, with None for an item another slot fills
+# and for every item before that one, then the literals and </s> after it
+# up to the next slot, at most LM_ORDER - 1 of them.
+SlotContext = tuple[tuple[str | None, ...], tuple[str, ...]]
+
+
+class SlotOptions(dict):
+    """The option lists of one slot context: constant token -> its
+    realizations (or the unseen fallback) as options, best part first, each
+    list built on first use and kept.
+
+    An option's part is its weight times one factor per LM window (an
+    n-gram of the realized sentence) that holds a realization token and no
+    other slot's: the windows that predict its tokens and the literals or
+    </s> after the slot.  A window whose context is all known takes its
+    exact LM probability.  One whose farthest context item alone belongs
+    to another slot takes its pair ceiling (TranslationModel.pair_ceilings),
+    and any other its word's ceiling (LanguageModel.ceilings)."""
+
+    def __init__(self, context: SlotContext, model: "TranslationModel") -> None:
+        super().__init__()
+        self.context = context
+        self.realizations = model.lexicon.realizations
+        self.lm = model.lm
+        self.pair_ceilings = model.pair_ceilings
+
+    def __missing__(self, token: str) -> list[Option]:
+        before, after = self.context
+        lm, pairs = self.lm, self.pair_ceilings
+        grams, floors, ceilings, unseen = lm.grams, lm.floors, lm.ceilings, lm.unseen
+        options = []
+        for tokens, weight in (self.realizations.get(token) or {(token,): 1.0}).items():
+            sequence = before + tokens + after
+            part = weight
+            for end in range(LM_ORDER, len(sequence) + 1):
+                window = sequence[end - LM_ORDER : end]
+                if window[0] is not None:  # probability(), read from its tables
+                    p = grams.get(window)
+                    part *= floors.get(window[:-1], unseen) if p is None else p
+                elif None not in window[1:]:
+                    part *= pairs.get(window[1:], unseen)
+                else:
+                    part *= ceilings.get(window[-1], unseen)
+            options.append((part, tokens, weight))
+        options.sort(key=lambda option: (-option[0], option[1]))
+        self[token] = options
+        return options
+
+
 # A template's generation plan: its items with each maximal run of literal
 # tokens as one tuple and each slot as its 0-based argument index, its
-# weight, and its bound part.
-Plan = tuple[tuple[tuple[str, ...] | int, ...], float, float]
+# weight, its template part, and each argument's slot options.
+Plan = tuple[tuple[tuple[str, ...] | int, ...], float, float, tuple[SlotOptions, ...]]
 # generate_topk's combinations, as (sentence tokens, score), best first.
 Ranked = tuple[tuple[tuple[str, ...], float], ...]
+
+
+def _slot_context(padded: tuple[str | int, ...], i: int) -> SlotContext:
+    """The SlotContext of the slot padded[i], in a template's items padded
+    with <s> and </s>, each slot an int."""
+    before = padded[i - LM_ORDER + 1 : i]
+    cut = max((n + 1 for n, item in enumerate(before) if isinstance(item, int)), default=0)
+    after = itertools.takewhile(
+        lambda item: not isinstance(item, int), padded[i + 1 : i + LM_ORDER]
+    )
+    return (None,) * cut + before[cut:], tuple(after)
 
 
 @dataclass
@@ -228,13 +297,14 @@ class TranslationModel:
     """The three trained parts.
 
     generation is built on the first generate_topk and kept: one plan per
-    template of the lexicon, and for each of the 37 grammar constants its
-    realization options sorted by part (39 plans and 72 options for the
-    README quick-start model).  generated holds each generate_topk result,
-    keyed on (MR surface form, k): the ranked combinations, or () for a
-    predicate with no template.  The lexicon and LM must not change after
-    the model's first generation: both the tables and the results read
-    them."""
+    template of the lexicon, each slot pointing at the SlotOptions of its
+    slot context, which build one constant's options on first use and keep
+    them.  The README quick-start model has 39 plans and 29 slot contexts;
+    generating every MR of the grammar builds 624 option lists holding
+    1,494 options.  generated holds each generate_topk result, keyed
+    on (MR surface form, k): the ranked combinations, or () for a predicate
+    with no template.  The lexicon and LM must not change after the
+    model's first generation: the tables and the results read them."""
 
     alignment: AlignmentModel
     lexicon: TemplateLexicon
@@ -244,31 +314,33 @@ class TranslationModel:
     )
 
     @cached_property
-    def generation(self) -> tuple[dict[str, list[Plan]], dict[str, list[Option]]]:
-        """(predicate name -> plans of its templates, in lexicon order;
-        constant token -> options, best part first).
+    def pair_ceilings(self) -> dict[tuple[str, ...], float]:
+        """A seen n-gram without its first word -> the largest LM probability
+        of its last word over every first word.  Only values above
+        lm.unseen, the probability in a context never seen, are kept: a
+        missing key reads lm.unseen."""
+        unseen = self.lm.unseen
+        table: dict[tuple[str, ...], float] = {}
+        for gram, p in self.lm.grams.items():
+            if p > table.get(gram[1:], unseen):
+                table[gram[1:]] = p
+        return table
+
+    @cached_property
+    def generation(self) -> dict[str, list[Plan]]:
+        """Predicate name -> plans of its templates, in lexicon order.
 
         A combination's upper bound is its template part times its
-        arguments' option parts.  An option's part is its weight times the
-        ceiling of each realization token: the token's context depends on
-        the template.  A template part is its weight times one factor per
-        literal token and </s>: the exact LM probability when the
-        LM_ORDER - 1 items before the token are all literals or <s>
-        padding, its ceiling otherwise.  Each factor is at least the LM
-        probability the combination's score takes for that token.  An
+        arguments' option parts.  A template part is its weight times the
+        exact LM probability of each literal token and </s> whose
+        LM_ORDER - 1 items before are all literals or <s> padding.  Every
+        other trigram window of a combination holds a realization token, and
+        falls in the option part of the nearest slot before its last token
+        (SlotOptions).  So each LM factor of a combination's score is in
+        one part, and each part's factor is at least that factor.  An
         unseen constant is realized as its own token, with weight 1."""
-        lm, ceilings, unseen = self.lm, self.lm.ceilings, self.lm.unseen
-        options = {}
-        for constant in mrl.CONSTANTS:
-            realizations = self.lexicon.realizations.get(constant.token)
-            choices = []
-            for tokens, weight in (realizations or {(constant.token,): 1.0}).items():
-                part = weight
-                for token in tokens:
-                    part *= ceilings.get(token, unseen)
-                choices.append((part, tokens, weight))
-            choices.sort(key=lambda option: (-option[0], option[1]))
-            options[constant.token] = choices
+        lm = self.lm
+        contexts: dict[SlotContext, SlotOptions] = {}
         plans = {}
         for predicate, templates in self.lexicon.templates.items():
             plans[predicate] = []
@@ -276,13 +348,15 @@ class TranslationModel:
                 items, _ = mrl.template_items(template)
                 padded = (_START,) * (LM_ORDER - 1) + items + (_END,)
                 part = weight
+                slots = {}
                 for i in range(LM_ORDER - 1, len(padded)):
                     token, context = padded[i], padded[i - LM_ORDER + 1 : i]
                     if isinstance(token, int):
-                        continue
-                    if any(isinstance(item, int) for item in context):
-                        part *= ceilings.get(token, unseen)
-                    else:
+                        key = _slot_context(padded, i)
+                        if key not in contexts:
+                            contexts[key] = SlotOptions(key, self)
+                        slots[token - 1] = contexts[key]
+                    elif not any(isinstance(item, int) for item in context):
                         part *= lm.probability(token, context)
                 runs: list[tuple[str, ...] | int] = []
                 for is_slot, group in itertools.groupby(
@@ -292,8 +366,9 @@ class TranslationModel:
                         runs.extend(slot - 1 for slot in group)
                     else:
                         runs.append(tuple(group))
-                plans[predicate].append((tuple(runs), weight, part))
-        return plans, options
+                arguments = tuple(slots[argument] for argument in range(len(slots)))
+                plans[predicate].append((tuple(runs), weight, part, arguments))
+        return plans
 
 
 def train_alignment(pairs: Sequence[Pair], iterations: int = 25) -> AlignmentModel:
@@ -556,7 +631,8 @@ def parse_sentence(
 
 
 # Relative slack on the generation bound.  The bound is a product of
-# ceilings, the score exp(sum of logs) times a product of weights; the two
+# probabilities and ceilings, the score exp(sum of logs) times a product of
+# weights; the two
 # roundings differ by about 1e-12 relative at most (eps times the number of
 # terms and the size of the log sum), far inside this.
 _BOUND_SLACK = 1.0 + 1e-9
@@ -577,8 +653,9 @@ def generate_topk(
     realization weights, ranked by (-score, tokens); two combinations that
     realize the same sentence are both kept.  Its upper bound is the product
     of a template part and one part per argument (TranslationModel.generation
-    builds them once per model).  A best-first search over each template's
-    argument choices, sorted by their part (Huang & Chiang, 2005), pops
+    and SlotOptions build them once per model).  A best-first search over
+    each template's argument choices, sorted by their part in the slot's
+    context (Huang & Chiang, 2005), pops
     combinations in bound order and scores them until the best bound left,
     with _BOUND_SLACK, is below the k-th best score: no combination left can
     then reach the top k, so the result is that of scoring all.
@@ -602,21 +679,22 @@ def _search_topk(
     mr: mrl.MeaningRepresentation, model: TranslationModel, k: int
 ) -> Ranked:
     """generate_topk's best-first search; () for a predicate with no template."""
-    plans, options = model.generation
-    plans = plans.get(mr.predicate.name)
+    plans = model.generation.get(mr.predicate.name)
     if not plans:
         return ()
-    choices = [options[arg.token] for arg in mr.args]
+    tokens = [arg.token for arg in mr.args]
+    # Per plan, each argument's options in its slot's context.
+    choices = [[slot[token] for slot, token in zip(slots, tokens)] for *_, slots in plans]
 
-    def bound(part: float, indices: tuple[int, ...]) -> float:
-        for argument, i in zip(choices, indices):
+    def bound(number: int, indices: tuple[int, ...]) -> float:
+        part = plans[number][2]
+        for argument, i in zip(choices[number], indices):
             part *= argument[i][0]
         return part
 
-    start = (0,) * len(choices)
+    start = (0,) * len(tokens)
     # (-bound, plan number, choice index per argument, last incremented one)
-    frontier = [(-bound(part, start), number, start, 0)
-                for number, (_, _, part) in enumerate(plans)]
+    frontier = [(-bound(number, start), number, start, 0) for number in range(len(plans))]
     heapq.heapify(frontier)
 
     scored: list[tuple[tuple[str, ...], float]] = []
@@ -626,12 +704,13 @@ def _search_topk(
         if len(best) == k and best[0] >= _PRUNE_FLOOR and -negated * _BOUND_SLACK < best[0]:
             break
         heapq.heappop(frontier)
-        runs, weight, part = plans[number]
+        runs, weight, _, _ = plans[number]
+        arguments = choices[number]
         realized: list[str] = []
         for run in runs:
             if isinstance(run, int):
-                _, tokens, realization_weight = choices[run][indices[run]]
-                realized.extend(tokens)
+                _, realization, realization_weight = arguments[run][indices[run]]
+                realized.extend(realization)
                 weight *= realization_weight
             else:
                 realized.extend(run)
@@ -644,9 +723,9 @@ def _search_topk(
         # Successors increment one index at or after the last incremented
         # one, so each index vector is reached from exactly one parent.
         for a in range(last, len(indices)):
-            if indices[a] + 1 < len(choices[a]):
+            if indices[a] + 1 < len(arguments[a]):
                 successor = indices[:a] + (indices[a] + 1,) + indices[a + 1 :]
-                heapq.heappush(frontier, (-bound(part, successor), number, successor, a))
+                heapq.heappush(frontier, (-bound(number, successor), number, successor, a))
     scored.sort(key=lambda item: (-item[1], item[0]))
     return tuple(scored[:k])
 

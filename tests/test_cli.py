@@ -195,6 +195,16 @@ def test_train_refuses_an_init_alignment_it_would_ignore(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("strategy", ["random", "gold"])
+def test_train_refuses_superfluous_cv_with_fixed_picks(corpus_dir, tmp_path, capsys, strategy):
+    out = tmp_path / "out"
+    rc = run(["train", "--manifest", str(corpus_dir / "manifest.tsv"),
+              "--strategy", strategy, "--superfluous-cv", "--out", str(out)])
+    assert rc == 1
+    assert f"--superfluous-cv has no effect on {strategy}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_superfluous_cv_names_an_empty_training_fold(tmp_path, capsys):
     # Comments 0 and 1 have no event in their window, so the one example is
     # ("game1", 2), which validation_split puts in the validation fold.

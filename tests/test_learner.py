@@ -489,6 +489,16 @@ def test_retrain_empty_examples_raise():
         learner.superfluous_cv([], [0.0], ScoringStrategy("parse_score"))
 
 
+@pytest.mark.parametrize("kind", ["random", "gold"])
+def test_superfluous_cv_rejects_fixed_picks(kind):
+    games = simgen.simulate_corpus(simgen.default_world(5), simgen.default_profile(5), 1).games
+    with pytest.raises(ValueError, match=f"{kind} fixes its picks"):
+        learner.superfluous_cv(
+            corpus.pooled_examples(games), [0.0, 0.2], ScoringStrategy(kind),
+            gold=corpus.pooled_gold(games),
+        )
+
+
 def test_superfluous_cv_names_an_empty_training_fold():
     games = simgen.simulate_corpus(simgen.default_world(5), simgen.default_profile(5), 1).games
     examples = [ex for ex in corpus.pooled_examples(games) if ex.key == ("game1", 2)]

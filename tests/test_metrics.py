@@ -6,9 +6,10 @@ formulas) before the implementation existed, then frozen.
 
 import json
 import math
+from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sportscaster import metrics, mrl
 from sportscaster.corpus import Comment, Game, GameEvent, GoldMatch
@@ -286,3 +287,60 @@ def test_nist_nonnegative(candidate, reference):
 @given(_words, st.lists(_words, min_size=1, max_size=3))
 def test_bleu_range(candidate, references):
     assert 0.0 <= metrics.bleu_document([(candidate, references)]) <= 1.0
+
+
+def _reference_bleu_document(segments, max_n=4):
+    """bleu_document as it was first written: each segment's clip table built
+    from every one of its references."""
+    matched = [0] * max_n
+    total = [0] * max_n
+    candidate_len = 0
+    reference_len = 0
+    for candidate, references in segments:
+        references = list(references)
+        if not references:
+            raise metrics.EmptyReferences("segment has no reference sentences")
+        candidate_len += len(candidate)
+        reference_len += min(
+            (abs(len(r) - len(candidate)), len(r)) for r in references
+        )[1]
+        for n in range(1, max_n + 1):
+            cand_counts = metrics._ngram_counts(candidate, n)
+            if not cand_counts:
+                continue
+            clip = Counter()
+            for r in references:
+                for gram, count in metrics._ngram_counts(r, n).items():
+                    clip[gram] = max(clip[gram], count)
+            total[n - 1] += sum(cand_counts.values())
+            matched[n - 1] += sum(
+                min(count, clip[gram]) for gram, count in cand_counts.items()
+            )
+    if candidate_len == 0 or any(m == 0 for m in matched) or any(t == 0 for t in total):
+        return 0.0
+    log_precision = sum(math.log(m / t) for m, t in zip(matched, total)) / max_n
+    brevity = math.exp(min(0.0, 1.0 - reference_len / candidate_len))
+    return brevity * math.exp(log_precision)
+
+
+# Reference lists drawn from a few shared lists, with repeated sentences and
+# copies that are equal but not the same list object.
+_reference_lists = st.lists(st.lists(_words, min_size=1, max_size=4), min_size=1, max_size=3)
+
+
+@settings(max_examples=200)
+@given(
+    _reference_lists,
+    st.lists(st.tuples(st.lists(st.sampled_from("abcx"), max_size=8),
+                       st.integers(0, 2), st.booleans(), st.integers(0, 3)),
+             min_size=1, max_size=8),
+    st.integers(1, 4),
+)
+def test_bleu_document_matches_reference(shared, picks, max_n):
+    segments = []
+    for candidate, which, copy, repeat in picks:
+        references = shared[which % len(shared)]
+        if copy:
+            references = [list(r) for r in references] + references[:repeat]
+        segments.append((candidate, references))
+    assert metrics.bleu_document(segments, max_n) == _reference_bleu_document(segments, max_n)

@@ -714,61 +714,85 @@ def test_generate_topk_keeps_ties_and_duplicates(lm):
     assert len({score for _, score in top}) < len(top)
 
 
-def _ceiling_part(value, tokens, lm):
-    for token in tokens:
-        value *= lm.ceilings.get(token, lm.unseen)
-    return value
+def _reference_ceiling_bound(lm, items, weight, arguments):
+    """The all-ceilings bound of one combination: the template weight times
+    one factor per literal and </s>, exact when its LM_ORDER - 1 items
+    before are literals or <s> padding and its ceiling otherwise, times
+    each argument's realization weight and the ceilings of its tokens.
+    arguments holds one (tokens, weight) realization per argument."""
+    def ceiling(token):
+        return lm.ceilings.get(token, lm.unseen)
+
+    order = translator.LM_ORDER
+    padded = ("<s>",) * (order - 1) + items + ("</s>",)
+    bound = weight
+    for i in range(order - 1, len(padded)):
+        token, context = padded[i], padded[i - order + 1 : i]
+        if isinstance(token, int):
+            continue
+        if any(isinstance(item, int) for item in context):
+            bound *= ceiling(token)
+        else:
+            bound *= lm.probability(token, context)
+    for tokens, realization_weight in arguments:
+        bound *= realization_weight
+        for token in tokens:
+            bound *= ceiling(token)
+    return bound
 
 
 def _assert_generation_bound_is_admissible(model, mrs):
     """The compiled tables against the lexicon: one plan per template, whose
-    runs spell out the template and whose part is at most the all-ceilings
-    part; each constant's options are its realizations (or the unseen
-    fallback) with their ceiling parts, best first.  Every combination then
-    scores at most its bound, both multiplied out in generate_topk's order.
-    Returns how many of the plans checked are tighter than all-ceilings."""
+    runs spell out the template; each argument's options in its slot's
+    context are its realizations (or the unseen fallback), best part first.
+    Every combination then scores at most its bound, both multiplied out in
+    generate_topk's order, and the bound is at most the all-ceilings bound
+    (up to the rounding of a different product order).  Returns how many of
+    the combinations checked have a bound below the all-ceilings one."""
     lm = model.lm
-    plans, options = model.generation
+    plans = model.generation
     assert set(plans) == set(model.lexicon.templates)
     tighter = 0
-    for constant in mrl.CONSTANTS:
-        realizations = model.lexicon.realizations.get(constant.token) or {
-            (constant.token,): 1.0
-        }
-        expected = [(_ceiling_part(weight, tokens, lm), tokens, weight)
-                    for tokens, weight in realizations.items()]
-        assert options[constant.token] == sorted(expected, key=lambda o: (-o[0], o[1]))
     for mr in mrs:
         templates = model.lexicon.templates.get(mr.predicate.name, {})
         assert len(plans.get(mr.predicate.name, [])) == len(templates)
-        for (template, weight), (runs, plan_weight, part) in zip(
+        for (template, weight), (runs, plan_weight, part, slots) in zip(
             templates.items(), plans.get(mr.predicate.name, [])
         ):
             items, _ = mrl.template_items(template)
-            literals = tuple(item for item in items if not isinstance(item, int))
             spelled = []
             for run in runs:
                 spelled.extend([run + 1] if isinstance(run, int) else run)
             assert tuple(spelled) == items
             assert plan_weight == weight
-            ceiling = _ceiling_part(weight, literals + ("</s>",), lm)
-            assert part <= ceiling
-            tighter += part < ceiling
-            choices = [options[arg.token] for arg in mr.args]
+            assert len(slots) == len(mr.args)
+            choices = [slot[arg.token] for slot, arg in zip(slots, mr.args)]
+            for arg, options in zip(mr.args, choices):
+                realizations = model.lexicon.realizations.get(arg.token) or {
+                    (arg.token,): 1.0
+                }
+                assert sorted((t, w) for _, t, w in options) == sorted(realizations.items())
+                assert options == sorted(options, key=lambda o: (-o[0], o[1]))
             for indices in itertools.product(*(range(len(c)) for c in choices)):
+                picked = [argument[i] for argument, i in zip(choices, indices)]
                 realized, combined = [], weight
                 for item in items:
                     if isinstance(item, int):
-                        _, tokens, realization_weight = choices[item - 1][indices[item - 1]]
+                        _, tokens, realization_weight = picked[item - 1]
                         realized.extend(tokens)
                         combined *= realization_weight
                     else:
                         realized.append(item)
                 bound = part
-                for argument, i in zip(choices, indices):
-                    bound *= argument[i][0]
+                for option_part, _, _ in picked:
+                    bound *= option_part
                 score = lm.sentence_prob(realized) * combined
                 assert score <= bound * translator._BOUND_SLACK
+                reference = _reference_ceiling_bound(
+                    lm, items, weight, [(t, w) for _, t, w in picked]
+                )
+                assert bound <= reference * (1 + 1e-12)
+                tighter += bound < reference * (1 - 1e-12)
     return tighter
 
 
@@ -787,23 +811,29 @@ def test_generation_tables_are_built_once_per_model(noisy_model, monkeypatch):
     model, mrs = noisy_model
     model = translator.TranslationModel(model.alignment, model.lexicon, model.lm)
     calls = Counter()
-    for owner, name in ((mrl, "template_items"), (translator.LanguageModel, "probability")):
+    for owner, name in ((mrl, "template_items"), (translator.LanguageModel, "probability"),
+                        (translator.SlotOptions, "__missing__")):
         def counting(*args, _real=getattr(owner, name), _name=name):
             calls[_name] += 1
             return _real(*args)
 
         monkeypatch.setattr(owner, name, counting)
-    translator.generate_topk(mrs[0], model, 1)
+
+    def generate_every_mr():
+        for mr in mrs:
+            for k in (1, 5):
+                try:
+                    translator.generate_topk(mr, model, k)
+                except translator.NoTemplate:
+                    pass
+
+    generate_every_mr()
     tables = model.generation
     assert calls["template_items"] == sum(map(len, model.lexicon.templates.values()))
-    assert calls["probability"] > 0
+    assert calls["probability"] > 0 and calls["__missing__"] > 0
     calls.clear()
-    for mr in mrs * 3:
-        for k in (1, 5):
-            try:
-                translator.generate_topk(mr, model, k)
-            except translator.NoTemplate:
-                pass
+    model.generated.clear()
+    generate_every_mr()
     assert calls == Counter()
     assert model.generation is tables
 
@@ -829,6 +859,36 @@ def test_generate_topk_scores_fewer_than_every_combination(noisy_model, monkeypa
     calls = _counting_sentence_prob(monkeypatch)
     translator.generate_topk(mr, model, 1)
     assert 0 < len(calls) < combinations
+
+
+def test_generate_topk_scores_one_combination_when_every_window_is_exact(monkeypatch):
+    """Slots two or more literals apart: every trigram window of a
+    combination has a known context, so each bound is its score and the
+    best combination is the only one scored."""
+    # "the" and "pink" follow some contexts for sure but start few
+    # sentences, so their ceilings are far above their probability here.
+    lm = translator.LanguageModel().fit([
+        ["pink1", "passes", "the", "ball", "to", "pink2"],
+        ["the", "pink", "one", "passes", "the", "ball", "to", "pink2"],
+        ["pink1", "lobs", "it", "over", "to", "the", "pink", "two"],
+        ["ball", "to", "the", "pink", "two"],
+        ["over", "the", "pink", "one"],
+        ["ball", "to", "the", "pink", "one"],
+    ])
+    model = _lexicon_model(
+        {"pass": {("<1>", "passes", "the", "ball", "to", "<2>"): 0.6,
+                  ("<1>", "lobs", "it", "over", "to", "<2>"): 0.3,
+                  ("to", "<2>", "from", "the", "<1>"): 0.1}},
+        {"pink1": {("pink1",): 0.4, ("the", "pink", "one"): 0.6},
+         "pink2": {("pink2",): 0.35, ("the", "pink", "two"): 0.65}},
+        lm,
+    )
+    mr = _mr("pass(pink1,pink2)")
+    every = _reference_generate_topk(mr, model, k=10**9)
+    assert len({score for _, score in every}) == len(every)
+    calls = _counting_sentence_prob(monkeypatch)
+    assert translator.generate_topk(mr, model, 1) == every[:1]
+    assert len(calls) == 1
 
 
 def test_generate_topk_answers_a_repeat_from_the_model(noisy_model, monkeypatch):
