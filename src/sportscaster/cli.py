@@ -388,6 +388,12 @@ def _cmd_evaluate(args, sub: _Parser) -> int:
     references = metrics.expand_references(loaded.games)
     segments = []
     no_template = 0
+    # Per-segment NIST takes the closest reference; the document score is
+    # the mean.  A segment's generation and references are its MR's, so
+    # each MR's score is computed once, and each sentence's n-grams counted once.
+    closest: dict[str, float] = {}
+    profiles = metrics.NistProfiles()
+    nist_total = 0.0
     for key in sorted(gold_mrs):
         mr = gold_mrs[key]
         if mr is None:
@@ -397,12 +403,14 @@ def _cmd_evaluate(args, sub: _Parser) -> int:
         except translator.NoTemplate:
             no_template += 1
             continue
-        segments.append((list(generated), references[mrl.serialize_mr(mr)]))
+        surface = mrl.serialize_mr(mr)
+        segments.append((list(generated), references[surface]))
+        if surface not in closest:
+            closest[surface] = max(
+                metrics.nist(generated, ref, profiles) for ref in references[surface]
+            )
+        nist_total += closest[surface]
     bleu = metrics.bleu_document(segments) if segments else 0.0
-    # per-segment NIST takes the closest reference; the document score is the mean
-    nist_total = 0.0
-    for candidate, refs in segments:
-        nist_total += max(metrics.nist(candidate, list(ref)) for ref in refs)
     reports.append(metrics.EvalReport(
         task="generation",
         bleu=bleu,

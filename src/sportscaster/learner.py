@@ -18,13 +18,16 @@ each training builds all of it.  A candidate's best generation comes from
 translator.generate_topk, which keeps each result for the model's life:
 an iteration searches each distinct candidate MR once, and the next
 iteration's retrained model starts with none kept.  Each of their loops
-also keeps one metric cache: (comment tokens, generated tokens) -> the
-metric's raw value, before the IGSL weight.  The metric is a pure
-function of the two token tuples, so an iteration that meets a pair again
-(the same sentence and the same best generation under a retrained model)
-reads the value an earlier one computed.  The cache lives only as long as
-its loop: it is not global, so each superfluous_cv threshold run starts a
-fresh one and its memory ends with the run.
+also keeps two caches.  The metric cache maps (comment tokens, generated
+tokens) to the metric's raw value, before the IGSL weight.  The metric is
+a pure function of the two token tuples, so an iteration that meets a
+pair again (the same sentence and the same best generation under a
+retrained model) reads the value an earlier one computed.  The NIST
+profiles (metrics.NistProfiles) keep each sentence's n-gram counts, so a
+comment met in a new pair, or a generation best for several candidates,
+is counted once.  Both caches live only as long as their loop: they are
+not global, so each superfluous_cv threshold run starts fresh ones and
+their memory ends with the run.
 
 parse_score reads only the alignment, so each of its trainings runs
 alignment EM alone, and the template lexicon and LM are built once, from
@@ -151,10 +154,11 @@ def evaluate_candidate(
     strategy: ScoringStrategy,
     strategic_model: strategic.StrategicModel | None,
     metric_cache: MetricCache,
+    profiles: metrics.NistProfiles | None = None,
 ) -> float:
     """A generation-scored strategy's score of one candidate: 0 for an MR
     with no template.  metric_cache keeps the metric's value, before the
-    IGSL weight, across calls."""
+    IGSL weight, across calls, and profiles each sentence's NIST profile."""
     kind = strategy.kind
     metric, weighted = _SCORED_KINDS.get(kind, (None, False))
     if metric is None:
@@ -167,7 +171,10 @@ def evaluate_candidate(
         return 0.0
     pair = (tuple(tokens), generated)
     if pair not in metric_cache:
-        metric_cache[pair] = getattr(metrics, metric)(list(tokens), list(generated))
+        if metric == "nist":
+            metric_cache[pair] = metrics.nist(*pair, profiles)
+        else:
+            metric_cache[pair] = metrics.meteor(*pair)
     score = metric_cache[pair]
     if weighted:
         score *= strategic_model.probability(mr.predicate.name)
@@ -180,11 +187,13 @@ def _assign_best(
     strategy: ScoringStrategy,
     strategic_model: strategic.StrategicModel | None,
     metric_cache: MetricCache,
+    profiles: metrics.NistProfiles | None = None,
 ) -> Matching:
     """Each example's best candidate by (-score, time, surface form, id).
     parse_score scores the whole corpus in one translator.score_corpus call
     and reads an AlignmentModel; the generation-scored strategies read a
-    TranslationModel and pass metric_cache on to evaluate_candidate."""
+    TranslationModel and pass metric_cache and profiles on to
+    evaluate_candidate."""
     candidate_sets = [ex.example.candidates for ex in examples]
     if _SCORED_KINDS[strategy.kind][0] is None:
         scores = translator.score_corpus(
@@ -197,7 +206,7 @@ def _assign_best(
             [
                 evaluate_candidate(
                     ex.example.comment.tokens, c.mr, model, strategy, strategic_model,
-                    metric_cache,
+                    metric_cache, profiles,
                 )
                 for c in candidates
             ]
@@ -340,9 +349,10 @@ def _retrain(
     previous: dict[Key, int] = {}
     history: list[IterationRecord] = []
     metric_cache: MetricCache = {}
+    profiles = metrics.NistProfiles()
     for iteration in range(1, max_iter + 1):
         picked = (
-            _assign_best(examples, model, strategy, strategic_model, metric_cache)
+            _assign_best(examples, model, strategy, strategic_model, metric_cache, profiles)
             if fixed is None
             else fixed
         )

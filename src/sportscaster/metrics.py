@@ -9,7 +9,8 @@ used by the learning loops and reports:
   * NIST is the additive n-gram precision sum with uniform information
     weights and the quadratic-log brevity factor pinned to 0.5 at a 2/3
     length ratio.  Unlike BLEU it rewards partial matches, so two sentences
-    sharing any unigram score above zero.
+    sharing any unigram score above zero.  A caller scoring many pairs
+    can keep each sentence's n-gram counts across calls (NistProfiles).
   * METEOR uses exact unigram alignment (most matches, then fewest chunks),
     recall-weighted harmonic mean 10PR/(R+9P), and the 0.5*(chunks/matches)^3
     fragmentation penalty.
@@ -191,20 +192,36 @@ def _clip_tables(
     return {len(reference) for reference in distinct}, clips
 
 
-def nist(candidate: Tokens, reference: Tokens) -> float:
-    """Additive n-gram precision with uniform weights and quadratic-log brevity."""
+class NistProfiles(dict):
+    """Token tuple -> its NIST profile: its length and the count of each
+    of its n-grams, n = 1..5, in one Counter.  Each profile is built on
+    first use and kept."""
+
+    def __missing__(self, tokens: tuple[str, ...]) -> tuple[int, Counter]:
+        sizes = range(1, min(len(tokens), _NIST_MAX_N) + 1)
+        counts = Counter(tokens[i : i + n] for n in sizes for i in range(len(tokens) - n + 1))
+        profile = self[tokens] = (len(tokens), counts)
+        return profile
+
+
+def nist(candidate: Tokens, reference: Tokens, profiles: NistProfiles | None = None) -> float:
+    """Additive n-gram precision with uniform weights and quadratic-log brevity.
+
+    profiles, when given, keeps each sentence's n-gram counts across calls."""
     if not candidate or not reference:
         raise ValueError("candidate and reference must be nonempty")
+    if profiles is None:
+        profiles = NistProfiles()
+    length, candidate_counts = profiles[tuple(candidate)]
+    reference_length, reference_counts = profiles[tuple(reference)]
+    matched = [0] * min(length, _NIST_MAX_N)  # clipped matches per n
+    get = reference_counts.get
+    for gram, count in candidate_counts.items():
+        matched[len(gram) - 1] += min(count, get(gram, 0))
     score = 0.0
-    for n in range(1, _NIST_MAX_N + 1):
-        cand_counts = _ngram_counts(candidate, n)
-        n_cand = sum(cand_counts.values())
-        if n_cand == 0:
-            continue
-        ref_counts = _ngram_counts(reference, n)
-        matched = sum(min(c, ref_counts[g]) for g, c in cand_counts.items())
-        score += matched / n_cand
-    ratio = min(1.0, len(candidate) / len(reference))
+    for n, m in enumerate(matched, start=1):
+        score += m / (length - n + 1)
+    ratio = min(1.0, length / reference_length)
     return score * math.exp(_NIST_BETA * math.log(ratio) ** 2)
 
 

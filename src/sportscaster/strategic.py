@@ -8,6 +8,7 @@ sentence's shares depend only on its candidate types in candidate order and
 on the current probabilities, so each iteration splits once per distinct
 type sequence and adds the shares sentence by sentence, in corpus order,
 as it would have added each sentence's own split: every sum is the same.
+Each distinct sequence's type multiplicities are counted once per call.
 
 select_event and assemble_sportscast turn a strategic model into an actual
 transcript: stage 1 picks among co-occurring events by normalized
@@ -60,7 +61,11 @@ def igsl_match_shares(
     a zero denominator contributes nothing.  Scale-invariant: multiplying
     every Pr by a common positive factor leaves all shares unchanged.
     """
-    weights = Counter(candidate_predicates)
+    return _match_shares(Counter(candidate_predicates), prob)
+
+
+def _match_shares(weights: Counter, prob: Mapping[str, float]) -> dict[str, float]:
+    """igsl_match_shares of the sentence whose type multiplicities are weights."""
     denominator = sum(prob.get(p, 0.0) * n for p, n in weights.items())
     if denominator <= 0.0:
         return {p: 0.0 for p in weights}
@@ -90,9 +95,10 @@ def igsl(
             )
         sentences.append(tuple(e.mr.predicate.name for e in example.candidates))
     predicates = sorted({p for names in sentences for p in names} | set(total_count))
+    weights = {names: Counter(names) for names in set(sentences)}
     prob = {p: 1.0 for p in predicates}
     for _ in range(max_iter):
-        shares = {names: igsl_match_shares(names, prob) for names in set(sentences)}
+        shares = {names: _match_shares(counts, prob) for names, counts in weights.items()}
         match_count: defaultdict[str, float] = defaultdict(float)
         for names in sentences:
             for p, share in shares[names].items():

@@ -27,15 +27,18 @@ generation instantiates templates and ranks by the noisy-channel product
 template/realization combinations best-first under an upper bound that
 factors into a template part and one part per argument, each exact for
 every trigram window whose context it knows, and scores only those that
-can still reach the top k.
+can still reach the top k.  It reaches the templates in the order of a
+looser bound, which needs no realization's context, and builds a
+template's argument options only once that bound could reach the top k.
 
 What does not depend on the request is built once per model, on first
 use, and kept: the alignment's add-k smoothed table
 (AlignmentModel.smoothed) and full-space table of per-word scores
 (AlignmentModel.full_space), the generation plans with their template
 parts (TranslationModel.generation), each constant's options with their
-bound parts per slot context (SlotOptions), and the pair ceilings those
-read (TranslationModel.pair_ceilings).  So is each
+bound parts per slot context (SlotOptions), the pair ceilings those
+read (TranslationModel.pair_ceilings), and each constant's part of the
+looser bound (TranslationModel.argument_ceilings).  So is each
 generate_topk result, per (MR, k) (TranslationModel.generated): the event
 space is closed, so serving one model asks the same question again and
 again.  A model is therefore not changed after its first use.
@@ -230,6 +233,14 @@ Option = tuple[float, tuple[str, ...], float]
 SlotContext = tuple[tuple[str | None, ...], tuple[str, ...]]
 
 
+def _realizations_of(
+    realizations: dict[str, dict[tuple[str, ...], float]], token: str
+) -> dict[tuple[str, ...], float]:
+    """A constant's realizations; an unseen constant is its own token, with
+    weight 1."""
+    return realizations.get(token) or {(token,): 1.0}
+
+
 class SlotOptions(dict):
     """The option lists of one slot context: constant token -> its
     realizations (or the unseen fallback) as options, best part first, each
@@ -255,7 +266,7 @@ class SlotOptions(dict):
         lm, pairs = self.lm, self.pair_ceilings
         grams, floors, ceilings, unseen = lm.grams, lm.floors, lm.ceilings, lm.unseen
         options = []
-        for tokens, weight in (self.realizations.get(token) or {(token,): 1.0}).items():
+        for tokens, weight in _realizations_of(self.realizations, token).items():
             sequence = before + tokens + after
             part = weight
             for end in range(LM_ORDER, len(sequence) + 1):
@@ -273,10 +284,33 @@ class SlotOptions(dict):
         return options
 
 
+class ArgumentCeilings(dict):
+    """Constant token -> its largest realization weight times the LM
+    ceilings of the realization's tokens, over its realizations (or the
+    unseen fallback), built on first use and kept."""
+
+    def __init__(self, model: "TranslationModel") -> None:
+        super().__init__()
+        self.realizations = model.lexicon.realizations
+        self.ceilings, self.unseen = model.lm.ceilings, model.lm.unseen
+
+    def __missing__(self, token: str) -> float:
+        best = 0.0
+        for tokens, weight in _realizations_of(self.realizations, token).items():
+            for word in tokens:
+                weight *= self.ceilings.get(word, self.unseen)
+            best = max(best, weight)
+        self[token] = best
+        return best
+
+
 # A template's generation plan: its items with each maximal run of literal
 # tokens as one tuple and each slot as its 0-based argument index, its
-# weight, its template part, and each argument's slot options.
-Plan = tuple[tuple[tuple[str, ...] | int, ...], float, float, tuple[SlotOptions, ...]]
+# weight, its template part, its loose part (TranslationModel.generation),
+# and each argument's slot options.
+Plan = tuple[
+    tuple[tuple[str, ...] | int, ...], float, float, float, tuple[SlotOptions, ...]
+]
 # generate_topk's combinations, as (sentence tokens, score), best first.
 Ranked = tuple[tuple[tuple[str, ...], float], ...]
 
@@ -299,9 +333,11 @@ class TranslationModel:
     generation is built on the first generate_topk and kept: one plan per
     template of the lexicon, each slot pointing at the SlotOptions of its
     slot context, which build one constant's options on first use and keep
-    them.  The README quick-start model has 39 plans and 29 slot contexts;
-    generating every MR of the grammar builds 624 option lists holding
-    1,494 options.  generated holds each generate_topk result, keyed
+    them.  A search builds a plan's lists only when it reaches the plan
+    (_search_topk).  The README quick-start model has 39 plans and 29 slot
+    contexts; generating every MR of the grammar builds 624 option lists
+    holding 1,494 options at k=5, where every plan is reached, and 583
+    holding 1,409 at k=1.  generated holds each generate_topk result, keyed
     on (MR surface form, k): the ranked combinations, or () for a predicate
     with no template.  The lexicon and LM must not change after the
     model's first generation: the tables and the results read them."""
@@ -327,8 +363,13 @@ class TranslationModel:
         return table
 
     @cached_property
+    def argument_ceilings(self) -> ArgumentCeilings:
+        return ArgumentCeilings(self)
+
+    @cached_property
     def generation(self) -> dict[str, list[Plan]]:
-        """Predicate name -> plans of its templates, in lexicon order.
+        """Predicate name -> plans of its templates, by descending loose
+        part, lexicon order among equal ones.
 
         A combination's upper bound is its template part times its
         arguments' option parts.  A template part is its weight times the
@@ -338,8 +379,18 @@ class TranslationModel:
         falls in the option part of the nearest slot before its last token
         (SlotOptions).  So each LM factor of a combination's score is in
         one part, and each part's factor is at least that factor.  An
-        unseen constant is realized as its own token, with weight 1."""
+        unseen constant is realized as its own token, with weight 1.
+
+        A plan's loose part is its template part times the LM ceiling of
+        each literal and </s> that follows a slot in its slot context.  No
+        window factor exceeds its last word's ceiling, so an option part is
+        at most those ceilings of its slot times its constant's
+        argument_ceilings entry, and every bound of the plan at most the
+        loose part times the product of its arguments' entries.  Each
+        template names each slot once, so that product is the same for
+        every plan of an MR, and one order of the plans serves every MR."""
         lm = self.lm
+        ceilings, unseen = lm.ceilings, lm.unseen
         contexts: dict[SlotContext, SlotOptions] = {}
         plans = {}
         for predicate, templates in self.lexicon.templates.items():
@@ -348,6 +399,7 @@ class TranslationModel:
                 items, _ = mrl.template_items(template)
                 padded = (_START,) * (LM_ORDER - 1) + items + (_END,)
                 part = weight
+                after = 1.0  # the ceilings of the literals after each slot
                 slots = {}
                 for i in range(LM_ORDER - 1, len(padded)):
                     token, context = padded[i], padded[i - LM_ORDER + 1 : i]
@@ -356,6 +408,8 @@ class TranslationModel:
                         if key not in contexts:
                             contexts[key] = SlotOptions(key, self)
                         slots[token - 1] = contexts[key]
+                        for literal in key[1]:
+                            after *= ceilings.get(literal, unseen)
                     elif not any(isinstance(item, int) for item in context):
                         part *= lm.probability(token, context)
                 runs: list[tuple[str, ...] | int] = []
@@ -367,7 +421,8 @@ class TranslationModel:
                     else:
                         runs.append(tuple(group))
                 arguments = tuple(slots[argument] for argument in range(len(slots)))
-                plans[predicate].append((tuple(runs), weight, part, arguments))
+                plans[predicate].append((tuple(runs), weight, part, part * after, arguments))
+            plans[predicate].sort(key=lambda plan: -plan[3])
         return plans
 
 
@@ -678,13 +733,26 @@ def generate_topk(
 def _search_topk(
     mr: mrl.MeaningRepresentation, model: TranslationModel, k: int
 ) -> Ranked:
-    """generate_topk's best-first search; () for a predicate with no template."""
+    """generate_topk's best-first search; () for a predicate with no template.
+
+    The frontier starts with the first plan's loose entry, its loose part
+    times the product of the arguments' argument_ceilings: no bound of that
+    plan or of any later one is above it.  Popping a loose entry reaches its
+    plan, building the plan's option lists, and pushes the plan's start and
+    the next plan's loose entry.  So a plan whose loose entry is never
+    popped builds no option list, and the stop test is the same as if every
+    plan's start had been pushed up front (a loose and an exact product
+    round apart by far less than _BOUND_SLACK)."""
     plans = model.generation.get(mr.predicate.name)
     if not plans:
         return ()
     tokens = [arg.token for arg in mr.args]
-    # Per plan, each argument's options in its slot's context.
-    choices = [[slot[token] for slot, token in zip(slots, tokens)] for *_, slots in plans]
+    scale = 1.0
+    for token in tokens:
+        scale *= model.argument_ceilings[token]
+    # Per reached plan, each argument's options in its slot's context.
+    # Plans are reached in order, so choices[number] is plan number's.
+    choices: list[list[list[Option]]] = []
 
     def bound(number: int, indices: tuple[int, ...]) -> float:
         part = plans[number][2]
@@ -693,9 +761,9 @@ def _search_topk(
         return part
 
     start = (0,) * len(tokens)
-    # (-bound, plan number, choice index per argument, last incremented one)
-    frontier = [(-bound(number, start), number, start, 0) for number in range(len(plans))]
-    heapq.heapify(frontier)
+    # (-bound, plan number, choice index per argument, last incremented
+    # one), last -1 on a loose entry
+    frontier = [(-plans[0][3] * scale, 0, start, -1)]
 
     scored: list[tuple[tuple[str, ...], float]] = []
     best: list[float] = []  # min-heap of the k best scores so far
@@ -704,7 +772,14 @@ def _search_topk(
         if len(best) == k and best[0] >= _PRUNE_FLOOR and -negated * _BOUND_SLACK < best[0]:
             break
         heapq.heappop(frontier)
-        runs, weight, _, _ = plans[number]
+        if last < 0:
+            choices.append([slot[token] for slot, token in zip(plans[number][4], tokens)])
+            heapq.heappush(frontier, (-bound(number, start), number, start, 0))
+            following = number + 1
+            if following < len(plans):
+                heapq.heappush(frontier, (-plans[following][3] * scale, following, start, -1))
+            continue
+        runs, weight, *_ = plans[number]
         arguments = choices[number]
         realized: list[str] = []
         for run in runs:

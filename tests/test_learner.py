@@ -431,9 +431,9 @@ def test_retrain_loop_scores_each_pair_once(noisy, monkeypatch, tmp_path, kind):
     strategy = ScoringStrategy(kind)
     scored = []
     for name in ("nist", "meteor"):
-        def counting(candidate, reference, _real=getattr(metrics, name)):
+        def counting(candidate, reference, *profiles, _real=getattr(metrics, name)):
             scored.append((tuple(candidate), tuple(reference)))
-            return _real(candidate, reference)
+            return _real(candidate, reference, *profiles)
 
         monkeypatch.setattr(metrics, name, counting)
     result = learner.retrain_loop(examples, strategy, total_count=total, gold=gold)

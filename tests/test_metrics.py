@@ -344,3 +344,50 @@ def test_bleu_document_matches_reference(shared, picks, max_n):
             references = [list(r) for r in references] + references[:repeat]
         segments.append((candidate, references))
     assert metrics.bleu_document(segments, max_n) == _reference_bleu_document(segments, max_n)
+
+
+def _reference_nist(candidate, reference):
+    """nist as it was first written: both sides' n-gram counts built on
+    every call."""
+    if not candidate or not reference:
+        raise ValueError("candidate and reference must be nonempty")
+    score = 0.0
+    for n in range(1, metrics._NIST_MAX_N + 1):
+        cand_counts = metrics._ngram_counts(candidate, n)
+        n_cand = sum(cand_counts.values())
+        if n_cand == 0:
+            continue
+        ref_counts = metrics._ngram_counts(reference, n)
+        matched = sum(min(c, ref_counts[g]) for g, c in cand_counts.items())
+        score += matched / n_cand
+    ratio = min(1.0, len(candidate) / len(reference))
+    return score * math.exp(metrics._NIST_BETA * math.log(ratio) ** 2)
+
+
+# Sentences over two words, one of them twice as likely: n-grams repeat
+# within a sentence and across sentences.
+_repetitive = st.lists(st.sampled_from("aab"), min_size=1, max_size=12)
+
+
+@settings(max_examples=200)
+@given(st.lists(_repetitive, min_size=1, max_size=4),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=8))
+def test_nist_matches_reference(sentences, picks):
+    """With and without kept profiles, on sentences met again as candidate
+    and as reference, as lists and as tuples."""
+    profiles = metrics.NistProfiles()
+    for i, j in picks:
+        candidate, reference = sentences[i % len(sentences)], sentences[j % len(sentences)]
+        expected = _reference_nist(candidate, reference)
+        assert metrics.nist(candidate, reference) == expected
+        assert metrics.nist(candidate, reference, profiles) == expected
+        assert metrics.nist(tuple(candidate), tuple(reference), profiles) == expected
+    assert set(profiles) <= {tuple(sentence) for sentence in sentences}
+
+
+def test_nist_rejects_an_empty_side_with_profiles():
+    profiles = metrics.NistProfiles()
+    for candidate, reference in ((), ("a",)), (("a",), ()):
+        with pytest.raises(ValueError):
+            metrics.nist(candidate, reference, profiles)
+    assert profiles == {}

@@ -1,5 +1,6 @@
 """Alignment EM, template extraction, scoring, generation, serialization."""
 
+import heapq
 import itertools
 import math
 import tempfile
@@ -741,29 +742,51 @@ def _reference_ceiling_bound(lm, items, weight, arguments):
     return bound
 
 
+def _spelled(runs):
+    """A plan's runs as template items, each slot its 1-based number."""
+    spelled = []
+    for run in runs:
+        spelled.extend([run + 1] if isinstance(run, int) else run)
+    return tuple(spelled)
+
+
+def _loose_scale(model, mr):
+    """The product of the MR's arguments' argument_ceilings."""
+    scale = 1.0
+    for arg in mr.args:
+        scale *= model.argument_ceilings[arg.token]
+    return scale
+
+
 def _assert_generation_bound_is_admissible(model, mrs):
     """The compiled tables against the lexicon: one plan per template, whose
-    runs spell out the template; each argument's options in its slot's
-    context are its realizations (or the unseen fallback), best part first.
-    Every combination then scores at most its bound, both multiplied out in
-    generate_topk's order, and the bound is at most the all-ceilings bound
-    (up to the rounding of a different product order).  Returns how many of
-    the combinations checked have a bound below the all-ceilings one."""
+    runs spell out the template, ordered by descending loose part and then
+    lexicon order; each argument's options in its slot's context are its
+    realizations (or the unseen fallback), best part first.  Every
+    combination then scores at most its bound, both multiplied out in
+    generate_topk's order; the bound is at most the all-ceilings bound, and
+    the plan's start bound at most its loose bound, which is the largest
+    all-ceilings bound of its combinations (each up to the rounding of a
+    different product order).  Returns how many of the combinations checked
+    have a bound below the all-ceilings one."""
     lm = model.lm
     plans = model.generation
     assert set(plans) == set(model.lexicon.templates)
     tighter = 0
     for mr in mrs:
         templates = model.lexicon.templates.get(mr.predicate.name, {})
-        assert len(plans.get(mr.predicate.name, [])) == len(templates)
-        for (template, weight), (runs, plan_weight, part, slots) in zip(
-            templates.items(), plans.get(mr.predicate.name, [])
-        ):
-            items, _ = mrl.template_items(template)
-            spelled = []
-            for run in runs:
-                spelled.extend([run + 1] if isinstance(run, int) else run)
-            assert tuple(spelled) == items
+        predicate_plans = plans.get(mr.predicate.name, [])
+        assert len(predicate_plans) == len(templates)
+        lexicon_order = [mrl.template_items(template)[0] for template in templates]
+        assert {_spelled(plan[0]) for plan in predicate_plans} == set(lexicon_order)
+        positions = [(-plan[3], lexicon_order.index(_spelled(plan[0])))
+                     for plan in predicate_plans]
+        assert positions == sorted(positions)
+        scale = _loose_scale(model, mr)
+        for runs, plan_weight, part, loose, slots in predicate_plans:
+            items = _spelled(runs)
+            template = list(templates)[lexicon_order.index(items)]
+            weight = templates[template]
             assert plan_weight == weight
             assert len(slots) == len(mr.args)
             choices = [slot[arg.token] for slot, arg in zip(slots, mr.args)]
@@ -773,6 +796,11 @@ def _assert_generation_bound_is_admissible(model, mrs):
                 }
                 assert sorted((t, w) for _, t, w in options) == sorted(realizations.items())
                 assert options == sorted(options, key=lambda o: (-o[0], o[1]))
+            start = part
+            for options in choices:
+                start *= options[0][0]
+            assert loose * scale >= start * (1 - 1e-12)
+            widest = 0.0
             for indices in itertools.product(*(range(len(c)) for c in choices)):
                 picked = [argument[i] for argument, i in zip(choices, indices)]
                 realized, combined = [], weight
@@ -793,6 +821,8 @@ def _assert_generation_bound_is_admissible(model, mrs):
                 )
                 assert bound <= reference * (1 + 1e-12)
                 tighter += bound < reference * (1 - 1e-12)
+                widest = max(widest, reference)
+            assert math.isclose(loose * scale, widest, rel_tol=1e-12)
     return tighter
 
 
@@ -849,6 +879,130 @@ def _counting_sentence_prob(monkeypatch):
 
     monkeypatch.setattr(translator.LanguageModel, "sentence_prob", counting)
     return calls
+
+
+def _reference_search_topk(mr, model, k):
+    """The eager best-first search: every plan's option lists and start
+    bound up front, then the same pops, scores and stop test as
+    translator._search_topk."""
+    plans = model.generation.get(mr.predicate.name)
+    if not plans:
+        return ()
+    tokens = [arg.token for arg in mr.args]
+    choices = [[slot[token] for slot, token in zip(slots, tokens)] for *_, slots in plans]
+
+    def bound(number, indices):
+        part = plans[number][2]
+        for argument, i in zip(choices[number], indices):
+            part *= argument[i][0]
+        return part
+
+    start = (0,) * len(tokens)
+    frontier = [(-bound(number, start), number, start, 0) for number in range(len(plans))]
+    heapq.heapify(frontier)
+    scored, best = [], []
+    while frontier:
+        negated, number, indices, last = frontier[0]
+        if (len(best) == k and best[0] >= translator._PRUNE_FLOOR
+                and -negated * translator._BOUND_SLACK < best[0]):
+            break
+        heapq.heappop(frontier)
+        runs, weight, *_ = plans[number]
+        arguments = choices[number]
+        realized = []
+        for run in runs:
+            if isinstance(run, int):
+                _, realization, realization_weight = arguments[run][indices[run]]
+                realized.extend(realization)
+                weight *= realization_weight
+            else:
+                realized.extend(run)
+        score = model.lm.sentence_prob(realized) * weight
+        scored.append((tuple(realized), score))
+        if len(best) < k:
+            heapq.heappush(best, score)
+        else:
+            heapq.heappushpop(best, score)
+        for a in range(last, len(indices)):
+            if indices[a] + 1 < len(arguments[a]):
+                successor = indices[:a] + (indices[a] + 1,) + indices[a + 1 :]
+                heapq.heappush(frontier, (-bound(number, successor), number, successor, a))
+    scored.sort(key=lambda item: (-item[1], item[0]))
+    return tuple(scored[:k])
+
+
+def _assert_search_matches_eager_reference(model, mrs):
+    """The lazy search returns what the eager one does and scores exactly
+    as many combinations."""
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _counting_sentence_prob(patch)
+        for mr in mrs:
+            for k in _KS:
+                calls.clear()
+                lazy = translator._search_topk(mr, model, k)
+                lazy_calls = len(calls)
+                calls.clear()
+                assert lazy == _reference_search_topk(mr, model, k), (mr, k)
+                assert lazy_calls == len(calls), (mr, k)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_corpora)
+def test_search_matches_eager_reference_on_random_corpora(raw_pairs):
+    model = _train_briefly([(tokens, _mr(text)) for tokens, text in raw_pairs])
+    _assert_search_matches_eager_reference(model, [_mr(text) for text in _POOL])
+
+
+def test_search_matches_eager_reference_on_noisy_model(noisy_model):
+    _assert_search_matches_eager_reference(*noisy_model)
+
+
+def test_search_reaches_fewer_option_lists_than_eager(noisy_model, monkeypatch):
+    """Over the noisy model's candidate MRs at k=1, the lazy search builds
+    fewer option lists than the eager one, which builds one per plan
+    argument at most."""
+    model, mrs = noisy_model
+    calls = Counter()
+    missing = translator.SlotOptions.__missing__
+
+    def counting(self, token):
+        calls[search] += 1
+        return missing(self, token)
+
+    monkeypatch.setattr(translator.SlotOptions, "__missing__", counting)
+    for search in (translator._search_topk, _reference_search_topk):
+        fresh = translator.TranslationModel(model.alignment, model.lexicon, model.lm)
+        for mr in mrs:
+            search(mr, fresh, 1)
+    plan_arguments = sum(
+        len(model.generation.get(mr.predicate.name, [])) * len(mr.args) for mr in mrs
+    )
+    assert 0 < calls[translator._search_topk] < calls[_reference_search_topk] <= plan_arguments
+
+
+def test_search_skips_a_plan_whose_loose_bound_cannot_reach_the_top_k(monkeypatch):
+    """Under the flat LM every probability and ceiling is 1, so a plan's
+    loose bound is its weight times the best realization weight: 0.6 x 0.5
+    ties the best score, 0.3 x 0.5 does not, and without the argument's 0.5
+    the second plan would tie it too."""
+    model = _lexicon_model(
+        {"kick": {("<1>", "boots"): 0.3, ("<1>", "kicks"): 0.6, ("<1>", "hits"): 0.1}},
+        {"pink1": {("pink1",): 0.5, ("the", "keeper"): 0.5}},
+        translator.LanguageModel(),
+    )
+    assert [plan[3] for plan in model.generation["kick"]] == [0.6, 0.3, 0.1]
+    lists = []
+    missing = translator.SlotOptions.__missing__
+
+    def counting(self, token):
+        lists.append(self.context)
+        return missing(self, token)
+
+    monkeypatch.setattr(translator.SlotOptions, "__missing__", counting)
+    calls = _counting_sentence_prob(monkeypatch)
+    assert translator.generate_topk(_mr("kick(pink1)"), model, 1) == [(("pink1", "kicks"), 0.3)]
+    assert lists == [(("<s>", "<s>"), ("kicks", "</s>"))]
+    assert len(calls) == 2  # both realizations tie
 
 
 def test_generate_topk_scores_fewer_than_every_combination(noisy_model, monkeypatch):
