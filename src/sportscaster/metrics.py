@@ -225,6 +225,18 @@ def nist(candidate: Tokens, reference: Tokens, profiles: NistProfiles | None = N
     return score * math.exp(_NIST_BETA * math.log(ratio) ** 2)
 
 
+def nist_ceiling(candidate: Tokens) -> float:
+    """The largest value nist(candidate, reference) can take, for any
+    reference: each of its at most min(len(candidate), 5) precision terms
+    is at most 1 and the brevity factor is at most 1.  Rounding is
+    monotone, so the computed value keeps under it too."""
+    return float(min(len(candidate), _NIST_MAX_N))
+
+
+# meteor never exceeds 1: its F-mean and its (1 - penalty) are each at most 1
+METEOR_CEILING = 1.0
+
+
 def _meteor_alignment(candidate: Tokens, reference: Tokens) -> tuple[int, int]:
     """(matches, chunks) of the alignment with most matches, then fewest chunks."""
     ref_positions: dict[str, list[int]] = {}

@@ -5,10 +5,11 @@ any matching: it distributes each sentence's single match over its
 candidate event types in proportion to the current probabilities and
 iterates to a fixed point (synchronous updates, min(.,1) clamp).  A
 sentence's shares depend only on its candidate types in candidate order and
-on the current probabilities, so each iteration splits once per distinct
-type sequence and adds the shares sentence by sentence, in corpus order,
-as it would have added each sentence's own split: every sum is the same.
-Each distinct sequence's type multiplicities are counted once per call.
+on the current probabilities, so each iteration splits every distinct type
+sequence in one (sequences x types) array pass and adds the shares sentence
+by sentence, in corpus order, with a running sum down the sentence axis.
+Each sum adds the same terms in the same order as a per-sentence split
+would, so every probability is the same to the last bit.
 
 select_event and assemble_sportscast turn a strategic model into an actual
 transcript: stage 1 picks among co-occurring events by normalized
@@ -24,6 +25,8 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from . import mrl, translator
 from .corpus import AmbiguousExample, GameEvent, at_line, fmt, read_records, write_lines
@@ -55,23 +58,25 @@ def count_event_types(events: Iterable[GameEvent]) -> dict[str, int]:
 def igsl_match_shares(
     candidate_predicates: Sequence[str], prob: Mapping[str, float]
 ) -> dict[str, float]:
-    """One sentence's match probability split over its candidate types.
+    """One sentence's match probability split over its candidate types,
+    sorted by type.
 
     share(type) = multiplicity(type) * Pr(type) / sum of Pr over candidates;
     a zero denominator contributes nothing.  Scale-invariant: multiplying
     every Pr by a common positive factor leaves all shares unchanged.
     """
-    return _match_shares(Counter(candidate_predicates), prob)
+    weights = Counter(candidate_predicates)
+    row = np.array([[prob.get(p, 0.0) * n for p, n in weights.items()]])
+    return dict(sorted(zip(weights, _split(row)[0].tolist())))
 
 
-def _match_shares(weights: Counter, prob: Mapping[str, float]) -> dict[str, float]:
-    """igsl_match_shares of the sentence whose type multiplicities are weights."""
-    denominator = sum(prob.get(p, 0.0) * n for p, n in weights.items())
-    if denominator <= 0.0:
-        return {p: 0.0 for p in weights}
-    return {
-        p: prob.get(p, 0.0) * n / denominator for p, n in sorted(weights.items())
-    }
+def _split(weighted: np.ndarray) -> np.ndarray:
+    """Each row's entries over the row's total, added left to right; a row
+    whose total is not positive gets zeros."""
+    totals = np.cumsum(weighted, axis=1)[:, -1:]
+    # not (total <= 0), as a scalar test reads it: a NaN total still divides
+    divides = ~(totals <= 0.0)
+    return np.divide(weighted, totals, out=np.zeros_like(weighted), where=divides)
 
 
 def igsl(
@@ -84,6 +89,8 @@ def igsl(
     All probabilities start at 1, so the first iteration hands each sentence's
     match out inversely proportional to its ambiguity; updates are synchronous
     (every share in an iteration uses the previous iteration's probabilities).
+    With no example every probability is 0, and with no event type either
+    the model is empty.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -95,23 +102,41 @@ def igsl(
             )
         sentences.append(tuple(e.mr.predicate.name for e in example.candidates))
     predicates = sorted({p for names in sentences for p in names} | set(total_count))
-    weights = {names: Counter(names) for names in set(sentences)}
-    prob = {p: 1.0 for p in predicates}
+    if not sentences:
+        # no sentence describes anything: every type's probability is 0
+        return StrategicModel(
+            prob=dict.fromkeys(predicates, 0.0), total_count=dict(total_count)
+        )
+    column = {p: i for i, p in enumerate(predicates)}
+    # One row per distinct sequence: its types in first-reach order, then
+    # pads that point at an extra always-zero column and add 0.0.
+    rows = {names: i for i, names in enumerate(dict.fromkeys(sentences))}
+    weights = [Counter(names) for names in rows]
+    width = max(len(counts) for counts in weights)
+    types = np.full((len(rows), width), len(predicates), dtype=np.intp)
+    multiplicity = np.zeros((len(rows), width))
+    for row, counts in enumerate(weights):
+        types[row, : len(counts)] = [column[p] for p in counts]
+        multiplicity[row, : len(counts)] = list(counts.values())
+    sentence_rows = np.array([rows[names] for names in sentences], dtype=np.intp)
+    totals = np.array([total_count.get(p, 0) for p in predicates], dtype=np.float64)
+    counted = totals != 0
+    prob = np.ones(len(predicates) + 1)
+    prob[-1] = 0.0
     for _ in range(max_iter):
-        shares = {names: _match_shares(counts, prob) for names, counts in weights.items()}
-        match_count: defaultdict[str, float] = defaultdict(float)
-        for names in sentences:
-            for p, share in shares[names].items():
-                match_count[p] += share
-        updated = {}
-        for p in predicates:
-            count = total_count.get(p, 0)
-            updated[p] = min(match_count[p] / count, 1.0) if count else 0.0
-        delta = max(abs(updated[p] - prob[p]) for p in predicates)
-        prob = updated
+        shares = np.zeros((len(rows), len(predicates) + 1))
+        np.put_along_axis(shares, types, _split(prob[types] * multiplicity), axis=1)
+        # a running sum adds each type's shares one sentence at a time
+        match_count = np.cumsum(shares[sentence_rows], axis=0)[-1, :-1]
+        ratio = np.divide(match_count, totals, out=np.zeros_like(totals), where=counted)
+        updated = np.minimum(ratio, 1.0)
+        delta = np.abs(updated - prob[:-1]).max()
+        prob[:-1] = updated
         if delta < _TOLERANCE:
             break
-    return StrategicModel(prob=prob, total_count=dict(total_count))
+    return StrategicModel(
+        prob=dict(zip(predicates, prob[:-1].tolist())), total_count=dict(total_count)
+    )
 
 
 def select_event(

@@ -171,12 +171,17 @@ class LanguageModel:
         self._index()
 
     def fit(self, sentences: Iterable[Tokens]) -> "LanguageModel":
-        """Add the sentences' n-gram counts; the vocabulary grows by their words."""
-        for sentence in sentences:
+        """Add the sentences' n-gram counts; the vocabulary grows by their words.
+        A run of equal consecutive sentences is counted once, times the
+        run's length: the counts, and the order each dict reaches its keys
+        in, are those of counting every sentence."""
+        counts = self.counts
+        for sentence, run in itertools.groupby(sentences):
+            repeats = sum(1 for _ in run)
             padded = [_START] * (LM_ORDER - 1) + list(sentence) + [_END]
             for i in range(LM_ORDER - 1, len(padded)):
                 context = tuple(padded[i - LM_ORDER + 1 : i])
-                self.counts.setdefault(context, Counter())[padded[i]] += 1
+                counts.setdefault(context, Counter())[padded[i]] += repeats
         self._index()
         return self
 
@@ -487,48 +492,75 @@ def extract_templates(pairs: Sequence[Pair], alignment: AlignmentModel) -> Templ
     literal text.  A template that fails mrl.check_template is discarded:
     one missing an argument slot cannot generate the full MR, and one with a
     literal word that reads as a slot marker could not be loaded back.
+    Each distinct MR is set up once, and each distinct template checked once.
     """
     template_counts: dict[str, Counter] = defaultdict(Counter)
     realization_counts: dict[str, Counter] = defaultdict(Counter)
-    # Ties favor argument productions (in argument order) over the head,
-    # and NULL never wins a tie: a fully symmetric table, as on a
-    # single-pair corpus, must still yield a slotted, usable template.
-    derivations = [mrl.derivation(mr) for _, mr in pairs]
-    tie_keys = [[p.key for p in deriv[1:]] + [deriv[0].key, NULL_KEY] for deriv in derivations]
-    tie_columns = np.full((len(pairs), 4), _PAD_COLUMN, dtype=np.intp)
+    # Per distinct MR, once: its keys in tie order and, per argument key,
+    # the slot markers its runs fill in turn.  Ties favor argument
+    # productions (in argument order) over the head, and NULL never wins a
+    # tie: a fully symmetric table, as on a single-pair corpus, must still
+    # yield a slotted, usable template.
+    shape_of: dict[str, int] = {}
+    tie_keys: list[list[str]] = []
+    markers: list[dict[str, list[str]]] = []
+    for _, mr in pairs:
+        if mr.surface in shape_of:
+            continue
+        shape_of[mr.surface] = len(tie_keys)
+        deriv = mrl.derivation(mr)
+        tie_keys.append([p.key for p in deriv[1:]] + [deriv[0].key, NULL_KEY])
+        slots: dict[str, list[str]] = defaultdict(list)
+        for position, production in enumerate(deriv[1:], start=1):
+            slots[production.key].append(f"<{position}>")
+        markers.append(slots)
+    tie_columns = np.full((len(tie_keys), 4), _PAD_COLUMN, dtype=np.intp)
     for row, keys in enumerate(tie_keys):
         tie_columns[row, : len(keys)] = [_COLUMN_INDEX[key] for key in keys]
+    shapes = [shape_of[mr.surface] for _, mr in pairs]
     # One gather for the corpus: each token's t values under its pair's
     # productions in tie order, 0 for an unknown word or a pad column.
     lengths = [len(tokens) for tokens, _ in pairs]
+    token_columns = np.repeat(tie_columns[np.array(shapes, dtype=np.intp)], lengths, axis=0)
+    flat = [w for tokens, _ in pairs for w in tokens]
     t = alignment.t
-    words = _word_columns([w for tokens, _ in pairs for w in tokens], alignment)
-    raw = t.take(np.repeat(tie_columns, lengths, axis=0) * t.shape[1] + words[:, None])
-    # argmax takes the first maximum, i.e. the tie order of keys.
-    winners = raw.argmax(axis=1).tolist()
-    start = 0
-    for (tokens, mr), deriv, keys, length in zip(pairs, derivations, tie_keys, lengths):
-        assigned = [keys[i] for i in winners[start : start + length]]
-        start += length
-        # Argument positions still wanting a slot, queued per constant key.
-        open_slots: dict[str, list[int]] = defaultdict(list)
-        for position, production in enumerate(deriv[1:], start=1):
-            open_slots[production.key].append(position)
+    raw = t.take(token_columns * t.shape[1] + _word_columns(flat, alignment)[:, None])
+    # argmax takes the first maximum, i.e. the tie order of keys.  A run
+    # starts at each sentence's first token and where the winner changes.
+    owners = np.take_along_axis(token_columns, raw.argmax(axis=1)[:, None], axis=1)[:, 0]
+    firsts = np.ones(len(owners), dtype=bool)
+    firsts[1:] = owners[1:] != owners[:-1]
+    ends = np.cumsum(lengths, dtype=np.intp)
+    # each later sentence starts where one ends; empty last ones start past the end
+    firsts[ends[:-1][ends[:-1] < len(owners)]] = True
+    starts = np.flatnonzero(firsts).tolist() + [len(owners)]
+    owners = owners.tolist()
+    checked: dict[tuple[str, tuple[str, ...]], bool] = {}
+    run = 0
+    for (_, mr), shape, end in zip(pairs, shapes, ends.tolist()):
+        slots, filled = markers[shape], {}
         items: list[str] = []
-        for key, group in itertools.groupby(zip(tokens, assigned), key=lambda item: item[1]):
-            run = tuple(token for token, _ in group)
-            if key in open_slots:
-                realization_counts[key][run] += 1
-                if open_slots[key]:
-                    items.append(f"<{open_slots[key].pop(0)}>")
+        while starts[run] < end:
+            first, last = starts[run], starts[run + 1]
+            run += 1
+            key, words = _COLUMN_KEYS[owners[first]], tuple(flat[first:last])
+            if key in slots:
+                realization_counts[key][words] += 1
+                taken = filled.get(key, 0)
+                if taken < len(slots[key]):
+                    items.append(slots[key][taken])
+                    filled[key] = taken + 1
                     continue
-            items.extend(run)
-        template = tuple(items)
-        try:
-            mrl.check_template(mr.predicate.name, template)
-        except ValueError:
-            continue
-        template_counts[mr.predicate.name][template] += 1
+            items.extend(words)
+        template = (mr.predicate.name, tuple(items))
+        if template not in checked:
+            try:
+                mrl.check_template(*template)
+                checked[template] = True
+            except ValueError:
+                checked[template] = False
+        if checked[template]:
+            template_counts[template[0]][template[1]] += 1
 
     def normalize(counts: Counter) -> dict:
         total = sum(counts.values())
@@ -540,17 +572,22 @@ def extract_templates(pairs: Sequence[Pair], alignment: AlignmentModel) -> Templ
     )
 
 
-def complete(pairs: Sequence[Pair], alignment: AlignmentModel) -> TranslationModel:
+def complete(
+    pairs: Sequence[Pair], alignment: AlignmentModel, lm: LanguageModel | None = None
+) -> TranslationModel:
     """The model of pairs around an alignment trained on them: the template
-    lexicon read off the alignment and the LM fit on the sentences."""
+    lexicon read off the alignment and the LM fit on the sentences, or lm
+    when given, which must have been fit on the same sentences."""
     lexicon = extract_templates(pairs, alignment)
-    lm = LanguageModel().fit([tokens for tokens, _ in pairs])
+    if lm is None:
+        lm = LanguageModel().fit([tokens for tokens, _ in pairs])
     return TranslationModel(alignment=alignment, lexicon=lexicon, lm=lm)
 
 
-def train(pairs: Sequence[Pair]) -> TranslationModel:
-    """Alignment EM, template extraction, and LM fit in one call."""
-    return complete(pairs, train_alignment(pairs))
+def train(pairs: Sequence[Pair], lm: LanguageModel | None = None) -> TranslationModel:
+    """Alignment EM, template extraction, and LM fit (unless lm is given,
+    as complete takes it) in one call."""
+    return complete(pairs, train_alignment(pairs), lm)
 
 
 def null_floor(alignment: AlignmentModel) -> float:

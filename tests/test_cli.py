@@ -272,6 +272,21 @@ def test_igsl_report(corpus_dir, tmp_path):
     assert (out / "strategic.tsv").exists()
 
 
+def test_igsl_on_a_game_without_events(tmp_path, capsys):
+    """No comment has a candidate event and there is no event type to
+    estimate: a header-only table and an empty strategic.tsv."""
+    (tmp_path / "manifest.tsv").write_text("game1\tevents.tsv\tcomments.tsv\t-\n")
+    (tmp_path / "events.tsv").write_text("")
+    (tmp_path / "comments.tsv").write_text("1000\ten\tpink1 kicks\n")
+    assert run(["igsl", "--manifest", str(tmp_path / "manifest.tsv")]) == 0
+    assert capsys.readouterr().out == "predicate\tevents\tprobability\n"
+    out = tmp_path / "igsl"
+    rc = run(["igsl", "--manifest", str(tmp_path / "manifest.tsv"), "--out", str(out)])
+    assert rc == 0
+    assert (out / "igsl.tsv").read_text() == "predicate\tevents\tprobability\n"
+    assert (out / "strategic.tsv").read_text() == ""
+
+
 @pytest.mark.parametrize("max_iter", ["0", "-1"])
 def test_igsl_rejects_max_iter_below_one(corpus_dir, tmp_path, capsys, max_iter):
     out = tmp_path / "igsl"

@@ -346,6 +346,120 @@ def test_parse_score_kernel_matches_per_candidate_scores(request, fixture):
         )
 
 
+def _reference_assign_best(examples, model, strategy, strategic_model, metric_cache):
+    """_assign_best of the generation-scored strategies as it was written
+    before it skipped candidates: every candidate scored."""
+    assignments = {}
+    for ex in examples:
+        candidates = ex.example.candidates
+        scores = [
+            learner.evaluate_candidate(
+                ex.example.comment.tokens, c.mr, model, strategy, strategic_model,
+                metric_cache,
+            )
+            for c in candidates
+        ]
+        score, candidate = min(
+            zip(scores, candidates),
+            key=lambda scored: (
+                -scored[0], scored[1].time_ms, mrl.serialize_mr(scored[1].mr), scored[1].id,
+            ),
+        )
+        assignments[ex.key] = (candidate.id, score)
+    return Matching(assignments)
+
+
+_GENERATION_KINDS = ("nist_gen", "meteor_gen", "nist_igsl", "meteor_igsl")
+
+
+def _assert_assign_best_matches_reference(examples, total, model):
+    """The same picks with the same scores, key by key, in the same order."""
+    strategic_model = strategic.igsl([ex.example for ex in examples], total)
+    for kind in _GENERATION_KINDS:
+        strategy = ScoringStrategy(kind)
+        picked = learner._assign_best(
+            examples, model, strategy, strategic_model, {}, metrics.NistProfiles()
+        )
+        reference = _reference_assign_best(examples, model, strategy, strategic_model, {})
+        assert list(picked.assignments.items()) == list(reference.assignments.items())
+
+
+@pytest.mark.parametrize("fixture", ["clean", "noisy"])
+def test_assign_best_matches_reference(request, fixture, sharp_model):
+    games, examples = request.getfixturevalue(fixture)[:2]
+    total = strategic.count_event_types(e for g in games for e in g.events)
+    iteration0 = translator.train(learner.initial_training_set(examples))
+    for model in (iteration0, sharp_model):
+        _assert_assign_best_matches_reference(examples, total, model)
+
+
+@pytest.fixture(scope="module")
+def simulated():
+    """A 2-game simulated corpus whose nist_igsl loop trains four times."""
+    games = simgen.simulate_corpus(
+        simgen.default_world(seed=2), simgen.default_profile(seed=2), 2
+    ).games
+    total = strategic.count_event_types(e for g in games for e in g.events)
+    return games, corpus.pooled_examples(games), corpus.pooled_gold(games), total
+
+
+def test_assign_best_skips_candidates_that_cannot_win(simulated, monkeypatch):
+    """On a simulated corpus the IGSL weight leaves many candidates unable
+    to reach their comment's best score: they are never scored, and the
+    picks and scores are those of scoring them all."""
+    _, examples, _, total = simulated
+    model = translator.train(learner.initial_training_set(examples))
+    _assert_assign_best_matches_reference(examples, total, model)
+    calls = []
+    real = learner.evaluate_candidate
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(learner, "evaluate_candidate", counting)
+    strategic_model = strategic.igsl([ex.example for ex in examples], total)
+    for kind, pruned in (("nist_igsl", True), ("nist_gen", False)):
+        calls.clear()
+        learner._assign_best(examples, model, ScoringStrategy(kind), strategic_model, {})
+        candidates = sum(len(ex.example.candidates) for ex in examples)
+        assert (len(calls) < candidates) if pruned else (len(calls) == candidates)
+
+
+@pytest.mark.parametrize("prune_fraction, fits_per_loop", [(0.0, 2), (0.2, 3)])
+def test_retrain_loop_fits_one_lm_per_sentence_list(
+    simulated, monkeypatch, tmp_path, prune_fraction, fits_per_loop
+):
+    """Without pruning every training after the first keeps every comment,
+    so from the third on each meets the previous training's sentences again
+    and takes its LM.  Pruning 0.2 keeps as many comments twice, but not
+    the same ones, so each training fits its own.  The reuse ends with the
+    loop: a second loop fits its own."""
+    _, examples, gold, total = simulated
+    fits = []
+    real_fit = translator.LanguageModel.fit
+
+    def counting(lm, sentences):
+        fits.append(lm)
+        return real_fit(lm, sentences)
+
+    monkeypatch.setattr(translator.LanguageModel, "fit", counting)
+    strategy = ScoringStrategy("nist_igsl")
+    results = [
+        learner.retrain_loop(
+            examples, strategy, total_count=total, gold=gold, prune_fraction=prune_fraction
+        )
+        for _ in range(2)
+    ]
+    monkeypatch.undo()
+    assert len(fits) == 2 * fits_per_loop
+    assert results[1].model.lm is fits[-1] is not results[0].model.lm
+    pairs = learner._pairs_from_matching(examples, results[1].matching, results[1].trained_on)
+    assert _model_text(results[1].model, tmp_path / "loop.tsv") == _model_text(
+        translator.train(pairs), tmp_path / "train.tsv"
+    )
+
+
 def test_matching_equality_ignores_scores():
     a = Matching({("g", 1): (4, 0.5)})
     b = Matching({("g", 1): (4, 0.9)})

@@ -284,6 +284,18 @@ def test_nist_nonnegative(candidate, reference):
     assert metrics.nist(candidate, reference) >= 0.0
 
 
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from("aab"), min_size=1, max_size=9),
+       st.lists(st.sampled_from("aabc"), min_size=1, max_size=9))
+def test_metric_ceilings_bound_every_reference(candidate, reference):
+    """The learner skips a candidate whose ceiling cannot reach the best
+    score so far, so no computed value may pass its ceiling.  A sentence
+    scores the NIST ceiling against itself, so that one is tight."""
+    assert metrics.nist(candidate, reference) <= metrics.nist_ceiling(candidate)
+    assert metrics.nist(candidate, candidate) == metrics.nist_ceiling(candidate)
+    assert metrics.meteor(candidate, reference) <= metrics.METEOR_CEILING
+
+
 @given(_words, st.lists(_words, min_size=1, max_size=3))
 def test_bleu_range(candidate, references):
     assert 0.0 <= metrics.bleu_document([(candidate, references)]) <= 1.0

@@ -1,6 +1,6 @@
 """Strategy estimation, IGSL fixed points, and stochastic sportscasting."""
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -84,16 +84,28 @@ def test_igsl_match_shares_zero_denominator():
     assert shares == {"kick": 0.0}
 
 
+def _reference_match_shares(counts, prob):
+    """igsl's split of one sentence before it ran in array passes: the
+    denominator added left to right in Counter order, as builtin sum did up
+    to Python 3.11, and the shares in sorted type order."""
+    denominator = 0.0
+    for p, n in counts.items():
+        denominator += prob.get(p, 0.0) * n
+    if denominator <= 0.0:
+        return {p: 0.0 for p in counts}
+    return {p: prob.get(p, 0.0) * n / denominator for p, n in sorted(counts.items())}
+
+
 def _reference_igsl(examples, total_count, max_iter=strategic.DEFAULT_MAX_ITER):
-    """igsl's probabilities as it computed them before reusing shares: every
-    sentence's split computed afresh in every iteration."""
+    """igsl's probabilities as it computed them with dicts: every sentence's
+    split computed afresh in every iteration and added in corpus order."""
     sentences = [[e.mr.predicate.name for e in ex.candidates] for ex in examples]
     predicates = sorted({p for names in sentences for p in names} | set(total_count))
     prob = {p: 1.0 for p in predicates}
     for _ in range(max_iter):
         match_count = defaultdict(float)
         for names in sentences:
-            for p, share in strategic.igsl_match_shares(names, prob).items():
+            for p, share in _reference_match_shares(Counter(names), prob).items():
                 match_count[p] += share
         updated = {}
         for p in predicates:
@@ -138,12 +150,36 @@ def _candidate_corpora(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_candidate_corpora(), st.sampled_from([1, 2, strategic.DEFAULT_MAX_ITER]))
+@given(_candidate_corpora(), st.integers(1, strategic.DEFAULT_MAX_ITER))
 def test_igsl_matches_per_sentence_reference(corpus_and_totals, max_iter):
     examples, totals = corpus_and_totals
-    assert strategic.igsl(examples, totals, max_iter).prob == _reference_igsl(
-        examples, totals, max_iter
-    )
+    prob = strategic.igsl(examples, totals, max_iter).prob
+    reference = _reference_igsl(examples, totals, max_iter)
+    assert prob == reference
+    assert list(prob) == list(reference)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.sampled_from(sorted(_SURFACES)), min_size=1, max_size=6),
+    st.dictionaries(
+        st.sampled_from(sorted(_SURFACES)),
+        st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(1e-300, 1e-290)),
+    ),
+)
+def test_igsl_match_shares_matches_reference(candidates, prob):
+    shares = strategic.igsl_match_shares(candidates, prob)
+    assert shares == _reference_match_shares(Counter(candidates), prob)
+    assert list(shares) == sorted(set(candidates))
+
+
+def test_igsl_without_examples():
+    assert strategic.igsl([], {}) == strategic.StrategicModel(prob={}, total_count={})
+    totals = {"pass": 2, "kick": 0}
+    model = strategic.igsl([], totals, max_iter=1)
+    assert model.prob == _reference_igsl([], totals, max_iter=1) == {"kick": 0.0, "pass": 0.0}
+    assert list(model.prob) == ["kick", "pass"]
+    assert model.total_count == totals
 
 
 def test_igsl_recovers_rank_order_on_synthetic_corpus():

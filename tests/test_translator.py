@@ -1173,6 +1173,78 @@ def _reference_extract_templates(pairs, alignment):
     )
 
 
+def test_extract_templates_matches_the_reference_at_its_edges(monkeypatch):
+    alignment = translator.train_alignment(_sharp_pairs())
+    empty = translator.TemplateLexicon(templates={}, realizations={})
+    assert translator.extract_templates([], alignment) == empty
+    assert _reference_extract_templates([], alignment) == empty
+    # every MR more than once, and "<1>" as a literal word: the templates
+    # that keep it fail mrl.check_template and are dropped
+    pairs = _sharp_pairs() * 2 + [
+        (f"pink{i} kicks <1>".split(), _mr(f"kick(pink{i})")) for i in (1, 2, 1)
+    ] + [("pink1 passes to pink1".split(), _mr("pass(pink1,pink1)"))] * 2
+    alignment = translator.train_alignment(pairs)
+    checked = []
+
+    def counting(predicate, template, _real=mrl.check_template):
+        checked.append((predicate, template))
+        return _real(predicate, template)
+
+    monkeypatch.setattr(mrl, "check_template", counting)
+    lexicon = translator.extract_templates(pairs, alignment)
+    monkeypatch.undo()
+    assert lexicon == _reference_extract_templates(pairs, alignment)
+    assert len(checked) == len(set(checked)) < len(pairs)
+    assert ("kick", ("<1>", "kicks", "<1>")) in checked
+    assert all("<1>" not in template[1:] for template in lexicon.templates["kick"])
+
+
+def _reference_fit(sentences):
+    """LanguageModel.fit as it counted one sentence at a time."""
+    lm = translator.LanguageModel()
+    order = translator.LM_ORDER
+    for sentence in sentences:
+        padded = [translator._START] * (order - 1) + list(sentence) + [translator._END]
+        for i in range(order - 1, len(padded)):
+            context = tuple(padded[i - order + 1 : i])
+            lm.counts.setdefault(context, Counter())[padded[i]] += 1
+    lm._index()
+    return lm
+
+
+# Sentences in runs of equal ones, some of them empty, as lists or tuples.
+_runs = st.lists(
+    st.tuples(st.lists(_word, max_size=4), st.integers(1, 4), st.booleans()),
+    min_size=1, max_size=6,
+).map(lambda runs: [
+    tuple(words) if as_tuple else list(words)
+    for words, repeats, as_tuple in runs
+    for _ in range(repeats)
+])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_runs, _runs, st.sampled_from([2, 3]))
+def test_lm_fit_counts_runs_as_every_sentence(first, second, order):
+    """Counting a run once, times its length, gives every count and every
+    dict's key order of counting each sentence, at the LM_ORDER of the call."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(translator, "LM_ORDER", order)
+        lm = translator.LanguageModel().fit(first).fit(iter(second))
+        reference = _reference_fit(first + second)
+        assert lm == reference
+        assert list(lm.counts) == list(reference.counts)
+        for context, bucket in lm.counts.items():
+            assert list(bucket) == list(reference.counts[context])
+        assert all(len(context) == order - 1 for context in lm.counts)
+        model = translator.train(_sharp_pairs())
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = Path(tmp) / "fit.tsv", Path(tmp) / "reference.tsv"
+            for path, fitted in zip(paths, (lm, reference)):
+                translator.save_model(replace(model, lm=fitted), path)
+            assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 def _full_space_scores(model, sentences):
     """score_corpus with every grammar-valid MR as each sentence's candidates."""
     full = mrl.enumerate_mrs()
