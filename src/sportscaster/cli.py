@@ -17,9 +17,11 @@ order and with its effective value, so any output can be reproduced
 bit-exactly from its own provenance.  `simulate` echoes the games it wrote
 and leaves `seed` empty when `--seed` was not given.  A `--config` file
 holds `key = value` defaults for the arguments, under the same keys,
-positionals included; explicit arguments win.  `--json` writes reports as
-JSON, on stdout or under `--out`.  All output is deterministic: no
-timestamps, no machine identifiers.
+positionals included; explicit arguments win.  Every report is a `Table`
+written by `_emit`: `<name>.tsv`, or `<name>.json` under `--json`, in the
+`--out` directory, or on stdout without one, as TSV or one JSON line per
+table (`train`'s `matching.tsv` and `history.tsv` are always TSV).  All
+output is deterministic: no timestamps, no machine identifiers.
 """
 
 from __future__ import annotations
@@ -64,12 +66,9 @@ def table_to_tsv(table: Table) -> str:
     return corpus.lines_text(lines)
 
 
-def _records(table: Table) -> list[dict]:
-    return [dict(zip(table.columns, row)) for row in table.rows]
-
-
 def table_to_json(table: Table) -> str:
-    return json.dumps(_records(table), sort_keys=True) + "\n"
+    records = [dict(zip(table.columns, row)) for row in table.rows]
+    return json.dumps(records, sort_keys=True) + "\n"
 
 
 def write_report(table: Table, path) -> None:
@@ -335,27 +334,18 @@ def _cmd_sportscast(args, sub: _Parser) -> int:
     strat = strategic.load_strategic(args.strategic)
     loaded = corpus.load_corpus(args.manifest, args.window_ms)
     out = _prepare_out(args, sub)
+    rows = []
     summary_rows = []
     for index, game in enumerate(loaded.games):
         prng = simgen.Prng(simgen.derive_seed(args.seed, index, 2))
         transcript, skipped = strategic.assemble_sportscast(
             game.events, strat, model, k=args.topk, prng=prng
         )
-        rows = tuple(
-            (time_ms, mrl.serialize_mr(mr), " ".join(tokens))
-            for time_ms, mr, tokens in transcript
-        )
-        table = Table(("time_ms", "mr", "sentence"), rows)
-        if out is not None:
-            write_report(table, out / f"{game.name}.transcript.tsv")
-        elif args.json:
-            sys.stdout.write(json.dumps(
-                {"game": game.name, "transcript": _records(table)}, sort_keys=True
-            ) + "\n")
-        else:
-            sys.stdout.write(f"# {game.name}\n")
-            sys.stdout.write(table_to_tsv(table))
+        rows += [(game.name, time_ms, mrl.serialize_mr(mr), " ".join(tokens))
+                 for time_ms, mr, tokens in transcript]
         summary_rows.append((game.name, len(transcript), len(skipped)))
+    table = Table(("game", "time_ms", "mr", "sentence"), tuple(rows))
+    _emit(table, out, "transcript", args.json)
     summary = Table(("game", "comments", "skipped"), tuple(summary_rows))
     _emit(summary, out, "sportscast", args.json)
     return 0
@@ -420,19 +410,8 @@ def _cmd_evaluate(args, sub: _Parser) -> int:
 
     out = _prepare_out(args, sub)
     for report in reports:
-        if out is None:
-            sys.stdout.write(
-                metrics.report_to_json(report) if args.json
-                else metrics.report_to_text(report) + "\n"
-            )
-        elif args.json:
-            (out / f"report_{report.task}.json").write_text(
-                metrics.report_to_json(report), encoding="utf-8"
-            )
-        else:
-            (out / f"report_{report.task}.tsv").write_text(
-                metrics.report_to_tsv(report), encoding="utf-8"
-            )
+        table = Table(("key", "value"), tuple(report.rows()))
+        _emit(table, out, f"report_{report.task}", args.json)
     return 0
 
 

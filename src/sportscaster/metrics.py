@@ -18,14 +18,13 @@ used by the learning loops and reports:
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from . import mrl
-from .corpus import Game, fmt, gold_event_mrs, lines_text
+from .corpus import Game, gold_event_mrs
 
 Tokens = Sequence[str]
 
@@ -48,6 +47,19 @@ class EvalReport:
     nist: float | None = None
     counts: dict[str, int] = field(default_factory=dict)
     breakdown: dict[str, dict[str, float]] = field(default_factory=dict)
+
+    def rows(self) -> list[tuple[str, object]]:
+        """(key, value) rows: `task`, each score that is set, `count.<name>`,
+        then `<split>.<name>`, names sorted."""
+        scores = ("precision", "recall", "f1", "bleu", "nist")
+        rows: list[tuple[str, object]] = [("task", self.task)]
+        rows += [(name, getattr(self, name)) for name in scores
+                 if getattr(self, name) is not None]
+        rows += [(f"count.{name}", self.counts[name]) for name in sorted(self.counts)]
+        rows += [(f"{split}.{name}", self.breakdown[split][name])
+                 for split in sorted(self.breakdown)
+                 for name in sorted(self.breakdown[split])]
+        return rows
 
 
 def _prf(correct: int, predicted: int, gold_total: int) -> tuple[float, float, float]:
@@ -298,47 +310,3 @@ def expand_references(
                 key = mrl.serialize_mr(mr)
                 refs.setdefault(key, []).append(comments[comment_id].tokens)
     return refs
-
-
-_SCALARS = ("precision", "recall", "f1", "bleu", "nist")
-
-
-def _scalars(report: EvalReport) -> list[tuple[str, float]]:
-    """(name, value) of each scalar score the report sets, in _SCALARS order."""
-    values = ((name, getattr(report, name)) for name in _SCALARS)
-    return [(name, value) for name, value in values if value is not None]
-
-
-def report_to_tsv(report: EvalReport) -> str:
-    lines = [f"task\t{report.task}"]
-    lines.extend(f"{name}\t{fmt(value)}" for name, value in _scalars(report))
-    for name in sorted(report.counts):
-        lines.append(f"count.{name}\t{report.counts[name]}")
-    for split in sorted(report.breakdown):
-        for name in sorted(report.breakdown[split]):
-            lines.append(f"{split}.{name}\t{fmt(report.breakdown[split][name])}")
-    return lines_text(lines)
-
-
-def report_to_text(report: EvalReport) -> str:
-    parts = [f"== {report.task} =="]
-    parts.extend(f"  {name:<9} {fmt(value)}" for name, value in _scalars(report))
-    if report.counts:
-        counts = ", ".join(f"{k}={report.counts[k]}" for k in sorted(report.counts))
-        parts.append(f"  counts    {counts}")
-    for split in sorted(report.breakdown):
-        values = report.breakdown[split]
-        inner = ", ".join(f"{k}={fmt(values[k])}" for k in sorted(values))
-        parts.append(f"  {split}: {inner}")
-    return lines_text(parts)
-
-
-def report_to_json(report: EvalReport) -> str:
-    payload: dict = {"task": report.task, **dict(_scalars(report))}
-    if report.counts:
-        payload["counts"] = dict(sorted(report.counts.items()))
-    if report.breakdown:
-        payload["breakdown"] = {
-            k: dict(sorted(v.items())) for k, v in sorted(report.breakdown.items())
-        }
-    return json.dumps(payload, sort_keys=True) + "\n"

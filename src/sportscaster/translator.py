@@ -152,13 +152,12 @@ class TemplateLexicon:
 class LanguageModel:
     counts: dict[tuple[str, ...], Counter] = field(default_factory=dict)
     # Derived from counts by _index: the vocabulary (every predicted word but
-    # </s>), the count total of each context, each word's largest
-    # probability over all contexts, and the tables probability() and
-    # sentence_logprob read: one probability and one log-probability per
-    # seen (context..., word) n-gram, one floor per seen context for its
-    # unseen words, and unseen for a context with no counts.
+    # </s>), each word's largest probability over all contexts, and the
+    # tables probability() and sentence_logprob read: one probability and
+    # one log-probability per seen (context..., word) n-gram, one floor per
+    # seen context for its unseen words, and unseen for a context with no
+    # counts.
     vocabulary: frozenset[str] = field(init=False, repr=False, compare=False)
-    totals: dict[tuple[str, ...], int] = field(init=False, repr=False, compare=False)
     ceilings: dict[str, float] = field(init=False, repr=False, compare=False)
     unseen: float = field(init=False, repr=False, compare=False)
     grams: dict[tuple[str, ...], float] = field(init=False, repr=False, compare=False)
@@ -189,7 +188,6 @@ class LanguageModel:
         self.vocabulary = frozenset(
             word for bucket in self.counts.values() for word in bucket
         ) - {_END}
-        self.totals = {context: sum(bucket.values()) for context, bucket in self.counts.items()}
         smoothing = LM_K * (len(self.vocabulary) + 1)
         # The add-k estimate (seen + LM_K) / (total + smoothing): of any
         # word in a context with no counts, of a word a context has not
@@ -198,7 +196,7 @@ class LanguageModel:
         self.log_unseen = math.log(self.unseen)
         self.ceilings, self.grams, self.floors, self.log_grams, self.log_floors = {}, {}, {}, {}, {}
         for context, bucket in self.counts.items():
-            denominator = self.totals[context] + smoothing
+            denominator = sum(bucket.values()) + smoothing
             floor = self.floors[context] = LM_K / denominator
             self.log_floors[context] = math.log(floor)
             for word, seen in bucket.items():
@@ -895,8 +893,10 @@ def load_model(path) -> TranslationModel:
     for lineno, line in read_lines(path):
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1]
+            if section not in _SECTION_FIELDS:
+                raise FormatError(str(path), lineno, f"unknown section {section!r}")
             continue
-        if section not in _SECTION_FIELDS:
+        if section is None:
             raise FormatError(str(path), lineno, "line outside any section")
         fields = split_fields(path, lineno, line, _SECTION_FIELDS[section])
         with at_line(path, lineno):

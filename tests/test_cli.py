@@ -379,12 +379,21 @@ def test_sportscast_transcripts(corpus_dir, train_dir, tmp_path):
             "--seed", "5", "--out", str(out)]
     assert run(argv) == 0
     first = _snapshot(out)
-    assert {"game1.transcript.tsv", "game2.transcript.tsv", "sportscast.tsv"} <= set(first)
-    lines = (out / "game1.transcript.tsv").read_text().splitlines()
-    assert lines[0] == "time_ms\tmr\tsentence"
-    times = [int(r.split("\t")[0]) for r in lines[1:]]
-    assert times == sorted(times)
-    assert all(t % 1000 == 0 for t in times)
+    assert set(first) == {"run_config.txt", "transcript.tsv", "sportscast.tsv"}
+    lines = (out / "transcript.tsv").read_text().splitlines()
+    assert lines[0] == "game\ttime_ms\tmr\tsentence"
+    rows = [line.split("\t") for line in lines[1:]]
+    games = [row[0] for row in rows]
+    assert games == sorted(games) and set(games) == {"game1", "game2"}
+    for game in ("game1", "game2"):
+        times = [int(row[1]) for row in rows if row[0] == game]
+        assert times == sorted(times)
+        assert all(t % 1000 == 0 for t in times)
+    summary = [line.split("\t") for line in (out / "sportscast.tsv").read_text().splitlines()]
+    assert summary[0] == ["game", "comments", "skipped"]
+    assert {game: int(n) for game, n, _ in summary[1:]} == {
+        game: games.count(game) for game in ("game1", "game2")
+    }
     # same seed, same bytes
     assert run(argv) == 0
     assert _snapshot(out) == first
@@ -397,23 +406,32 @@ def test_evaluate_reports(corpus_dir, train_dir, tmp_path):
               "--matching", str(train_dir / "matching.tsv"),
               "--out", str(out)])
     assert rc == 0
-    matching = (out / "report_matching.tsv").read_text()
-    assert matching.startswith("task\tmatching\n")
-    assert "\nf1\t" in matching
-    parsing = (out / "report_parsing.tsv").read_text()
-    assert parsing.startswith("task\tparsing\n")
+
+    def report(path):
+        lines = path.read_text().splitlines()
+        assert lines[0] == "key\tvalue"
+        return dict(line.split("\t") for line in lines[1:])
+
+    matching = report(out / "report_matching.tsv")
+    assert matching["task"] == "matching"
+    assert 0.0 <= float(matching["f1"]) <= 1.0
+    parsing = report(out / "report_parsing.tsv")
+    assert parsing["task"] == "parsing"
     for name in ("argument_permutation", "wrong_arguments", "wrong_predicate",
                  "abstained", "chatter_parsed"):
-        assert f"\ncount.{name}\t" in parsing
-    generation = (out / "report_generation.tsv").read_text()
-    assert "bleu\t" in generation and "nist\t" in generation
+        assert f"count.{name}" in parsing
+    generation = report(out / "report_generation.tsv")
+    assert {"bleu", "nist", "count.segments"} <= set(generation)
     jout = tmp_path / "evalj"
     rc = run(["evaluate", str(train_dir / "model.tsv"),
               "--manifest", str(corpus_dir / "manifest.tsv"),
               "--json", "--out", str(jout)])
     assert rc == 0
-    payload = json.loads((jout / "report_parsing.json").read_text())
-    assert payload["task"] == "parsing"
+    assert {p.name for p in jout.iterdir()} == {
+        "run_config.txt", "report_parsing.json", "report_generation.json"
+    }
+    records = json.loads((jout / "report_parsing.json").read_text())
+    assert {row["key"]: corpus.fmt(row["value"]) for row in records} == parsing
 
 
 def test_exit_codes():
@@ -588,6 +606,7 @@ def test_data_error_names_file_and_line(corpus_dir, train_dir, tmp_path, capsys)
         (2, "pink1\tpink1\thalf"),          # non-numeric probability
         (6, "x\tpink1\tmany"),              # non-numeric LM count
         (1, "pink1\tpink1\t0.5"),           # line outside any section
+        (5, "[lmx]"),                       # unknown section, at its header
         (4, "S\tkick\t1\t<2> kicks"),       # slot outside 1..arity
         (4, "S\tkick\t1\t<0> kicks"),       # slot outside 1..arity
         (4, "S\tpass\t1\t<1> to <1>"),      # slot named twice
@@ -764,12 +783,14 @@ def test_json_without_out_goes_to_stdout(corpus_dir, train_dir, tmp_path, capsys
     capsys.readouterr()
     assert run(["sportscast", model, str(igsl_dir / "strategic.tsv"),
                 "--manifest", manifest, "--json"]) == 0
-    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert [line["game"] for line in lines[:-1]] == ["game1", "game2"]
-    assert [row["game"] for row in lines[-1]] == ["game1", "game2"]
+    transcript, summary = map(json.loads, capsys.readouterr().out.splitlines())
+    assert {row["game"] for row in transcript} == {"game1", "game2"}
+    assert [row["game"] for row in summary] == ["game1", "game2"]
     assert run(["evaluate", model, "--manifest", manifest, "--json"]) == 0
     reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert [report["task"] for report in reports] == ["parsing", "generation"]
+    assert [report[0] for report in reports] == [
+        {"key": "task", "value": "parsing"}, {"key": "task", "value": "generation"}
+    ]
 
 
 def test_config_supplies_positionals(train_dir, tmp_path, capsys):

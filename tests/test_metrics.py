@@ -4,14 +4,13 @@ Every expected number here was derived by hand (n-gram counting, the metric
 formulas) before the implementation existed, then frozen.
 """
 
-import json
 import math
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sportscaster import metrics, mrl
+from sportscaster import cli, metrics, mrl
 from sportscaster.corpus import Comment, Game, GameEvent, GoldMatch
 
 
@@ -113,9 +112,9 @@ def test_parsing_error_breakdown_counts_every_category():
         "emitted": 5,
         "gold": 7,
     }
-    tsv = metrics.report_to_tsv(metrics.parsing_f1(parses, gold))
-    assert "count.argument_permutation\t1\n" in tsv
-    assert "count.chatter_parsed\t1\n" in tsv
+    rows = metrics.parsing_f1(parses, gold).rows()
+    assert ("count.argument_permutation", 1) in rows
+    assert ("count.chatter_parsed", 1) in rows
 
 
 def test_bleu_identity():
@@ -247,28 +246,44 @@ def test_expand_references_partition():
     assert pooled == matched
 
 
-def test_report_tsv_deterministic_and_terminated():
-    report = metrics.matching_f1({("g", 0): 1}, {("g", 0): 1, ("g", 1): None})
-    first = metrics.report_to_tsv(report)
-    assert first == metrics.report_to_tsv(report)
-    assert first.endswith("\n")
-    assert "task\tmatching" in first
+def _report_field(report, key):
+    """The EvalReport field a report row's key names."""
+    group, _, name = key.partition(".")
+    if not name:
+        return getattr(report, group)
+    return report.counts[name] if group == "count" else report.breakdown[group][name]
 
 
-def test_report_tsv_twelve_significant_digits():
-    gold = {("g", i): (i if i < 82 else None) for i in range(100)}
-    predicted = {("g", i): i for i in range(100)}
-    tsv = metrics.report_to_tsv(metrics.matching_f1(predicted, gold))
-    assert "f1\t0.901098901099\n" in tsv
-
-
-def test_report_json_round_trips():
-    report = metrics.parsing_f1(
-        {0: mrl.parse_mr("ballstopped")}, {0: mrl.parse_mr("ballstopped")}
+@pytest.mark.parametrize("report, line", [
+    # 82 of 100 gold-bearing, all predicted, over two games
+    (metrics.matching_f1(
+        {(g, i): i for g in ("g1", "g2") for i in range(50)},
+        {(g, i): (i if i < 41 else None) for g in ("g1", "g2") for i in range(50)},
+    ), "f1\t0.901098901099"),
+    (metrics.parsing_f1(
+        {0: mrl.parse_mr("ballstopped"), 1: mrl.parse_mr("kick(pink1)")},
+        {0: mrl.parse_mr("ballstopped"), 1: mrl.parse_mr("kick(pink2)"), 2: None},
+    ), "count.wrong_arguments\t1"),
+    (metrics.EvalReport(task="generation", bleu=0.25, nist=3.5,
+                        counts={"segments": 4, "no_template": 1}), "nist\t3.5"),
+], ids=["matching", "parsing", "generation"])
+def test_report_rows_hold_the_report_fields(report, line):
+    rows = report.rows()
+    keys = [key for key, _ in rows]
+    for key, value in rows:
+        assert value == _report_field(report, key), key
+    scores = [name for name in ("precision", "recall", "f1", "bleu", "nist")
+              if getattr(report, name) is not None]
+    assert keys == (
+        ["task"] + scores
+        + [f"count.{name}" for name in sorted(report.counts)]
+        + [f"{split}.{name}" for split in sorted(report.breakdown)
+           for name in sorted(report.breakdown[split])]
     )
-    payload = json.loads(metrics.report_to_json(report))
-    assert payload["task"] == "parsing"
-    assert payload["f1"] == 1.0
+    # as evaluate writes it: 12 significant digits under a key/value header
+    tsv = cli.table_to_tsv(cli.Table(("key", "value"), tuple(rows))).splitlines()
+    assert tsv[:2] == ["key\tvalue", f"task\t{report.task}"]
+    assert line in tsv
 
 
 _words = st.lists(st.sampled_from("abcx"), min_size=1, max_size=8)

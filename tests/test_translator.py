@@ -441,6 +441,18 @@ def test_save_load_round_trip(tmp_path):
             )
 
 
+@pytest.mark.parametrize("tail", [["[bogus]"], ["[lmx]", "<s> <s>\tpink1\t1"]])
+def test_load_model_rejects_an_unknown_section_at_its_header(tmp_path, tail):
+    path = tmp_path / "model.tsv"
+    translator.save_model(translator.train(_sharp_pairs()), path)
+    header = len(path.read_text().splitlines()) + 1
+    with path.open("a") as handle:
+        handle.write("".join(line + "\n" for line in tail))
+    with pytest.raises(corpus.FormatError) as info:
+        translator.load_model(path)
+    assert str(info.value) == f"{path}:{header}: unknown section {tail[0][1:-1]!r}"
+
+
 def test_saved_model_sections_in_order(tmp_path):
     model = translator.train(_sharp_pairs())
     path = tmp_path / "model.tsv"
