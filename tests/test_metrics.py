@@ -286,7 +286,27 @@ def test_report_rows_hold_the_report_fields(report, line):
     assert line in tsv
 
 
-_words = st.lists(st.sampled_from("abcx"), min_size=1, max_size=8)
+def _report_tsv(report):
+    """A report as evaluate writes it: its rows under a key/value header."""
+    return cli.table_to_tsv(cli.Table(("key", "value"), tuple(report.rows())))
+
+
+def test_report_tsv_deterministic_and_terminated():
+    report = metrics.matching_f1({("g", 0): 1}, {("g", 0): 1, ("g", 1): None})
+    first = _report_tsv(report)
+    assert first == _report_tsv(report)
+    assert first.endswith("\n")
+    assert "task\tmatching" in first
+
+
+def test_report_tsv_twelve_significant_digits():
+    gold = {("g", i): (i if i < 82 else None) for i in range(100)}
+    predicted = {("g", i): i for i in range(100)}
+    tsv = _report_tsv(metrics.matching_f1(predicted, gold))
+    assert "f1\t0.901098901099\n" in tsv
+
+
+_words =st.lists(st.sampled_from("abcx"), min_size=1, max_size=8)
 
 
 @given(_words, _words)
