@@ -244,7 +244,12 @@ def candidate_stats(counts: Sequence[int]) -> dict:
     """Summary of per-comment candidate counts (population stddev)."""
     n = len(counts)
     mean = sum(counts) / n if n else 0.0
-    var = sum((c - mean) ** 2 for c in counts) / n if n else 0.0
+    # Added left to right on every Python version (from 3.12 builtin sum
+    # compensates its rounding).
+    squares = 0.0
+    for c in counts:
+        squares += (c - mean) ** 2
+    var = squares / n if n else 0.0
     return {
         "with_candidates": n,
         "max_candidates": max(counts, default=0),

@@ -514,10 +514,11 @@ def _validation_score(
         if not pruned:
             total += described
             continue
-        chatter = sum(
-            math.log((counts[word] + translator.SMOOTHING_K) / denominator)
-            for word in tokens
-        )
+        # Added left to right on every Python version (from 3.12 builtin
+        # sum compensates its rounding).
+        chatter = 0.0
+        for word in tokens:
+            chatter += math.log((counts[word] + translator.SMOOTHING_K) / denominator)
         total += float(
             np.logaddexp(
                 math.log1p(-share) + described, math.log(share) + chatter

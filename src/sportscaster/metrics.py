@@ -181,7 +181,12 @@ def bleu_document(
             )
     if candidate_len == 0 or any(m == 0 for m in matched) or any(t == 0 for t in total):
         return 0.0
-    log_precision = sum(math.log(m / t) for m, t in zip(matched, total)) / max_n
+    # Added left to right on every Python version (from 3.12 builtin sum
+    # compensates its rounding).
+    log_precision = 0.0
+    for m, t in zip(matched, total):
+        log_precision += math.log(m / t)
+    log_precision /= max_n
     brevity = math.exp(min(0.0, 1.0 - reference_len / candidate_len))
     return brevity * math.exp(log_precision)
 

@@ -16,6 +16,8 @@ platform.  The draw order is part of the contract:
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -76,14 +78,17 @@ class Prng:
         return lo + int(self.uniform() * (hi - lo + 1))
 
     def weighted_index(self, weights: list[float]) -> int:
-        total = sum(weights)
-        u = self.uniform() * total
-        acc = 0.0
-        for i, w in enumerate(weights):
-            acc += w
-            if u < acc:
-                return i
-        return len(weights) - 1
+        """An index drawn in proportion to its weight (weights >= 0), by
+        cumulative_index over the running totals.  They are added left to
+        right, as builtin sum did up to Python 3.11 (from 3.12 it
+        compensates its rounding)."""
+        return self.cumulative_index(list(itertools.accumulate(weights)))
+
+    def cumulative_index(self, totals: list[float]) -> int:
+        """The first index whose running total exceeds one uniform draw times
+        the last total, or the last index.  totals must not decrease.  A
+        caller that draws from one weight list many times adds it up once."""
+        return bisect.bisect_right(totals, self.uniform() * totals[-1], 0, len(totals) - 1)
 
 
 def derive_seed(base: int, index: int, stream: int) -> int:
@@ -100,17 +105,29 @@ class WorldConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        weights = self.event_type_weights
         if self.duration_ms <= 0:
             raise InvalidSetting("duration_ms must be positive", "duration_ms")
-        for name, w in weights.items():
-            if w < 0:
-                raise InvalidSetting("event weights must be nonnegative", f"weight.{name}")
-        if not any(w > 0 for w in weights.values()):
-            raise InvalidSetting(
-                "at least one event weight must be positive",
-                *(f"weight.{name}" for name in weights),
-            )
+        _check_weights(
+            [(f"weight.{name}", w) for name, w in self.event_type_weights.items()], "event"
+        )
+
+
+def _check_weights(weights: list[tuple[str, float]], what: str) -> None:
+    """(setting, weight) pairs that one weighted draw reads: each weight must
+    be finite and nonnegative, and their total, added left to right as
+    Prng.weighted_index adds it, positive and finite."""
+    total = 0.0
+    for setting, weight in weights:
+        if not math.isfinite(weight):
+            raise InvalidSetting(f"{what} weights must be finite, got {weight}", setting)
+        if weight < 0:
+            raise InvalidSetting(f"{what} weights must be nonnegative", setting)
+        total += weight
+    settings = [setting for setting, _ in weights]
+    if total <= 0:
+        raise InvalidSetting(f"at least one {what} weight must be positive", *settings)
+    if total == math.inf:
+        raise InvalidSetting(f"{what} weights must have a finite total", *settings)
 
 
 Template = tuple[tuple[str, ...], float]
@@ -141,6 +158,10 @@ class CommentatorProfile:
                 f"lag_ms_max <= {DEFAULT_WINDOW_MS} ms, the pairing window",
                 "lag_ms_min", "lag_ms_max",
             )
+        predicates = {p.name for p in mrl.PREDICATES}
+        for name, options in self.lexicon.items():
+            kind = "template" if name in predicates else "surface"
+            _check_weights([(f"{kind}.{name}", w) for _, w in options], f"{name} {kind}")
 
 
 def _validate_templates(profile: CommentatorProfile) -> None:
@@ -163,7 +184,7 @@ def simulate_events(config: WorldConfig) -> list[GameEvent]:
     """Event trace with geometric gaps and weight-proportional predicates."""
     prng = Prng(config.seed)
     names = [p.name for p in mrl.PREDICATES if config.event_type_weights.get(p.name, 0.0) > 0]
-    weights = [config.event_type_weights[n] for n in names]
+    totals = list(itertools.accumulate(config.event_type_weights[n] for n in names))
     predicates = {p.name: p for p in mrl.PREDICATES}
     by_sort = {
         mrl.PLAYER: [mrl.Constant(t, mrl.PLAYER) for t in mrl.PLAYER_TOKENS],
@@ -176,7 +197,7 @@ def simulate_events(config: WorldConfig) -> list[GameEvent]:
         t += _geometric_gap(prng.uniform(), config.mean_event_gap_ms)
         if t >= config.duration_ms:
             break
-        predicate = predicates[names[prng.weighted_index(weights)]]
+        predicate = predicates[names[prng.cumulative_index(totals)]]
         args = tuple(
             by_sort[sort][prng.uniform_int(0, len(by_sort[sort]) - 1)]
             for sort in predicate.argument_sorts

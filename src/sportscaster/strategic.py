@@ -150,7 +150,11 @@ def select_event(
     if not events:
         raise EmptyCandidates("no co-occurring events to select from")
     weights = [model.probability(e.mr.predicate.name) for e in events]
-    normalizer = sum(weights)
+    # Added left to right on every Python version (from 3.12 builtin sum
+    # compensates its rounding), as Prng.weighted_index adds them.
+    normalizer = 0.0
+    for weight in weights:
+        normalizer += weight
     if normalizer <= 0.0:
         return None
     pick = prng.weighted_index(weights)
@@ -191,7 +195,10 @@ def assemble_sportscast(
             skipped.append(chosen.mr.predicate.name)
             continue
         scores = [score for _, score in candidates]
-        if sum(scores) > 0.0:
+        total = 0.0
+        for score in scores:
+            total += score
+        if total > 0.0:
             sentence = candidates[prng.weighted_index(scores)][0]
         else:
             sentence = candidates[0][0]

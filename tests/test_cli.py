@@ -457,6 +457,16 @@ def test_exit_codes():
         ("games = 2\nlag_ms_max = 8000\n", "sim.cfg:2: lag_ms_range (200, 8000)"),
         ("comment_prob.kick = 1.5\n", "sim.cfg:1: comment_prob[kick] out of [0,1]"),
         ("lag_ms_min = 3000\nseed = 2\nlag_ms_max = 2500\n", "sim.cfg:3:"),  # the later line
+        # weights a draw cannot sample from: rejected by the WorldConfig and
+        # CommentatorProfile checks
+        ("weight.kick = nan\n", "sim.cfg:1: event weights must be finite, got nan"),
+        ("games = 2\nweight.kick = inf\n", "sim.cfg:2: event weights must be finite, got inf"),
+        ("weight.pass = 1e308\nweight.kick = 1e308\ngames = 1\n",
+         "sim.cfg:2: event weights must have a finite total"),
+        ("template.kick = <1> boots | -1\n", "sim.cfg:1: kick template weights must be nonnegative"),
+        ("template.kick = <1> boots | 0\ntemplate.kick = <1> kicks | 0\n",
+         "sim.cfg:2: at least one kick template weight must be positive"),
+        ("surface.pink1 = pinky | nan\n", "sim.cfg:1: pink1 surface weights must be finite"),
     ],
 )
 def test_simulate_config_value_names_file_and_line(tmp_path, capsys, text, where):

@@ -82,6 +82,25 @@ def test_candidates_are_time_ordered_and_zero_candidate_comments_dropped():
     assert stats["mean_candidates"] == 3.0
 
 
+def _reference_candidate_stats(counts):
+    """candidate_stats with builtin sum over the squared deviations."""
+    n = len(counts)
+    mean = sum(counts) / n if n else 0.0
+    var = sum((c - mean) ** 2 for c in counts) / n if n else 0.0
+    return {
+        "with_candidates": n,
+        "max_candidates": max(counts, default=0),
+        "mean_candidates": mean,
+        "stddev_candidates": var**0.5,
+    }
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(0, 10**6), max_size=60))
+def test_candidate_stats_matches_reference(counts):
+    assert candidate_stats(counts) == _reference_candidate_stats(counts)
+
+
 _times = st.lists(st.integers(0, 60_000), min_size=1, max_size=25)
 
 

@@ -1,8 +1,11 @@
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sportscaster import corpus, learner, metrics, mrl, simgen, strategic, translator
 from sportscaster.learner import Matching, ScoringStrategy
@@ -344,6 +347,33 @@ def test_parse_score_kernel_matches_per_candidate_scores(request, fixture):
         assert learner._validation_score(result, train, validation) == (
             _reference_validation_score(result, train, validation)
         )
+
+
+@pytest.fixture(scope="module")
+def pruned_run(noisy):
+    train, validation = learner.validation_split(noisy[1])
+    result = learner.retrain_loop(train, ScoringStrategy("parse_score"), prune_fraction=0.2)
+    return result, train, validation
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_validation_score_matches_reference_for_any_pruned_set(pruned_run, data):
+    result, train, validation = pruned_run
+    # A loop always trains on something, so at least one sentence is kept.
+    kept = data.draw(st.sets(st.sampled_from(sorted(result.matching.assignments)), min_size=1))
+    result = replace(result, trained_on=frozenset(kept))
+    words = sorted({w for ex in train for w in ex.example.comment.tokens}) + ["unseen"]
+    sentences = st.lists(st.sampled_from(words), min_size=1, max_size=30).map(tuple)
+    validation = [
+        corpus.GameExample(ex.game, replace(
+            ex.example, comment=replace(ex.example.comment, tokens=data.draw(sentences))
+        ))
+        for ex in validation
+    ]
+    assert learner._validation_score(result, train, validation) == (
+        _reference_validation_score(result, train, validation)
+    )
 
 
 def _reference_assign_best(examples, model, strategy, strategic_model, metric_cache):

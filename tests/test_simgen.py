@@ -3,6 +3,8 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sportscaster import corpus, mrl, simgen
 from sportscaster.simgen import (
@@ -53,6 +55,41 @@ def test_weighted_index_respects_weights():
     picks = Counter(g.weighted_index([1.0, 0.0, 3.0]) for _ in range(4000))
     assert picks[1] == 0
     assert abs(picks[2] / 4000 - 0.75) < 0.03
+
+
+def _reference_weighted_index(prng, weights):
+    """weighted_index as a running-total loop over builtin sum's total."""
+    total = sum(weights)
+    u = prng.uniform() * total
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if u < acc:
+            return i
+    return len(weights) - 1
+
+
+# Every weight list a config can set: finite and nonnegative, with zeros,
+# ints and floats mixed, and all-zero lists too.
+_weights = st.lists(
+    st.one_of(
+        st.just(0.0),
+        st.integers(0, 5),
+        st.floats(0.0, 1e6, allow_nan=False),
+        st.sampled_from([1e-300, 5e-324, 0.1, 0.2, 0.3]),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=500)
+@given(_weights, st.integers(0, 2**64 - 1), st.integers(1, 4))
+def test_weighted_index_matches_reference(weights, seed, draws):
+    prng, reference = Prng(seed), Prng(seed)
+    for _ in range(draws):
+        assert prng.weighted_index(weights) == _reference_weighted_index(reference, weights)
+        assert prng.state == reference.state
 
 
 def test_derive_seed_is_stable_and_decorrelated():

@@ -258,6 +258,104 @@ def test_select_event_empty_raises():
         strategic.select_event([], _figure6_model(), Prng(0))
 
 
+def _reference_select_event(events, model, prng):
+    """select_event with builtin sum for the normalizer."""
+    if not events:
+        raise strategic.EmptyCandidates("no co-occurring events to select from")
+    weights = [model.probability(e.mr.predicate.name) for e in events]
+    normalizer = sum(weights)
+    if normalizer <= 0.0:
+        return None
+    pick = prng.weighted_index(weights)
+    if prng.uniform() < weights[pick]:
+        return events[pick]
+    return None
+
+
+_NAMES = ["pass", "kick", "ballstopped", "steal", "badPass"]
+_MRS = ["pass(pink1,pink2)", "kick(pink1)", "ballstopped", "steal(purple4)",
+        "badPass(pink3,purple1)"]
+# Probabilities and generation scores as the library makes them: zeros,
+# subnormal and tiny values, and sums that round.
+_weight = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 1.0),
+    st.sampled_from([5e-324, 1e-300, 0.1, 0.2, 0.3]),
+)
+_strategic_models = st.dictionaries(st.sampled_from(_NAMES), _weight).map(
+    lambda prob: strategic.StrategicModel(prob=prob, total_count={p: 1 for p in prob})
+)
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.integers(0, len(_MRS) - 1), min_size=1, max_size=8),
+    _strategic_models,
+    st.integers(0, 2**64 - 1),
+)
+def test_select_event_matches_reference(picks, model, seed):
+    events = [_event(1000, _MRS[i], number) for number, i in enumerate(picks)]
+    prng, reference = Prng(seed), Prng(seed)
+    assert strategic.select_event(events, model, prng) is (
+        _reference_select_event(events, model, reference)
+    )
+    assert prng.state == reference.state
+
+
+def _reference_assemble_sportscast(events, model, translation, k=translator.DEFAULT_TOPK,
+                                   *, prng):
+    """assemble_sportscast with builtin sum over the candidate scores."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    transcript = []
+    skipped = []
+    by_tick = defaultdict(list)
+    for event in events:
+        by_tick[event.time_ms // strategic.TICK_MS].append(event)
+    for tick in sorted(by_tick):
+        chosen = strategic.select_event(by_tick[tick], model, prng)
+        if chosen is None:
+            continue
+        try:
+            candidates = translator.generate_topk(chosen.mr, translation, k)
+        except translator.NoTemplate:
+            skipped.append(chosen.mr.predicate.name)
+            continue
+        scores = [score for _, score in candidates]
+        if sum(scores) > 0.0:
+            sentence = candidates[prng.weighted_index(scores)][0]
+        else:
+            sentence = candidates[0][0]
+        transcript.append((tick * strategic.TICK_MS, chosen.mr, sentence))
+    return transcript, skipped
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.tuples(st.integers(0, 5000), st.integers(0, len(_MRS) - 1)), max_size=12),
+    _strategic_models,
+    st.dictionaries(st.sampled_from(_NAMES), st.lists(_weight, min_size=1, max_size=6)),
+    st.integers(1, 6),
+    st.integers(0, 2**64 - 1),
+)
+def test_assemble_sportscast_matches_reference(timeline, model, scores, k, seed):
+    events = [_event(t, _MRS[i], number) for number, (t, i) in enumerate(timeline)]
+
+    def generate_topk(mr, translation, k):
+        name = mr.predicate.name
+        if name not in scores:
+            raise translator.NoTemplate(name)
+        return [((name, str(i)), score) for i, score in enumerate(scores[name])][:k]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(translator, "generate_topk", generate_topk)
+        prng, reference = Prng(seed), Prng(seed)
+        assert strategic.assemble_sportscast(events, model, None, k, prng=prng) == (
+            _reference_assemble_sportscast(events, model, None, k, prng=reference)
+        )
+        assert prng.state == reference.state
+
+
 def _trained_model():
     pairs = [
         ("pink1 kicks to pink2".split(), mrl.parse_mr("pass(pink1,pink2)")),

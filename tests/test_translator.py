@@ -586,9 +586,34 @@ def test_parse_sentence_matches_reference_on_the_full_space(sharp_model, noisy_m
     for model in (sharp_model, noisy_model[0]):
         for text in _PARSE_SENTENCES:
             tokens = text.split()
-            assert translator.parse_sentence(tokens, model) == (
-                _reference_parse_sentence(tokens, model)
-            )
+            ranked = translator.parse_sentence(tokens, model)
+            reference = _reference_parse_sentence(tokens, model)
+            assert ranked == reference
+            # the enumerate_mrs() objects themselves, and Python floats
+            assert all(mr is want for (mr, _), (want, _) in zip(ranked, reference))
+            assert all(type(score) is float for _, score in ranked)
+
+
+def test_a_parse_serializes_every_mr_once(sharp_model, noisy_model):
+    mrs = mrl.enumerate_mrs()
+    calls = []
+    serialize = mrl.serialize_mr
+
+    def counted(mr):
+        calls.append(mr)
+        return serialize(mr)
+
+    for model in (sharp_model, noisy_model[0]):
+        translator.parse_sentence(["pink1"], model)  # build the tables first
+        calls.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mrl, "serialize_mr", counted)
+            ranked = translator.parse_sentence("pink1 kicks to pink2".split(), model)
+            assert len(ranked) == len(calls) == len(mrs)
+            assert {id(mr) for mr, _ in ranked} == {id(mr) for mr in mrs}
+            assert all(type(score) is float for _, score in ranked)
+            calls.clear()
+            assert translator.parse_sentence([], model) == [] and calls == []
 
 
 _TIE_POOL = ["pass(pink1,pink2)", "pass(pink2,pink1)", "pass(pink1,pink1)",
