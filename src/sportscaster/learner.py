@@ -22,18 +22,17 @@ model's life: an iteration searches each distinct candidate MR once, and
 the next iteration's retrained model starts with none kept.  A comment's
 candidates are scored in descending order of their cap, the metric's
 ceiling times the IGSL weight, and scoring stops once no candidate left
-can win or tie (_contenders): under nist_igsl on the benchmark's seed-1
-corpus of 8 games that skips 630 of 1,437 candidates.  Each of their loops
-also keeps two caches.  The metric cache maps (comment tokens, generated
-tokens) to the metric's raw value, before the IGSL weight.  The metric is
-a pure function of the two token tuples, so an iteration that meets a
-pair again (the same sentence and the same best generation under a
-retrained model) reads the value an earlier one computed.  The NIST
-profiles (metrics.NistProfiles) keep each sentence's n-gram counts, so a
-comment met in a new pair, or a generation best for several candidates,
-is counted once.  Both caches, and the LM a training lends the next, live
-only as long as their loop: they are not global, so each superfluous_cv
-threshold run starts fresh ones and their memory ends with the run.
+can win or tie (_contenders).  Each of their loops also keeps two caches.
+The metric cache maps (comment tokens, generated tokens) to the metric's
+raw value, before the IGSL weight.  The metric is a pure function of the
+two token tuples, so an iteration that meets a pair again (the same
+sentence and the same best generation under a retrained model) reads the
+value an earlier one computed.  The NIST profiles (metrics.NistProfiles)
+keep each sentence's n-gram counts, so a comment met in a new pair, or a
+generation best for several candidates, is counted once.  Both caches,
+and the LM a training lends the next, live only as long as their loop:
+they are not global, so each superfluous_cv threshold run starts fresh
+ones and their memory ends with the run.
 
 parse_score reads only the alignment, so each of its trainings runs
 alignment EM alone, and the template lexicon and LM are built once, from

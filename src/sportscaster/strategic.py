@@ -55,21 +55,6 @@ def count_event_types(events: Iterable[GameEvent]) -> dict[str, int]:
     return dict(counts)
 
 
-def igsl_match_shares(
-    candidate_predicates: Sequence[str], prob: Mapping[str, float]
-) -> dict[str, float]:
-    """One sentence's match probability split over its candidate types,
-    sorted by type.
-
-    share(type) = multiplicity(type) * Pr(type) / sum of Pr over candidates;
-    a zero denominator contributes nothing.  Scale-invariant: multiplying
-    every Pr by a common positive factor leaves all shares unchanged.
-    """
-    weights = Counter(candidate_predicates)
-    row = np.array([[prob.get(p, 0.0) * n for p, n in weights.items()]])
-    return dict(sorted(zip(weights, _split(row)[0].tolist())))
-
-
 def _split(weighted: np.ndarray) -> np.ndarray:
     """Each row's entries over the row's total, added left to right; a row
     whose total is not positive gets zeros."""

@@ -12,9 +12,10 @@ The model is a bundle of three independently trained parts:
     alignment by argmax assignment.
   * LanguageModel: an add-k trigram model over the training sentences.  Its
     vocabulary is every word its counts predict but </s>, so a fit model
-    and its reload agree.  When it is fit or loaded it tabulates the
-    log-probability of every seen n-gram, one floor per seen context and
-    one for unseen contexts, so scoring a sentence adds up table entries.
+    and its reload agree.  It is built once, from its counts, by one pass
+    that tabulates the probability of every seen n-gram, one floor per seen
+    context and one for unseen contexts, and the bound tables generation
+    reads (ceilings and pair_ceilings).  No method changes it after.
 
 train builds all three; complete adds the lexicon and LM to an alignment
 that train_alignment built, for a caller that reads only the alignment
@@ -36,12 +37,15 @@ use, and kept: the alignment's add-k smoothed table
 (AlignmentModel.smoothed) and full-space table of per-word scores
 (AlignmentModel.full_space), the generation plans with their template
 parts (TranslationModel.generation), each constant's options with their
-bound parts per slot context (SlotOptions), the pair ceilings those
-read (TranslationModel.pair_ceilings), and each constant's part of the
-looser bound (TranslationModel.argument_ceilings).  So is each
+bound parts per slot context (SlotOptions), and each constant's part of
+the looser bound (TranslationModel.argument_ceilings).  So is each
 generate_topk result, per (MR, k) (TranslationModel.generated): the event
 space is closed, so serving one model asks the same question again and
-again.  A model is therefore not changed after its first use.
+again.  The alignment and the LM cannot change under what is kept: t is
+read-only, and the LM is built once with all its tables, including the
+pair ceilings SlotOptions read (LanguageModel.pair_ceilings).  The
+lexicon must not change after the model's first generation; nothing
+enforces that.
 
 Scoring reads only the alignment and has two rules: a word's score under
 an MR (_word_scores) and a sentence's score from its words' scores
@@ -111,14 +115,17 @@ class AlignmentModel:
     a zero unknown-word column.  A production absent from training has a
     zero row.
 
-    smoothed and full_space are built on first use and kept: smoothed by
-    the first scoring, full_space, (|V|+1) x 2,018 float64 (1.1 MB at
-    |V| = 69), by the first full-space parse.  t must not change after
-    either is built."""
+    t is made read-only when the model is built, so smoothed and
+    full_space, built from it on first use and kept (smoothed by the first
+    scoring, full_space, (|V|+1) x 2,018 float64, by the first full-space
+    parse), always agree with it."""
 
     t: np.ndarray
     vocabulary: tuple[str, ...]
     log_likelihoods: tuple[float, ...] = ()
+
+    def __post_init__(self) -> None:
+        self.t.flags.writeable = False
 
     @cached_property
     def columns(self) -> dict[str, int]:
@@ -158,40 +165,23 @@ class TemplateLexicon:
 @dataclass
 class LanguageModel:
     counts: dict[tuple[str, ...], Counter] = field(default_factory=dict)
-    # Derived from counts by _index: the vocabulary (every predicted word but
-    # </s>), each word's largest probability over all contexts, and the
-    # tables probability() and sentence_logprob read: one probability and
-    # one log-probability per seen (context..., word) n-gram, one floor per
-    # seen context for its unseen words, and unseen for a context with no
-    # counts.
+    # Derived from counts by __post_init__, the one construction pass: the
+    # vocabulary (every predicted word but </s>); the tables probability()
+    # reads: one probability per seen (context..., word) n-gram, one floor
+    # per seen context for its unseen words, and unseen for a context with
+    # no counts; and the bound tables generation reads: each word's largest
+    # probability over all contexts (ceilings), and each seen n-gram
+    # without its first word -> the largest probability of its last word
+    # over every first word (pair_ceilings).  A bound table keeps only
+    # values above unseen, so a missing key reads unseen.
     vocabulary: frozenset[str] = field(init=False, repr=False, compare=False)
-    ceilings: dict[str, float] = field(init=False, repr=False, compare=False)
     unseen: float = field(init=False, repr=False, compare=False)
     grams: dict[tuple[str, ...], float] = field(init=False, repr=False, compare=False)
     floors: dict[tuple[str, ...], float] = field(init=False, repr=False, compare=False)
-    log_grams: dict[tuple[str, ...], float] = field(init=False, repr=False, compare=False)
-    log_floors: dict[tuple[str, ...], float] = field(init=False, repr=False, compare=False)
-    log_unseen: float = field(init=False, repr=False, compare=False)
+    ceilings: dict[str, float] = field(init=False, repr=False, compare=False)
+    pair_ceilings: dict[tuple[str, ...], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._index()
-
-    def fit(self, sentences: Iterable[Tokens]) -> "LanguageModel":
-        """Add the sentences' n-gram counts; the vocabulary grows by their words.
-        A run of equal consecutive sentences is counted once, times the
-        run's length: the counts, and the order each dict reaches its keys
-        in, are those of counting every sentence."""
-        counts = self.counts
-        for sentence, run in itertools.groupby(sentences):
-            repeats = sum(1 for _ in run)
-            padded = [_START] * (LM_ORDER - 1) + list(sentence) + [_END]
-            for i in range(LM_ORDER - 1, len(padded)):
-                context = tuple(padded[i - LM_ORDER + 1 : i])
-                counts.setdefault(context, Counter())[padded[i]] += repeats
-        self._index()
-        return self
-
-    def _index(self) -> None:
         self.vocabulary = frozenset(
             word for bucket in self.counts.values() for word in bucket
         ) - {_END}
@@ -199,34 +189,49 @@ class LanguageModel:
         # The add-k estimate (seen + LM_K) / (total + smoothing): of any
         # word in a context with no counts, of a word a context has not
         # seen, and of each seen n-gram.
-        self.unseen = LM_K / smoothing
-        self.log_unseen = math.log(self.unseen)
-        self.ceilings, self.grams, self.floors, self.log_grams, self.log_floors = {}, {}, {}, {}, {}
+        unseen = self.unseen = LM_K / smoothing
+        self.grams, self.floors, self.ceilings, self.pair_ceilings = {}, {}, {}, {}
         for context, bucket in self.counts.items():
             denominator = sum(bucket.values()) + smoothing
-            floor = self.floors[context] = LM_K / denominator
-            self.log_floors[context] = math.log(floor)
+            self.floors[context] = LM_K / denominator
             for word, seen in bucket.items():
                 p = self.grams[context + (word,)] = (seen + LM_K) / denominator
-                self.log_grams[context + (word,)] = math.log(p)
-                if p > self.ceilings.get(word, self.unseen):
+                if p > self.ceilings.get(word, unseen):
                     self.ceilings[word] = p
+                pair = context[1:] + (word,)
+                if p > self.pair_ceilings.get(pair, unseen):
+                    self.pair_ceilings[pair] = p
+
+    @classmethod
+    def fit(cls, sentences: Iterable[Tokens]) -> "LanguageModel":
+        """The model of the sentences' n-gram counts.  A run of equal
+        consecutive sentences is counted once, times the run's length: the
+        counts, and the order each dict reaches its keys in, are those of
+        counting every sentence."""
+        counts: dict[tuple[str, ...], Counter] = {}
+        for sentence, run in itertools.groupby(sentences):
+            repeats = sum(1 for _ in run)
+            padded = [_START] * (LM_ORDER - 1) + list(sentence) + [_END]
+            for i in range(LM_ORDER - 1, len(padded)):
+                context = tuple(padded[i - LM_ORDER + 1 : i])
+                counts.setdefault(context, Counter())[padded[i]] += repeats
+        return cls(counts)
 
     def probability(self, word: str, context: tuple[str, ...]) -> float:
         p = self.grams.get(context + (word,))
         return self.floors.get(context, self.unseen) if p is None else p
 
     def sentence_logprob(self, tokens: Tokens) -> float:
-        """Sum of log probability() over the padded sentence, read from the
-        tables _index builds.  The terms are added one at a time, left to
-        right, so the order of addition is the same on every Python version
-        (from 3.12 builtin sum compensates its rounding)."""
+        """Sum of log probability() over the padded sentence, read from its
+        tables.  The terms are added one at a time, left to right, so the
+        order of addition is the same on every Python version (from 3.12
+        builtin sum compensates its rounding)."""
         padded = [_START] * (LM_ORDER - 1) + list(tokens) + [_END]
-        grams, floors, unseen = self.log_grams, self.log_floors, self.log_unseen
+        grams, floors, unseen, log = self.grams, self.floors, self.unseen, math.log
         total = 0.0
         for gram in zip(*(padded[i:] for i in range(LM_ORDER))):
-            logprob = grams.get(gram)
-            total += floors.get(gram[:-1], unseen) if logprob is None else logprob
+            p = grams.get(gram)
+            total += log(floors.get(gram[:-1], unseen) if p is None else p)
         return total
 
     def sentence_prob(self, tokens: Tokens) -> float:
@@ -261,7 +266,7 @@ class SlotOptions(dict):
     other slot's: the windows that predict its tokens and the literals or
     </s> after the slot.  A window whose context is all known takes its
     exact LM probability.  One whose farthest context item alone belongs
-    to another slot takes its pair ceiling (TranslationModel.pair_ceilings),
+    to another slot takes its pair ceiling (LanguageModel.pair_ceilings),
     and any other its word's ceiling (LanguageModel.ceilings)."""
 
     def __init__(self, context: SlotContext, model: "TranslationModel") -> None:
@@ -269,12 +274,12 @@ class SlotOptions(dict):
         self.context = context
         self.realizations = model.lexicon.realizations
         self.lm = model.lm
-        self.pair_ceilings = model.pair_ceilings
 
     def __missing__(self, token: str) -> list[Option]:
         before, after = self.context
-        lm, pairs = self.lm, self.pair_ceilings
-        grams, floors, ceilings, unseen = lm.grams, lm.floors, lm.ceilings, lm.unseen
+        lm = self.lm
+        grams, floors, unseen = lm.grams, lm.floors, lm.unseen
+        ceilings, pairs = lm.ceilings, lm.pair_ceilings
         options = []
         for tokens, weight in _realizations_of(self.realizations, token).items():
             sequence = before + tokens + after
@@ -344,13 +349,10 @@ class TranslationModel:
     template of the lexicon, each slot pointing at the SlotOptions of its
     slot context, which build one constant's options on first use and keep
     them.  A search builds a plan's lists only when it reaches the plan
-    (_search_topk).  The README quick-start model has 39 plans and 29 slot
-    contexts; generating every MR of the grammar builds 624 option lists
-    holding 1,494 options at k=5, where every plan is reached, and 583
-    holding 1,409 at k=1.  generated holds each generate_topk result, keyed
-    on (MR surface form, k): the ranked combinations, or () for a predicate
-    with no template.  The lexicon and LM must not change after the
-    model's first generation: the tables and the results read them."""
+    (_search_topk).  generated holds each generate_topk result, keyed on
+    (MR surface form, k): the ranked combinations, or () for a predicate
+    with no template.  The lexicon must not change after the model's first
+    generation: the tables and the results read it."""
 
     alignment: AlignmentModel
     lexicon: TemplateLexicon
@@ -358,19 +360,6 @@ class TranslationModel:
     generated: dict[tuple[str, int], Ranked] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-
-    @cached_property
-    def pair_ceilings(self) -> dict[tuple[str, ...], float]:
-        """A seen n-gram without its first word -> the largest LM probability
-        of its last word over every first word.  Only values above
-        lm.unseen, the probability in a context never seen, are kept: a
-        missing key reads lm.unseen."""
-        unseen = self.lm.unseen
-        table: dict[tuple[str, ...], float] = {}
-        for gram, p in self.lm.grams.items():
-            if p > table.get(gram[1:], unseen):
-                table[gram[1:]] = p
-        return table
 
     @cached_property
     def argument_ceilings(self) -> ArgumentCeilings:
@@ -585,7 +574,7 @@ def complete(
     when given, which must have been fit on the same sentences."""
     lexicon = extract_templates(pairs, alignment)
     if lm is None:
-        lm = LanguageModel().fit([tokens for tokens, _ in pairs])
+        lm = LanguageModel.fit([tokens for tokens, _ in pairs])
     return TranslationModel(alignment=alignment, lexicon=lexicon, lm=lm)
 
 
@@ -946,12 +935,12 @@ def load_model(path) -> TranslationModel:
                 if len(context) != LM_ORDER - 1:
                     raise ValueError(f"LM context {text!r} is not {LM_ORDER - 1} words")
     vocabulary = tuple(sorted({word for _, word, _ in entries}))
+    columns = {word: i for i, word in enumerate(vocabulary)}
     t = np.zeros((_PAD_COLUMN + 1, len(vocabulary) + 1), dtype=np.float64)
-    alignment = AlignmentModel(t=t, vocabulary=vocabulary)
     for row, word, prob in entries:
-        alignment.t[row, alignment.columns[word]] = prob
+        t[row, columns[word]] = prob
     return TranslationModel(
-        alignment=alignment,
+        alignment=AlignmentModel(t=t, vocabulary=vocabulary),
         lexicon=TemplateLexicon(templates=templates, realizations=realizations),
         lm=LanguageModel(counts=counts),
     )

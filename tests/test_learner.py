@@ -469,9 +469,9 @@ def test_retrain_loop_fits_one_lm_per_sentence_list(
     fits = []
     real_fit = translator.LanguageModel.fit
 
-    def counting(lm, sentences):
-        fits.append(lm)
-        return real_fit(lm, sentences)
+    def counting(sentences):
+        fits.append(real_fit(sentences))
+        return fits[-1]
 
     monkeypatch.setattr(translator.LanguageModel, "fit", counting)
     strategy = ScoringStrategy("nist_igsl")

@@ -1,5 +1,6 @@
 """Alignment EM, template extraction, scoring, generation, serialization."""
 
+import copy
 import heapq
 import itertools
 import math
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sportscaster import corpus, learner, mrl, simgen, translator
+from sportscaster import cli, corpus, learner, mrl, simgen, translator
 
 
 def _mr(text):
@@ -237,7 +238,7 @@ def test_train_single_pair_memorizes():
 
 
 def test_lm_context_distribution_sums_to_one():
-    lm = translator.LanguageModel().fit([["a", "b"], ["a", "c"]])
+    lm = translator.LanguageModel.fit([["a", "b"], ["a", "c"]])
     words = set(lm.vocabulary) | {"</s>"}
     for context in lm.counts:
         assert sum(lm.probability(w, context) for w in words) == pytest.approx(
@@ -246,7 +247,7 @@ def test_lm_context_distribution_sums_to_one():
 
 
 def test_lm_known_probability():
-    lm = translator.LanguageModel().fit([["a", "b"]])
+    lm = translator.LanguageModel.fit([["a", "b"]])
     # Every step: count 1 of 1 with |V|+1 = 3 smoothing slots.
     step = 1.01 / 1.03
     assert lm.sentence_prob(["a", "b"]) == pytest.approx(step**3)
@@ -254,7 +255,7 @@ def test_lm_known_probability():
 
 def test_lm_scores_with_the_order_it_was_fit_with(monkeypatch):
     monkeypatch.setattr(translator, "LM_ORDER", 2)
-    lm = translator.LanguageModel().fit([["a", "b"], ["a", "a"]])
+    lm = translator.LanguageModel.fit([["a", "b"], ["a", "a"]])
     # Bigram counts: <s> -> a 2 of 2; a -> a and a -> </s> 1 of 3 each (the
     # third is a -> b); |V|+1 = 3 smoothing slots.
     expected = (2.01 / 2.03) * (1.01 / 3.03) * (1.01 / 3.03)
@@ -306,7 +307,7 @@ def test_uniform_model_ties_break_canonically():
     model = translator.TranslationModel(
         alignment=translator.AlignmentModel(t=t, vocabulary=vocabulary),
         lexicon=translator.TemplateLexicon(templates={}, realizations={}),
-        lm=translator.LanguageModel().fit([["left", "right"]]),
+        lm=translator.LanguageModel.fit([["left", "right"]]),
     )
     ranked = translator.parse_sentence(["left", "right"], model)
     assert len(ranked) == 2018
@@ -355,8 +356,10 @@ def test_template_weight_rescale_keeps_rankings():
 
 
 def test_lm_context_totals_follow_a_second_fit():
-    lm = translator.LanguageModel().fit([["a", "b"]])
-    lm.fit([["a", "c"], ["b"]])
+    """A model is fit once, so the sentences a second fit would add come in
+    the same fit; every context's total is over all of them."""
+    lm = translator.LanguageModel.fit([["a", "b"], ["a", "c"], ["b"]])
+    assert sum(lm.counts[(translator._START, "a")].values()) == 2
     smoothing = translator.LM_K * (len(lm.vocabulary) + 1)
     for context, bucket in lm.counts.items():
         for word in set(lm.vocabulary) | {"</s>"}:
@@ -379,7 +382,7 @@ def test_lm_probability_survives_save_load(tmp_path):
 
 
 def test_lm_refit_survives_save_load(tmp_path):
-    lm = translator.LanguageModel().fit([["a", "b"]]).fit([["c"]])
+    lm = translator.LanguageModel.fit([["a", "b"], ["c"]])
     assert lm.vocabulary == {"a", "b", "c"}
     model = replace(translator.train(_sharp_pairs()), lm=lm)
     path = tmp_path / "model.tsv"
@@ -390,10 +393,11 @@ def test_lm_refit_survives_save_load(tmp_path):
     for context in list(lm.counts) + [("never", "seen")]:
         for word in words:
             assert loaded.probability(word, context) == lm.probability(word, context)
-    assert loaded.log_grams == lm.log_grams
-    assert loaded.log_floors == lm.log_floors
-    assert loaded.log_unseen == lm.log_unseen
+    assert loaded.grams == lm.grams
+    assert loaded.floors == lm.floors
+    assert loaded.unseen == lm.unseen
     assert loaded.ceilings == lm.ceilings
+    assert loaded.pair_ceilings == lm.pair_ceilings
 
 
 def test_a_sentence_holding_the_end_token_survives_save_load(tmp_path):
@@ -409,6 +413,38 @@ def test_a_sentence_holding_the_end_token_survives_save_load(tmp_path):
     for tokens in (["pink1", "kicks"], ["pink1", "kicks", "</s>"], ["unseen"]):
         assert loaded.lm.sentence_prob(tokens) == model.lm.sentence_prob(tokens)
     assert translator.generate_topk(mr, loaded) == translator.generate_topk(mr, model)
+
+
+@pytest.fixture(scope="module")
+def quick_start_path(tmp_path_factory):
+    """model.tsv of the README quick start: 3 games at seed 5, nist_igsl."""
+    root = tmp_path_factory.mktemp("quick-start")
+    assert cli.run(["simulate", "--seed", "5", "--games", "3",
+                    "--out", str(root / "corpus")]) == 0
+    assert cli.run(["train", "--manifest", str(root / "corpus" / "manifest.tsv"),
+                    "--strategy", "nist_igsl", "--out", str(root / "model")]) == 0
+    return root / "model" / "model.tsv"
+
+
+def test_fit_through_a_used_model_leaves_it_unchanged(quick_start_path):
+    """fit builds a new model: the LM a model holds, and so what its
+    generation memo kept, stays that of its own counts."""
+    model = translator.load_model(quick_start_path)
+    mr = _mr("pass(purple5,purple2)")
+    top = translator.generate_topk(mr, model, 1)
+    counts = copy.deepcopy(model.lm.counts)
+    refit = model.lm.fit([["purple5", "passes", "to", "purple2"], ["purple2", "kicks"]])
+    assert model.lm.counts == counts
+    assert translator.generate_topk(mr, model, 1) == top
+    fresh = translator.TranslationModel(model.alignment, model.lexicon, model.lm)
+    assert translator.generate_topk(mr, fresh, 1) == top
+    assert refit.counts != counts
+
+
+def test_the_alignment_table_is_read_only(sharp_model, quick_start_path):
+    for model in (sharp_model, translator.load_model(quick_start_path)):
+        with pytest.raises(ValueError):
+            model.alignment.t[0, 0] = 1.0
 
 
 def test_lm_ceilings_bound_every_context():
@@ -533,9 +569,21 @@ _query = st.lists(st.sampled_from(["red", "blue", "runs", "fast", "goal", "offsi
                   max_size=6)
 
 
+def _reference_pair_ceilings(lm):
+    """The pair ceilings built in a second pass over lm.grams, in its order:
+    a seen n-gram without its first word -> the largest probability of its
+    last word over every first word, only values above lm.unseen kept."""
+    table = {}
+    for gram, p in lm.grams.items():
+        if p > table.get(gram[1:], lm.unseen):
+            table[gram[1:]] = p
+    return table
+
+
 def _assert_lm_tables_match_reference(first, second, queries):
     model = translator.train([(tokens, _mr(text)) for tokens, text in first])
-    model.lm.fit([tokens for tokens, _ in second])
+    sentences = [tokens for tokens, _ in first + second]
+    model = replace(model, lm=translator.LanguageModel.fit(sentences))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.tsv"
         translator.save_model(model, path)
@@ -544,9 +592,13 @@ def _assert_lm_tables_match_reference(first, second, queries):
         for tokens in queries + [tokens for tokens, _ in first + second]:
             assert lm.sentence_logprob(tokens) == _reference_sentence_logprob(lm, tokens)
     assert loaded == model.lm
-    assert loaded.log_grams == model.lm.log_grams
-    assert loaded.log_floors == model.lm.log_floors
-    assert loaded.log_unseen == model.lm.log_unseen
+    assert loaded.grams == model.lm.grams
+    assert loaded.floors == model.lm.floors
+    assert loaded.unseen == model.lm.unseen
+    assert loaded.pair_ceilings == model.lm.pair_ceilings
+    reference = _reference_pair_ceilings(model.lm)
+    assert model.lm.pair_ceilings == reference
+    assert list(model.lm.pair_ceilings) == list(reference)
 
 
 @settings(max_examples=25, deadline=None)
@@ -738,7 +790,7 @@ def _tied_model(lm):
     "lm",
     [
         translator.LanguageModel(),  # every probability is 1: scores are weights
-        translator.LanguageModel().fit([["the", "keeper", "kicks"], ["a", "to", "b"]]),
+        translator.LanguageModel.fit([["the", "keeper", "kicks"], ["a", "to", "b"]]),
     ],
     ids=["flat", "fitted"],
 )
@@ -1058,7 +1110,7 @@ def test_generate_topk_scores_one_combination_when_every_window_is_exact(monkeyp
     best combination is the only one scored."""
     # "the" and "pink" follow some contexts for sure but start few
     # sentences, so their ceilings are far above their probability here.
-    lm = translator.LanguageModel().fit([
+    lm = translator.LanguageModel.fit([
         ["pink1", "passes", "the", "ball", "to", "pink2"],
         ["the", "pink", "one", "passes", "the", "ball", "to", "pink2"],
         ["pink1", "lobs", "it", "over", "to", "the", "pink", "two"],
@@ -1238,15 +1290,14 @@ def test_extract_templates_matches_the_reference_at_its_edges(monkeypatch):
 
 def _reference_fit(sentences):
     """LanguageModel.fit as it counted one sentence at a time."""
-    lm = translator.LanguageModel()
+    counts = {}
     order = translator.LM_ORDER
     for sentence in sentences:
         padded = [translator._START] * (order - 1) + list(sentence) + [translator._END]
         for i in range(order - 1, len(padded)):
             context = tuple(padded[i - order + 1 : i])
-            lm.counts.setdefault(context, Counter())[padded[i]] += 1
-    lm._index()
-    return lm
+            counts.setdefault(context, Counter())[padded[i]] += 1
+    return translator.LanguageModel(counts=counts)
 
 
 # Sentences in runs of equal ones, some of them empty, as lists or tuples.
@@ -1267,7 +1318,7 @@ def test_lm_fit_counts_runs_as_every_sentence(first, second, order):
     dict's key order of counting each sentence, at the LM_ORDER of the call."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(translator, "LM_ORDER", order)
-        lm = translator.LanguageModel().fit(first).fit(iter(second))
+        lm = translator.LanguageModel.fit(itertools.chain(first, iter(second)))
         reference = _reference_fit(first + second)
         assert lm == reference
         assert list(lm.counts) == list(reference.counts)
