@@ -109,15 +109,16 @@ def read_records(path, n: int) -> list[tuple[int, list[str]]]:
 
 @contextmanager
 def at_line(
-    path: str | Path | None, lineno: int, reason: Callable[[ValueError], str] = str
+    path: str | Path | None, lineno: int, reason: Callable[[Exception], str] = str
 ) -> Iterator[None]:
-    """Report a ValueError raised in the block as FormatError(path, lineno,
-    reason(error)); a FormatError passes through unchanged."""
+    """Report a ValueError or OSError raised in the block as
+    FormatError(path, lineno, reason(error)); a FormatError passes through
+    unchanged."""
     try:
         yield
     except FormatError:
         raise
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         raise FormatError(path if path is None else str(path), lineno, reason(err)) from None
 
 
@@ -368,12 +369,23 @@ def load_corpus(manifest_path: str | Path, window_ms: int = DEFAULT_WINDOW_MS) -
     manifest = Path(manifest_path)
     base = manifest.parent
     games = []
-    for _, (name, events_rel, comments_rel, gold_rel) in read_records(manifest, 4):
-        events = _load_events(base / events_rel)
-        comments = _load_comments(base / comments_rel)
-        gold = None
-        if gold_rel != "-":
-            gold = _load_gold(base / gold_rel, events, comments, window_ms)
+    first_at: dict[str, int] = {}
+    for lineno, (name, events_rel, comments_rel, gold_rel) in read_records(manifest, 4):
+        if not name.strip():
+            raise FormatError(str(manifest), lineno, "empty game name")
+        if name in first_at:
+            raise FormatError(
+                str(manifest), lineno,
+                f"duplicate game {name!r} (first at line {first_at[name]})",
+            )
+        first_at[name] = lineno
+        # a file the row names that cannot be opened is reported at the row
+        with at_line(manifest, lineno):
+            events = _load_events(base / events_rel)
+            comments = _load_comments(base / comments_rel)
+            gold = None
+            if gold_rel != "-":
+                gold = _load_gold(base / gold_rel, events, comments, window_ms)
         games.append(Game(name, events, comments, gold))
     return Corpus(tuple(games))
 

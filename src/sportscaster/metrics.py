@@ -72,30 +72,41 @@ def matching_f1(
     predicted: Mapping[Hashable, int],
     gold: Mapping[Hashable, int | None],
 ) -> EvalReport:
-    """Score a comment-to-event assignment against the gold matching."""
-    gold_bearing = {k for k, v in gold.items() if v is not None}
-    correct = sum(1 for k, e in predicted.items() if gold.get(k) == e)
-    p, r, f = _prf(correct, len(predicted), len(gold_bearing))
+    """Score a comment-to-event assignment against the gold matching.
+
+    When every gold key is a (game, comment) pair, the breakdown scores each
+    game that has a prediction.  One pass over each mapping tallies the
+    correct, predicted and gold-bearing counts, in total and per game."""
+    gold_get = gold.get
+    correct = 0
+    tallies: dict[Hashable, list[int]] = {}  # game -> [correct, predicted, gold]
+    for key, event in predicted.items():
+        hit = gold_get(key) == event
+        correct += hit
+        if isinstance(key, tuple) and len(key) == 2:
+            tally = tallies.get(key[0])
+            if tally is None:
+                tally = tallies[key[0]] = [0, 0, 0]
+            tally[0] += hit
+            tally[1] += 1
+    by_game = bool(tallies) and all(isinstance(k, tuple) and len(k) == 2 for k in gold)
+    gold_total = 0
+    for key, event in gold.items():
+        if event is not None:
+            gold_total += 1
+            if by_game and key[0] in tallies:
+                tallies[key[0]][2] += 1
+    p, r, f = _prf(correct, len(predicted), gold_total)
     report = EvalReport(
         task="matching",
         precision=p,
         recall=r,
         f1=f,
-        counts={
-            "correct": correct,
-            "predicted": len(predicted),
-            "gold": len(gold_bearing),
-        },
+        counts={"correct": correct, "predicted": len(predicted), "gold": gold_total},
     )
-    games = {k[0] for k in predicted if isinstance(k, tuple) and len(k) == 2}
-    if games and all(isinstance(k, tuple) and len(k) == 2 for k in gold):
-        for game in sorted(games):
-            sub_pred = {k: v for k, v in predicted.items() if k[0] == game}
-            sub_gold = {k: v for k, v in gold.items() if k[0] == game}
-            c = sum(1 for k, e in sub_pred.items() if sub_gold.get(k) == e)
-            gp, gr, gf = _prf(
-                c, len(sub_pred), sum(1 for v in sub_gold.values() if v is not None)
-            )
+    if by_game:
+        for game in sorted(tallies):
+            gp, gr, gf = _prf(*tallies[game])
             report.breakdown[game] = {"precision": gp, "recall": gr, "f1": gf}
     return report
 

@@ -214,7 +214,10 @@ class LanguageModel:
             padded = [_START] * (LM_ORDER - 1) + list(sentence) + [_END]
             for i in range(LM_ORDER - 1, len(padded)):
                 context = tuple(padded[i - LM_ORDER + 1 : i])
-                counts.setdefault(context, Counter())[padded[i]] += repeats
+                bucket = counts.get(context)
+                if bucket is None:
+                    bucket = counts[context] = Counter()
+                bucket[padded[i]] += repeats
         return cls(counts)
 
     def probability(self, word: str, context: tuple[str, ...]) -> float:
@@ -429,12 +432,15 @@ def train_alignment(pairs: Sequence[Pair], iterations: int = 25) -> AlignmentMod
     """Model-1 EM: uniform init, then expected-count renormalization.
 
     The corpus is flattened once into (token, production slot) cells of the
-    table; each E-step gathers them, and one np.bincount adds their expected
-    counts into the table from 0.0 in corpus order.  A second np.bincount
-    takes each production's row total from 0.0, adding its cells' expected
-    counts in first-reach order, the order a dict per row would hold them
-    in.  That equals builtin sum up to Python 3.11; from 3.12 builtin sum
-    compensates float rounding, and the two may differ in the last bit.
+    table.  Each E-step gathers them and adds each token's four slot values
+    into its denominator column by column, left to right: the order an
+    (N, 4) sum(axis=1) takes, written out because numpy reduces so short an
+    axis slowly.  One np.bincount adds the expected counts into the table
+    from 0.0 in corpus order.  A second np.bincount takes each production's
+    row total from 0.0, adding its cells' expected counts in first-reach
+    order, the order a dict per row would hold them in.  That equals builtin
+    sum up to Python 3.11; from 3.12 builtin sum compensates float rounding,
+    and the two may differ in the last bit.
     """
     if not pairs:
         raise EmptyTrainingSet("no (sentence, mr) pairs to train on")
@@ -465,12 +471,14 @@ def train_alignment(pairs: Sequence[Pair], iterations: int = 25) -> AlignmentMod
     history = []
     for step in range(iterations + 1):
         gathered = t.take(cells)
-        denominators = gathered.sum(axis=1)
+        denominators = gathered[:, 0] + gathered[:, 1]
+        denominators += gathered[:, 2]
+        denominators += gathered[:, 3]
         history.append(float(np.log(denominators / width).sum()))
         if step == iterations:
             break
-        weights = gathered / denominators[:, None]
-        expected = np.bincount(cells.ravel(), weights=weights.ravel(), minlength=t.size)
+        gathered /= denominators[:, None]
+        expected = np.bincount(cells.ravel(), weights=gathered.ravel(), minlength=t.size)
         totals = np.bincount(owners, weights=expected.take(reached), minlength=len(t))
         t[trained] = expected.reshape(t.shape)[trained] / totals[trained, None]
     return AlignmentModel(t=t, vocabulary=vocabulary, log_likelihoods=tuple(history))

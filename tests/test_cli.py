@@ -222,6 +222,44 @@ def test_superfluous_cv_names_an_empty_training_fold(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("row, field, value, reason", [
+    (1, 1, "nope.tsv", "No such file or directory: '{games}/nope.tsv'"),
+    (0, 2, "nope.tsv", "No such file or directory: '{games}/nope.tsv'"),
+    (1, 3, "nope.tsv", "No such file or directory: '{games}/nope.tsv'"),
+    (0, 3, ".", "Is a directory"),
+    (1, 0, "", "empty game name"),
+    (1, 0, " ", "empty game name"),
+    (1, 0, "game1", "duplicate game 'game1' (first at line 1)"),
+], ids=["events", "comments", "gold", "unreadable", "blank", "spaces", "duplicate"])
+def test_a_bad_manifest_row_names_its_line(
+    corpus_dir, tmp_path, capsys, row, field, value, reason
+):
+    games = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, games)
+    manifest = games / "manifest.tsv"
+    rows = [line.split("\t") for line in manifest.read_text().splitlines()]
+    rows[row][field] = value
+    manifest.write_text("".join("\t".join(fields) + "\n" for fields in rows))
+    assert run(["pair", "--manifest", str(manifest)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}:{row + 1}: ")
+    assert reason.format(games=games) in err
+
+
+def test_a_game_named_again_after_a_blank_line_names_both_lines(corpus_dir, tmp_path, capsys):
+    games = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, games)
+    manifest = games / "manifest.tsv"
+    first = manifest.read_text().splitlines()[0]
+    manifest.write_text(f"{first}\n\n{first}\n")
+    out = tmp_path / "out"
+    assert run(["train", "--manifest", str(manifest), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {manifest}:3: duplicate game 'game1' (first at line 1)\n"
+    )
+    assert not out.exists()
+
+
 def test_superfluous_cv_names_an_empty_validation_fold(tmp_path, capsys):
     # Comment 2 has no event in its window, so the examples are ("game1", 0),
     # ("game1", 1) and ("game1", 3), which validation_split all trains on.

@@ -46,6 +46,60 @@ def test_matching_f1_per_game_breakdown():
     assert report.breakdown["b"]["f1"] == pytest.approx(1.0)
 
 
+def _reference_matching_f1(predicted, gold):
+    """Per game, the predictions and gold entries of that game gathered into
+    dicts of their own and scored like the whole."""
+    gold_bearing = {k for k, v in gold.items() if v is not None}
+    correct = sum(1 for k, e in predicted.items() if gold.get(k) == e)
+    p, r, f = metrics._prf(correct, len(predicted), len(gold_bearing))
+    report = metrics.EvalReport(
+        task="matching",
+        precision=p,
+        recall=r,
+        f1=f,
+        counts={
+            "correct": correct,
+            "predicted": len(predicted),
+            "gold": len(gold_bearing),
+        },
+    )
+    games = {k[0] for k in predicted if isinstance(k, tuple) and len(k) == 2}
+    if games and all(isinstance(k, tuple) and len(k) == 2 for k in gold):
+        for game in sorted(games):
+            sub_pred = {k: v for k, v in predicted.items() if k[0] == game}
+            sub_gold = {k: v for k, v in gold.items() if k[0] == game}
+            c = sum(1 for k, e in sub_pred.items() if sub_gold.get(k) == e)
+            gp, gr, gf = metrics._prf(
+                c, len(sub_pred), sum(1 for v in sub_gold.values() if v is not None)
+            )
+            report.breakdown[game] = {"precision": gp, "recall": gr, "f1": gf}
+    return report
+
+
+# (game, comment) keys over a few games, so some games are missing from gold
+# and some gold games have no prediction; gold may hold None (chatter), and
+# may hold a key that is no (game, comment) pair, which drops the breakdown.
+_matching_key = st.tuples(st.sampled_from(["g1", "g2", "g3", "g10"]), st.integers(0, 5))
+_event_id = st.integers(0, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(_matching_key, _event_id, max_size=12),
+    st.dictionaries(_matching_key, st.none() | _event_id, max_size=12),
+    st.sampled_from([None, "g1", 7, ("g1", 0, 0)]),
+)
+def test_matching_f1_matches_reference(predicted, gold, stray_key):
+    if stray_key is not None:
+        gold[stray_key] = 1
+    report = metrics.matching_f1(predicted, gold)
+    reference = _reference_matching_f1(predicted, gold)
+    assert report.rows() == reference.rows()
+    assert report.counts == reference.counts
+    assert report.breakdown == reference.breakdown
+    assert list(report.breakdown) == list(reference.breakdown)
+
+
 def test_parsing_f1_oracle():
     # 12 gold comments, parser emits on 10 of them, 8 correct.
     gold = {i: mrl.parse_mr(f"kick(pink{1 + i % 11})") for i in range(12)}

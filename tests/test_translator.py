@@ -49,8 +49,10 @@ def _table(model):
 
 
 def _sum_left_to_right(values):
-    """The sum numpy's EM takes: builtin sum compensates rounding from
-    Python 3.12, which would break the exact comparison below."""
+    """The sum EM takes: train_alignment adds each token's slots column by
+    column and np.bincount adds in corpus order, both left to right, while
+    builtin sum compensates rounding from Python 3.12, which would break the
+    exact comparison below."""
     total = 0.0
     for value in values:
         total += value
@@ -89,9 +91,48 @@ def _reference_train_alignment(pairs, iterations):
     return t, vocabulary, history
 
 
-def _assert_matches_reference(pairs):
-    model = translator.train_alignment(pairs, iterations=25)
-    t, vocabulary, history = _reference_train_alignment(pairs, 25)
+def _reference_train_alignment_numpy(pairs, iterations):
+    """The array EM with numpy's own row sum for each token's denominator,
+    and a fresh array of weights per step."""
+    vocabulary = tuple(sorted({w for tokens, _ in pairs for w in tokens}))
+    size = len(vocabulary)
+    stride = size + 1
+    column = {word: i for i, word in enumerate(vocabulary)}
+    index, widths = translator._candidate_arrays([mr for _, mr in pairs])
+    lengths = [len(tokens) for tokens, _ in pairs]
+    words = np.array([column[w] for tokens, _ in pairs for w in tokens], dtype=np.intp)
+    rows = np.repeat(index, lengths, axis=0)
+    width = np.repeat(widths, lengths)
+    cells = rows * stride + words[:, None]
+    reached, first = np.unique(cells[rows != translator._PAD_COLUMN], return_index=True)
+    reached = reached[np.argsort(first, kind="stable")]
+    owners = reached // stride
+    trained = np.flatnonzero(np.bincount(owners))
+    t = np.zeros((translator._PAD_COLUMN + 1, stride), dtype=np.float64)
+    t[trained, :size] = 1.0 / size
+    history = []
+    for step in range(iterations + 1):
+        gathered = t.take(cells)
+        denominators = gathered.sum(axis=1)
+        history.append(float(np.log(denominators / width).sum()))
+        if step == iterations:
+            break
+        weights = gathered / denominators[:, None]
+        expected = np.bincount(cells.ravel(), weights=weights.ravel(), minlength=t.size)
+        totals = np.bincount(owners, weights=expected.take(reached), minlength=len(t))
+        t[trained] = expected.reshape(t.shape)[trained] / totals[trained, None]
+    return t, vocabulary, tuple(history)
+
+
+def _assert_matches_references(pairs, iterations):
+    """Bit for bit against the numpy-sum reference, and cell for cell
+    against the dict reference."""
+    model = translator.train_alignment(pairs, iterations=iterations)
+    t, vocabulary, history = _reference_train_alignment_numpy(pairs, iterations)
+    assert model.t.tobytes() == t.tobytes()
+    assert model.vocabulary == vocabulary
+    assert model.log_likelihoods == history
+    t, vocabulary, history = _reference_train_alignment(pairs, iterations)
     assert model.vocabulary == vocabulary
     assert model.t.shape == (translator._PAD_COLUMN + 1, len(vocabulary) + 1)
     for row, key in enumerate(translator._COLUMN_KEYS):
@@ -101,7 +142,18 @@ def _assert_matches_reference(pairs):
 
 
 def test_train_alignment_matches_dict_reference():
-    _assert_matches_reference(_sharp_pairs())
+    _assert_matches_references(_sharp_pairs(), 25)
+
+
+def test_train_alignment_matches_both_references_on_a_simulated_corpus():
+    """Every candidate pair of a 2-game simulated corpus: the all-candidates
+    EM of a first loop iteration."""
+    world = replace(simgen.default_world(), seed=3)
+    profile = replace(simgen.default_profile(), seed=1003, superfluous_rate=1 / 9)
+    games = simgen.simulate_corpus(world, profile, 2).games
+    pairs = learner.initial_training_set(corpus.pooled_examples(games))
+    assert len({len(mrl.derivation(mr)) for _, mr in pairs}) == 3  # arity 0, 1 and 2
+    _assert_matches_references(pairs, 25)
 
 
 def _assert_framed(alignment):
@@ -532,10 +584,19 @@ def test_every_extracted_template_passes_the_shared_check(raw_pairs):
             mrl.check_template(predicate, template)
 
 
-@settings(max_examples=25, deadline=None)
-@given(_corpora)
-def test_train_alignment_matches_dict_reference_on_random_corpora(raw_pairs):
-    _assert_matches_reference([(tokens, _mr(text)) for tokens, text in raw_pairs])
+# A few distinct pairs, drawn again and again: arity-0, 1 and 2 MRs (one, two
+# and no pad slots), a production named twice, repeated pairs and one-token
+# sentences.
+_repeating_corpora = st.lists(
+    st.tuples(st.lists(_word, min_size=1, max_size=4), _mr_text), min_size=1, max_size=6
+).flatmap(lambda distinct: st.lists(st.sampled_from(distinct), min_size=1, max_size=8))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_repeating_corpora, st.integers(1, 25))
+def test_train_alignment_matches_dict_reference_on_random_corpora(raw_pairs, iterations):
+    pairs = [(tokens, _mr(text)) for tokens, text in raw_pairs]
+    _assert_matches_references(pairs, iterations)
 
 
 @settings(max_examples=25, deadline=None)
