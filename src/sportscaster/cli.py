@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -195,12 +196,22 @@ def _alignment_lines(examples, matching: learner.Matching) -> list[str]:
 
 
 def _load_matching(path) -> dict[tuple[str, int], int]:
+    """(game, comment id) -> event id from a matching TSV that `train` wrote;
+    a bad line, or a second line for one comment, raises FormatError naming
+    its file and line."""
     predicted: dict[tuple[str, int], int] = {}
-    for lineno, fields in corpus.read_records(path, 4):
-        if lineno == 1 and fields[0] == "game":
+    first_at: dict[tuple[str, int], int] = {}
+    for lineno, (game, comment_id, event_id, score) in corpus.read_records(path, 4):
+        if lineno == 1 and game == "game":
             continue
         with corpus.at_line(path, lineno):
-            predicted[(fields[0], int(fields[1]))] = int(fields[2])
+            key = (game, int(comment_id))
+            predicted[key] = int(event_id)
+            if not math.isfinite(float(score)):
+                raise ValueError(f"score {score!r} is not finite")
+        corpus.check_unique(
+            first_at, key, path, lineno, f"comment {key[1]} of game {game!r}"
+        )
     return predicted
 
 
@@ -500,17 +511,19 @@ def _coerce(value: str, default) -> object:
 
 
 def _load_cli_config(path, sub: _Parser) -> dict:
-    defaults = {
-        action.dest: action.default
-        for action in _settings(sub)
-        if action.dest != "config"
-    }
+    """The `key = value` settings of a --config file, each coerced to its
+    default's type and held to its argument's choices at its line."""
+    actions = {action.dest: action for action in _settings(sub) if action.dest != "config"}
     overrides = {}
     for lineno, key, value in corpus.key_values(corpus.read_lines(path), path):
-        if key not in defaults:
+        if key not in actions:
             raise corpus.FormatError(str(path), lineno, f"unknown key {key!r}")
+        action = actions[key]
         with corpus.at_line(path, lineno):
-            overrides[key] = _coerce(value, defaults[key])
+            overrides[key] = _coerce(value, action.default)
+            if action.choices is not None and overrides[key] not in action.choices:
+                choices = ", ".join(map(repr, action.choices))
+                raise ValueError(f"invalid {key} {value!r} (choose from {choices})")
     return overrides
 
 

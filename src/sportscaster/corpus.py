@@ -122,6 +122,17 @@ def at_line(
         raise FormatError(path if path is None else str(path), lineno, reason(err)) from None
 
 
+def check_unique(first_at: dict, key, path, lineno: int, what: str) -> None:
+    """Record that key was read at lineno, or raise FormatError(path, lineno)
+    naming `what` and the line that first gave key: a reader whose lines are
+    keyed takes no key twice."""
+    if key in first_at:
+        raise FormatError(
+            str(path), lineno, f"duplicate {what} (first at line {first_at[key]})"
+        )
+    first_at[key] = lineno
+
+
 def key_values(
     lines: Iterable[tuple[int, str]], path: str | Path | None = None
 ) -> Iterator[tuple[int, str, str]]:
@@ -373,12 +384,7 @@ def load_corpus(manifest_path: str | Path, window_ms: int = DEFAULT_WINDOW_MS) -
     for lineno, (name, events_rel, comments_rel, gold_rel) in read_records(manifest, 4):
         if not name.strip():
             raise FormatError(str(manifest), lineno, "empty game name")
-        if name in first_at:
-            raise FormatError(
-                str(manifest), lineno,
-                f"duplicate game {name!r} (first at line {first_at[name]})",
-            )
-        first_at[name] = lineno
+        check_unique(first_at, name, manifest, lineno, f"game {name!r}")
         # a file the row names that cannot be opened is reported at the row
         with at_line(manifest, lineno):
             events = _load_events(base / events_rel)

@@ -29,12 +29,15 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import mrl, translator
-from .corpus import AmbiguousExample, GameEvent, at_line, fmt, read_records, write_lines
+from .corpus import (
+    AmbiguousExample, GameEvent, at_line, check_unique, fmt, read_records, write_lines,
+)
 from .simgen import Prng
 
 DEFAULT_MAX_ITER = 50
 _TOLERANCE = 1e-9
 TICK_MS = 1000
+_PREDICATE_NAMES = frozenset(p.name for p in mrl.PREDICATES)
 
 
 class EmptyCandidates(ValueError):
@@ -206,12 +209,19 @@ def save_strategic(model: StrategicModel, path) -> None:
 
 def load_strategic(path) -> StrategicModel:
     """Inverse of save_strategic; a malformed line raises FormatError naming
-    its file and line.  A probability must be a number in [0, 1] and a count
-    must not be negative: a NaN would poison every select_event draw."""
+    its file and line.  A predicate must be one of the grammar's, on one line
+    only: select_event looks events up by their grammar name, so a misspelt
+    one would silently never be spoken.  A probability must be a number in
+    [0, 1] and a count must not be negative: a NaN would poison every
+    select_event draw."""
     prob: dict[str, float] = {}
     total: dict[str, int] = {}
+    first_at: dict[str, int] = {}
     for lineno, (predicate, p, count) in read_records(path, 3):
+        check_unique(first_at, predicate, path, lineno, f"predicate {predicate!r}")
         with at_line(path, lineno):
+            if predicate not in _PREDICATE_NAMES:
+                raise ValueError(f"unknown predicate {predicate!r}")
             prob[predicate] = float(p)
             total[predicate] = int(count)
             if not 0.0 <= prob[predicate] <= 1.0:

@@ -56,24 +56,29 @@ parse-scored loop and validation scorer (the corpus) are views of it.
 parse_sentence gathers the sentence's rows of the full-space table, which
 _word_scores fills, so its scores can never disagree with score_corpus's.
 It ranks all of enumerate_mrs() in passes that run no Python frame per MR:
-map over serialize_mr (a C getter of the cached surface), one sorted of
-the indices by surface, one stable argsort of the negated scores in that
-order, and one gather each of a cached object array of the MRs and of
-the scores.  Each parse still serializes and sorts every MR, because the
-tie order is defined by serialize_mr and the benchmark's serve workload
-checks that a full-space parse makes one serialize_mr call per MR.
+one object array of the surfaces, mapped through serialize_mr (a C getter
+of the cached surface), and its stable argsort, by Python's <; one stable
+argsort of the negated scores in that order; and one gather each of a
+cached object array of the MRs and of the scores.  The result is a
+Ranking, a sequence view over those two arrays: it makes no (mr, score)
+pair until one is read.  Each parse still serializes and sorts every MR,
+because the tie order is defined by serialize_mr and the benchmark's
+serve workload checks that a full-space parse makes one serialize_mr call
+per MR.
 """
 
 from __future__ import annotations
 
+import collections.abc
 import heapq
 import itertools
 import math
+import operator
 import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -709,30 +714,49 @@ def score_candidates(
     return score_corpus([tokens], [mrs], alignment)[0]
 
 
-def parse_sentence(
-    tokens: Tokens, model: TranslationModel
-) -> list[tuple[mrl.MeaningRepresentation, float]]:
+class Ranking(collections.abc.Sequence):
+    """parse_sentence's result: the MRs in rank order, as an object array of
+    the enumerate_mrs() objects, and their scores, a float64 array in the
+    same order.  ranking[i] is (mrs[i], float(scores[i])) for an int i,
+    negative counting from the end; iteration zips the two arrays' lists."""
+
+    __slots__ = ("mrs", "scores")
+
+    def __init__(self, mrs: np.ndarray, scores: np.ndarray) -> None:
+        self.mrs = mrs
+        self.scores = scores
+
+    def __len__(self) -> int:
+        return len(self.mrs)
+
+    def __getitem__(self, i: int) -> tuple[mrl.MeaningRepresentation, float]:
+        i = operator.index(i)  # no slices
+        return self.mrs[i], float(self.scores[i])
+
+    def __iter__(self) -> Iterator[tuple[mrl.MeaningRepresentation, float]]:
+        return zip(self.mrs.tolist(), self.scores.tolist())
+
+
+def parse_sentence(tokens: Tokens, model: TranslationModel) -> Ranking:
     """Rank every grammar-valid MR by (-score, serialize_mr), or abstain:
     score_corpus's scores over enumerate_mrs(), read from the sentence's
-    rows of alignment.full_space.  Abstention: an empty result for an empty
+    rows of alignment.full_space.  Abstention: an empty ranking for an empty
     sentence, or when even the best MR scores at the all-NULL floor, i.e.
     the sentence shares nothing with the model."""
     if not tokens:
-        return []
+        return Ranking(np.empty(0, dtype=object), np.empty(0))
     per_word = model.alignment.full_space.take(_word_columns(tokens, model.alignment), axis=0)
     values = _sentence_scores(per_word)
     if values.max() <= null_floor(model.alignment) * (1.0 + 1e-9):
-        return []
-    # Two stable sorts, the secondary key first: the surface forms, then
-    # the negated scores taken in that order.  Each pass runs at C level:
-    # map over the C getter serialize_mr, sorted, and numpy gathers.
+        return Ranking(np.empty(0, dtype=object), np.empty(0))
+    # Two stable sorts, the secondary key first: the surface forms (an
+    # object array sorts by Python's <; the surfaces are unique), then the
+    # negated scores taken in that order.
     mrs = mrl.enumerate_mrs()
-    surfaces = list(map(mrl.serialize_mr, mrs))
-    order = np.fromiter(
-        sorted(range(len(mrs)), key=surfaces.__getitem__), dtype=np.intp, count=len(mrs)
-    )
+    surfaces = np.fromiter(map(mrl.serialize_mr, mrs), dtype=object, count=len(mrs))
+    order = surfaces.argsort(kind="stable")
     order = order[np.argsort(-values[order], kind="stable")]
-    return list(zip(_full_space_mrs()[order].tolist(), values[order].tolist()))
+    return Ranking(_full_space_mrs()[order], values[order])
 
 
 # Relative slack on the generation bound.  The bound is a product of

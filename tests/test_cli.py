@@ -3,7 +3,7 @@ import shutil
 
 import pytest
 
-from sportscaster import cli, corpus, learner, mrl, translator
+from sportscaster import cli, corpus, learner, mrl, strategic, translator
 from sportscaster.cli import Table, run
 
 
@@ -284,6 +284,43 @@ def test_config_file_rejects_unknown_key(corpus_dir, tmp_path):
     assert run(["train", "--config", str(config)]) == 2
 
 
+def test_config_value_outside_choices_names_its_line(corpus_dir, tmp_path, capsys):
+    config = tmp_path / "train.cfg"
+    config.write_text(f"manifest = {corpus_dir / 'manifest.tsv'}\nstrategy = bogus\n")
+    out = tmp_path / "out"
+    assert run(["train", "--config", str(config), "--out", str(out)]) == 2
+    assert f"{config}:2: invalid strategy 'bogus' (choose from " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "bad, reason",
+    [
+        ("junk", "could not convert string to float: 'junk'"),
+        ("nan", "score 'nan' is not finite"),
+        ("-inf", "score '-inf' is not finite"),
+        (None, "duplicate comment {comment} of game 'game1' (first at line 2)"),
+    ],
+)
+def test_malformed_matching_names_file_and_line(
+    corpus_dir, train_dir, tmp_path, capsys, bad, reason
+):
+    lines = (train_dir / "matching.tsv").read_text().splitlines()
+    fields = lines[1].split("\t")
+    if bad is None:  # a second line for line 2's comment, another event
+        lines.insert(2, "\t".join(fields[:2] + ["999", fields[3]]))
+        reason = reason.format(comment=fields[1])
+    else:
+        fields[3] = bad
+        lines[2] = "\t".join(fields)
+    matching = tmp_path / "matching.tsv"
+    matching.write_text("".join(line + "\n" for line in lines))
+    assert run(["evaluate", str(train_dir / "model.tsv"),
+                "--manifest", str(corpus_dir / "manifest.tsv"),
+                "--matching", str(matching)]) == 2
+    assert capsys.readouterr().err == f"error: {matching}:3: {reason}\n"
+
+
 def test_alignment_output_reingests(corpus_dir, train_dir, tmp_path):
     out = tmp_path / "seeded"
     rc = run([
@@ -323,6 +360,7 @@ def test_igsl_on_a_game_without_events(tmp_path, capsys):
     assert rc == 0
     assert (out / "igsl.tsv").read_text() == "predicate\tevents\tprobability\n"
     assert (out / "strategic.tsv").read_text() == ""
+    assert strategic.load_strategic(out / "strategic.tsv") == strategic.StrategicModel({}, {})
 
 
 @pytest.mark.parametrize("max_iter", ["0", "-1"])
@@ -711,6 +749,9 @@ def test_malformed_model_names_file_and_line(tmp_path, capsys, line, bad):
         (2, "kick\t7\t3"),
         (2, "kick\t-0.5\t3"),
         (3, "pass\t0.25\t-4"),            # negative count
+        (2, "xyz\t0.5\t3"),               # predicate not in the grammar
+        (2, "\t0.5\t3"),                  # empty predicate
+        (3, "kick\t0.25\t4"),             # predicate on a second line
     ],
 )
 def test_malformed_strategic_names_file_and_line(

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sportscaster import corpus, mrl, simgen, strategic, translator
-from sportscaster.corpus import AmbiguousExample, Comment, GameEvent
+from sportscaster.corpus import AmbiguousExample, Comment, FormatError, GameEvent
 from sportscaster.simgen import Prng
 
 
@@ -454,3 +454,20 @@ def test_strategic_serialization_round_trip(tmp_path):
     assert loaded.total_count == model.total_count
     for predicate, value in model.prob.items():
         assert loaded.prob[predicate] == pytest.approx(value, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("kick\t0.5\t3\nxyz\t0.5\t3\n", "2: unknown predicate 'xyz'"),
+        ("\t0.5\t3\n", "1: unknown predicate ''"),
+        ("kick\t0.5\t3\npass\t0.25\t4\nkick\t0.25\t4\n",
+         "3: duplicate predicate 'kick' (first at line 1)"),
+    ],
+)
+def test_load_strategic_rejects_unknown_and_repeated_predicates(tmp_path, text, reason):
+    path = tmp_path / "strategic.tsv"
+    path.write_text(text)
+    with pytest.raises(FormatError) as err:
+        strategic.load_strategic(path)
+    assert str(err.value) == f"{path}:{reason}"

@@ -320,7 +320,7 @@ def test_score_floor_for_no_overlap():
         [["sunny", "day"]], [[_mr("kick(pink1)")]], model.alignment
     )
     assert score == pytest.approx(translator.null_floor(model.alignment), rel=1e-12)
-    assert translator.parse_sentence(["sunny", "day"], model) == []
+    assert len(translator.parse_sentence(["sunny", "day"], model)) == 0
 
 
 def test_score_invariant_to_candidate_list_order():
@@ -701,10 +701,26 @@ def test_parse_sentence_matches_reference_on_the_full_space(sharp_model, noisy_m
             tokens = text.split()
             ranked = translator.parse_sentence(tokens, model)
             reference = _reference_parse_sentence(tokens, model)
-            assert ranked == reference
+            assert list(ranked) == reference
             # the enumerate_mrs() objects themselves, and Python floats
             assert all(mr is want for (mr, _), (want, _) in zip(ranked, reference))
             assert all(type(score) is float for _, score in ranked)
+
+
+def test_a_ranking_indexes_as_it_iterates(sharp_model, noisy_model):
+    for model in (sharp_model, noisy_model[0]):
+        for text in _PARSE_SENTENCES[:-2]:
+            tokens = text.split()
+            ranked = translator.parse_sentence(tokens, model)
+            walked = list(ranked)
+            for i in (0, 1, -1, len(ranked) - 1):
+                assert ranked[i] == walked[i]
+                assert ranked[i][0] is walked[i][0] and type(ranked[i][1]) is float
+            with pytest.raises(IndexError):
+                ranked[len(ranked)]
+            with pytest.raises(TypeError):
+                ranked[:2]
+            assert dict(ranked) == dict(_reference_parse_sentence(tokens, model))
 
 
 def test_a_parse_serializes_every_mr_once(sharp_model, noisy_model):
@@ -726,7 +742,7 @@ def test_a_parse_serializes_every_mr_once(sharp_model, noisy_model):
             assert {id(mr) for mr, _ in ranked} == {id(mr) for mr in mrs}
             assert all(type(score) is float for _, score in ranked)
             calls.clear()
-            assert translator.parse_sentence([], model) == [] and calls == []
+            assert len(translator.parse_sentence([], model)) == 0 and calls == []
 
 
 _TIE_POOL = ["pass(pink1,pink2)", "pass(pink2,pink1)", "pass(pink1,pink1)",
