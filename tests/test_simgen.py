@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 from dataclasses import replace
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sportscaster import corpus, mrl, simgen
+from sportscaster import cli, corpus, mrl, simgen
 from sportscaster.simgen import (
     CommentatorProfile,
     EmptyLexicon,
@@ -90,6 +91,117 @@ def test_weighted_index_matches_reference(weights, seed, draws):
     for _ in range(draws):
         assert prng.weighted_index(weights) == _reference_weighted_index(reference, weights)
         assert prng.state == reference.state
+
+
+class _ReferencePrng:
+    """splitmix64 one draw at a time, as Prng drew it before it filled
+    blocks: every Prng draw and state is pinned against this."""
+
+    _MASK = (1 << 64) - 1
+
+    def __init__(self, seed):
+        self.state = seed & self._MASK
+
+    def next(self):
+        self.state = (self.state + 0x9E3779B97F4A7C15) & self._MASK
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK
+        return z ^ (z >> 31)
+
+    def uniform(self):
+        return self.next() / 2**64
+
+    def uniform_int(self, lo, hi):
+        return lo + int(self.uniform() * (hi - lo + 1))
+
+    def weighted_index(self, weights):
+        return _reference_weighted_index(self, weights)
+
+
+# One call of a draw sequence: the method and its arguments.
+_calls = st.one_of(
+    st.just(("uniform",)),
+    st.just(("next",)),
+    st.tuples(st.just("uniform_int"), st.integers(-5, 5), st.integers(0, 40)).map(
+        lambda c: (c[0], c[1], c[1] + c[2])
+    ),
+    st.tuples(st.just("weighted_index"), _weights),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 2**64 - 1, 0x9E3779B97F4A7C15])),
+    # runs of one call, up to about 1,500 draws, so that blocks fill and refill
+    st.lists(st.tuples(_calls, st.integers(1, 300)), max_size=5),
+)
+def test_prng_draws_and_states_match_reference(seed, runs):
+    prng, reference = Prng(seed), _ReferencePrng(seed)
+    assert prng.state == reference.state
+    for (method, *args), repeat in runs:
+        for _ in range(repeat):
+            assert getattr(prng, method)(*args) == getattr(reference, method)(*args)
+            assert prng.state == reference.state
+
+
+def test_prng_uniform_matches_reference_over_long_streams():
+    for seed in (0, 1, 5, 12345, 2**64 - 1, 0x9E3779B97F4A7C15):
+        prng, reference = Prng(seed), _ReferencePrng(seed)
+        assert [prng.uniform() for _ in range(100_000)] == [
+            reference.uniform() for _ in range(100_000)
+        ]
+        assert prng.state == reference.state
+
+
+# sha256 of each file `simulate --seed 5 --games 3 --out corpus` writes.
+SIMULATE_SEED5_SHA256 = {
+    "game1.comments.tsv": "07e7f27ed529cd8e64ea5d3e958163ccdc9543425c9884141a47f8cfd06d33b4",
+    "game1.events.tsv": "3dfc0331bfceb0a8e3e9711781110a6803dc457a1dcabf9dfe11177986c7c51b",
+    "game1.gold.tsv": "aed4594dea053b74f0c59ecd52aaf7c0e2d5126d39e4beea72e9b4ae5a84eb48",
+    "game2.comments.tsv": "aaf648a613808217c41f0c5d10b4ed56b1cf7f1ac01fce1d2de41982051c31ac",
+    "game2.events.tsv": "0919b6968fffba4648d4137982176749f0b250de2aa51a6bad2f4bc0f1c59871",
+    "game2.gold.tsv": "79c1d45ef48f36da230834987ce677ffcb9124929312bb5c99e9224e2c5d2fd9",
+    "game3.comments.tsv": "1d569c682476cf4e1efd3cf222ee4a8ed75bd51887fec3ce5d06367b08976a6e",
+    "game3.events.tsv": "d3858772f3b2ae1dde61dc4bfd1da1a13ca52a3639be1875121f9de1fc888f74",
+    "game3.gold.tsv": "2a64d6cb271ec8affb430dcb0fbf4f7d92552aaf421cab3edfd4d57f36414e1a",
+    "manifest.tsv": "6a18862e7165f47c7e7e1c2b003e1b4aae347d109d35ca83e9cb1209f425119b",
+    "run_config.txt": "5642830965303240ff7983737c29e61b66ddafc17638d29a680655637eeaaffa",
+}
+
+
+def test_simulate_writes_frozen_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # run_config.txt echoes --out
+    assert cli.run(["simulate", "--seed", "5", "--games", "3", "--out", "corpus"]) == 0
+    written = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted((tmp_path / "corpus").iterdir())
+    }
+    assert written == SIMULATE_SEED5_SHA256
+
+
+@pytest.mark.parametrize(
+    "family, digest",
+    [
+        (0, "43136add1c3fcb0c157682315b740c35166fac76a3583bbb8e1c93cc7b6f1e56"),
+        (7, "d396feb3289b19a20d1dcf3e7abf8549024c601810e4e135c63eca3f388d9cac"),
+    ],
+)
+def test_benchmark_corpora_are_frozen(family, digest):
+    """The disambiguation benchmark's corpus: family f is world seed f and
+    commentator seed 1000 + f, 8 games, one chatter comment per nine."""
+    world = replace(default_world(), seed=family)
+    profile = replace(default_profile(), seed=1000 + family, superfluous_rate=1 / 9)
+    h = hashlib.sha256()
+    for game in simulate_corpus(world, profile, 8).games:
+        h.update(f"game\t{game.name}\n".encode())
+        for e in game.events:
+            h.update(f"e\t{e.time_ms}\t{mrl.serialize_mr(e.mr)}\t{e.id}\n".encode())
+        for c in game.comments:
+            h.update(f"c\t{c.time_ms}\t{c.raw}\t{c.id}\n".encode())
+        for comment_id, event_id in sorted(game.gold.matches.items()):
+            h.update(f"g\t{comment_id}\t{event_id}\n".encode())
+    assert h.hexdigest() == digest
 
 
 def test_derive_seed_is_stable_and_decorrelated():
