@@ -12,6 +12,12 @@ platform.  The draw order is part of the contract:
   position for its surface form.  After the event pass, one uniform per
   normal comment decides whether to add a superfluous comment; each addition
   draws one uniform for its time, one for its length, and one per word.
+
+splitmix64 is counter-based: draw k of a stream depends only on its seed and
+k.  So Prng computes its floats a block at a time in one numpy pass and
+serves them in order; the draws, their order and the bytes written are the
+ones a one-draw-at-a-time generator gives.  Each call works out its
+per-game constants (weight totals, constant lists, the gap's log rate) once.
 """
 
 from __future__ import annotations
@@ -21,6 +27,8 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import mrl
 from .corpus import (
@@ -40,6 +48,10 @@ from .corpus import (
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_SCALAR_DRAWS = 8
+_BLOCK = 256
+# golden * k mod 2**64 for k = 1.._BLOCK: a block's counters past its origin
+_BLOCK_STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
 
 
 class EmptyLexicon(ValueError):
@@ -56,22 +68,52 @@ class InvalidSetting(ValueError):
 
 
 class Prng:
-    """splitmix64: tiny, fast, and identical across implementations."""
+    """splitmix64: tiny, fast, and identical across implementations.
 
-    __slots__ = ("state",)
+    The stream is counter-based: draw k (1-based) of seed s is
+    mix((s + k * golden) mod 2**64), and state is the sum after the draws
+    taken.  next() and uniform() advance one counter, so they mix freely.
+    uniform() serves its floats from blocks of _BLOCK draws, each computed in
+    one numpy uint64 pass that rounds exactly as int / 2**64 does; the first
+    _SCALAR_DRAWS draws of a stream are computed one at a time, so that a
+    stream drawn once or twice builds no block.
+    """
+
+    __slots__ = ("_origin", "_pos", "_end", "_floats")
 
     def __init__(self, seed: int) -> None:
-        self.state = seed & _MASK
+        # state = _origin + golden * _pos; _floats[i] is draw _origin + i + 1
+        # for i < _end, and _floats is unset until the first block
+        self._origin = seed & _MASK
+        self._pos = self._end = 0
+
+    @property
+    def state(self) -> int:
+        return (self._origin + _GOLDEN * self._pos) & _MASK
 
     def next(self) -> int:
-        self.state = (self.state + _GOLDEN) & _MASK
-        z = self.state
+        self._pos = pos = self._pos + 1
+        z = (self._origin + _GOLDEN * pos) & _MASK
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
         return z ^ (z >> 31)
 
     def uniform(self) -> float:
-        return self.next() / 2**64
+        pos = self._pos
+        if pos < self._end:
+            self._pos = pos + 1
+            return self._floats[pos]
+        if pos < _SCALAR_DRAWS:
+            return self.next() / 2**64
+        self._origin = origin = self.state
+        z = _BLOCK_STEPS + np.uint64(origin)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        self._floats = (z.astype(np.float64) * 2.0**-64).tolist()
+        self._end = _BLOCK
+        self._pos = 1
+        return self._floats[0]
 
     def uniform_int(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], both ends inclusive."""
@@ -181,49 +223,64 @@ def _validate_templates(profile: CommentatorProfile) -> None:
 
 
 def simulate_events(config: WorldConfig) -> list[GameEvent]:
-    """Event trace with geometric gaps and weight-proportional predicates."""
+    """Event trace with geometric gaps and weight-proportional predicates.
+
+    Events that draw the same predicate and arguments share one MR object."""
     prng = Prng(config.seed)
-    names = [p.name for p in mrl.PREDICATES if config.event_type_weights.get(p.name, 0.0) > 0]
-    totals = list(itertools.accumulate(config.event_type_weights[n] for n in names))
-    predicates = {p.name: p for p in mrl.PREDICATES}
+    duration_ms = config.duration_ms
+    log_keep = _log_keep(config.mean_event_gap_ms)
     by_sort = {
-        mrl.PLAYER: [mrl.Constant(t, mrl.PLAYER) for t in mrl.PLAYER_TOKENS],
-        mrl.PLAYMODE: [mrl.Constant(t, mrl.PLAYMODE) for t in mrl.PLAYMODE_TOKENS],
+        sort: [c for c in mrl.CONSTANTS if c.sort == sort] for sort in (mrl.PLAYER, mrl.PLAYMODE)
     }
+    drawn = [p for p in mrl.PREDICATES if config.event_type_weights.get(p.name, 0.0) > 0]
+    totals = list(itertools.accumulate(config.event_type_weights[p.name] for p in drawn))
+    choices = [(p, [by_sort[sort] for sort in p.argument_sorts]) for p in drawn]
+    interned: dict[tuple[int, ...], mrl.MeaningRepresentation] = {}
 
     events: list[GameEvent] = []
     t = 0
     while True:
-        t += _geometric_gap(prng.uniform(), config.mean_event_gap_ms)
-        if t >= config.duration_ms:
+        t += _geometric_gap(prng.uniform(), log_keep)
+        if t >= duration_ms:
             break
-        predicate = predicates[names[prng.cumulative_index(totals)]]
-        args = tuple(
-            by_sort[sort][prng.uniform_int(0, len(by_sort[sort]) - 1)]
-            for sort in predicate.argument_sorts
-        )
-        mr = mrl.MeaningRepresentation(predicate, args)
+        index = prng.cumulative_index(totals)
+        predicate, constants = choices[index]
+        picks = [prng.uniform_int(0, len(options) - 1) for options in constants]
+        key = (index, *picks)
+        mr = interned.get(key)
+        if mr is None:
+            args = tuple(options[i] for options, i in zip(constants, picks))
+            mr = interned[key] = mrl.MeaningRepresentation(predicate, args)
         events.append(GameEvent(t, mr, len(events)))
     return events
 
 
-def _geometric_gap(u: float, mean_gap_ms: int) -> int:
-    if mean_gap_ms <= 1:
+def _log_keep(mean_gap_ms: int) -> float | None:
+    """log(1 - 1/mean_gap_ms), the geometric gap's log failure rate; None
+    where every gap is 1 ms."""
+    return math.log(1.0 - 1.0 / mean_gap_ms) if mean_gap_ms > 1 else None
+
+
+def _geometric_gap(u: float, log_keep: float | None) -> int:
+    # math.log, not np.log: a last-bit difference would move a gap by 1 ms
+    if log_keep is None:
         return 1
-    p = 1.0 / mean_gap_ms
-    return 1 + int(math.log(1.0 - u) / math.log(1.0 - p))
+    return 1 + int(math.log(1.0 - u) / log_keep)
 
 
 def _realize(
     prng: Prng,
-    profile: CommentatorProfile,
     template: tuple[str, ...],
     mr: mrl.MeaningRepresentation,
+    lexicon: dict[str, tuple[list[tuple[str, ...]], list[float]]],
 ) -> list[str]:
+    """The template with each slot filled by a surface drawn for its
+    argument, one draw per argument in argument order; a token without a
+    surface list is its own surface."""
     surfaces = []
     for arg in mr.args:
-        options = profile.lexicon.get(arg.token, [((arg.token,), 1.0)])
-        surfaces.append(options[prng.weighted_index([w for _, w in options])][0])
+        phrases, totals = lexicon.get(arg.token, ([(arg.token,)], [1.0]))
+        surfaces.append(phrases[prng.cumulative_index(totals)])
     words: list[str] = []
     for item in mrl.template_items(template)[0]:
         if isinstance(item, int):
@@ -248,15 +305,22 @@ def commentate(
     prng = Prng(profile.seed)
     lag_lo, lag_hi = profile.lag_ms_range
     duration_ms = events[-1].time_ms + 1 if events else 1
+    comment_prob = profile.comment_prob
+    # each template and surface list as its phrases and the running totals
+    # of their weights, added left to right as Prng.weighted_index adds them
+    lexicon = {
+        name: ([words for words, _ in options], list(itertools.accumulate(w for _, w in options)))
+        for name, options in profile.lexicon.items()
+    }
 
     drafted: list[tuple[int, list[str], mrl.MeaningRepresentation | None]] = []
     for event in events:
-        if prng.uniform() >= profile.comment_prob.get(event.mr.predicate.name, 0.0):
+        name = event.mr.predicate.name
+        if prng.uniform() >= comment_prob.get(name, 0.0):
             continue
         lag = prng.uniform_int(lag_lo, lag_hi)
-        templates = profile.lexicon[event.mr.predicate.name]
-        template, _ = templates[prng.weighted_index([w for _, w in templates])]
-        words = _realize(prng, profile, template, event.mr)
+        templates, totals = lexicon[name]
+        words = _realize(prng, templates[prng.cumulative_index(totals)], event.mr, lexicon)
         drafted.append((event.time_ms + lag, words, event.mr))
 
     n_normal = len(drafted)

@@ -154,6 +154,19 @@ def test_prng_uniform_matches_reference_over_long_streams():
         assert prng.state == reference.state
 
 
+def test_a_fresh_stream_draws_its_first_values_without_numpy(monkeypatch):
+    # derive_seed and validation_split draw once from a fresh stream: a
+    # numpy block there would cost more than the draw
+    reference = _ReferencePrng(77)
+    expected = [reference.uniform() for _ in range(8)]
+    monkeypatch.setattr(simgen, "np", None)
+    prng = Prng(77)
+    assert [prng.uniform() for _ in range(8)] == expected
+    assert derive_seed(3, 1, 0) == _ReferencePrng((3 + 0x9E3779B97F4A7C15) & (2**64 - 1)).next()
+    with pytest.raises(AttributeError):
+        prng.uniform()  # the ninth draw starts the first block
+
+
 # sha256 of each file `simulate --seed 5 --games 3 --out corpus` writes.
 SIMULATE_SEED5_SHA256 = {
     "game1.comments.tsv": "07e7f27ed529cd8e64ea5d3e958163ccdc9543425c9884141a47f8cfd06d33b4",
