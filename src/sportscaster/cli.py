@@ -312,14 +312,19 @@ def _cmd_parse(args, sub: _Parser) -> int:
     return 0
 
 
-def _check_topk(args) -> None:
+def _check_topk(topk: int) -> None:
     """Reject --topk below 1 before any input file is read."""
-    if args.topk < 1:
-        raise ValueError(f"--topk must be at least 1, got {args.topk}")
+    if topk < 1:
+        raise ValueError(f"--topk must be at least 1, got {topk}")
+
+
+# Value checks that a --config line gets at its line; a flag's value gets
+# the same check where the command reads it.
+_VALUE_CHECKS = {"topk": _check_topk, "window_ms": corpus.check_window}
 
 
 def _cmd_generate(args, sub: _Parser) -> int:
-    _check_topk(args)
+    _check_topk(args.topk)
     model = translator.load_model(args.model)
     rows = []
     for lineno, raw in corpus.read_lines(args.input):
@@ -340,7 +345,7 @@ def _cmd_generate(args, sub: _Parser) -> int:
 
 
 def _cmd_sportscast(args, sub: _Parser) -> int:
-    _check_topk(args)
+    _check_topk(args.topk)
     model = translator.load_model(args.model)
     strat = strategic.load_strategic(args.strategic)
     loaded = corpus.load_corpus(args.manifest, args.window_ms)
@@ -512,7 +517,8 @@ def _coerce(value: str, default) -> object:
 
 def _load_cli_config(path, sub: _Parser) -> dict:
     """The `key = value` settings of a --config file, each coerced to its
-    default's type and held to its argument's choices at its line."""
+    default's type and held to its argument's choices and value check at
+    its line."""
     actions = {action.dest: action for action in _settings(sub) if action.dest != "config"}
     overrides = {}
     for lineno, key, value in corpus.key_values(corpus.read_lines(path), path):
@@ -524,6 +530,8 @@ def _load_cli_config(path, sub: _Parser) -> dict:
             if action.choices is not None and overrides[key] not in action.choices:
                 choices = ", ".join(map(repr, action.choices))
                 raise ValueError(f"invalid {key} {value!r} (choose from {choices})")
+            if key in _VALUE_CHECKS:
+                _VALUE_CHECKS[key](overrides[key])
     return overrides
 
 

@@ -374,9 +374,14 @@ def _load_gold(
     return GoldMatch(matches)
 
 
-def load_corpus(manifest_path: str | Path, window_ms: int = DEFAULT_WINDOW_MS) -> Corpus:
+def check_window(window_ms: int) -> None:
+    """Reject a negative pairing window."""
     if window_ms < 0:
         raise ValueError(f"window_ms must not be negative, got {window_ms}")
+
+
+def load_corpus(manifest_path: str | Path, window_ms: int = DEFAULT_WINDOW_MS) -> Corpus:
+    check_window(window_ms)
     manifest = Path(manifest_path)
     base = manifest.parent
     games = []

@@ -83,7 +83,15 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import mrl
-from .corpus import FormatError, at_line, fmt, read_lines, split_fields, write_lines
+from .corpus import (
+    FormatError,
+    at_line,
+    check_unique,
+    fmt,
+    read_lines,
+    split_fields,
+    write_lines,
+)
 
 Tokens = Sequence[str]
 Pair = tuple[Tokens, mrl.MeaningRepresentation]
@@ -923,7 +931,9 @@ def save_model(model: TranslationModel, path) -> None:
 
 def load_model(path) -> TranslationModel:
     """Inverse of save_model (alignment LL history is not persisted); a
-    malformed line raises FormatError naming its file and line."""
+    malformed line raises FormatError naming its file and line, and so does a
+    section header or an entry key read twice."""
+    first_at: dict = {}
     entries: list[tuple[int, str, float]] = []
     templates: dict[str, dict[tuple[str, ...], float]] = {}
     realizations: dict[str, dict[tuple[str, ...], float]] = {}
@@ -934,6 +944,7 @@ def load_model(path) -> TranslationModel:
             section = line[1:-1]
             if section not in _SECTION_FIELDS:
                 raise FormatError(str(path), lineno, f"unknown section {section!r}")
+            check_unique(first_at, section, path, lineno, f"section [{section}]")
             continue
         if section is None:
             raise FormatError(str(path), lineno, "line outside any section")
@@ -944,6 +955,8 @@ def load_model(path) -> TranslationModel:
                 if key not in _COLUMN_INDEX:
                     raise ValueError(f"unknown production key {key!r}")
                 _words(word)
+                check_unique(first_at, (section, key, word), path, lineno,
+                             f"alignment entry {key} {word!r}")
                 entries.append((_COLUMN_INDEX[key], word, _probability(prob)))
             elif section == "templates":
                 kind, name, weight, body = fields
@@ -954,12 +967,16 @@ def load_model(path) -> TranslationModel:
                     raise ValueError(f"unknown line kind {kind!r}, expected S or C")
                 elif name not in _CONSTANT_TOKENS:
                     raise ValueError(f"unknown constant {name!r}")
+                check_unique(first_at, (section, kind, name, items), path, lineno,
+                             f"{kind} line for {name} {body!r}")
                 target = templates if kind == "S" else realizations
                 target.setdefault(name, {})[items] = _probability(weight)
             else:
                 text, word, count = fields
                 _words(word)
                 context = _words(text)
+                check_unique(first_at, (section, context, word), path, lineno,
+                             f"LM count for {word!r} after {text!r}")
                 bucket = counts.setdefault(context, Counter())
                 bucket[word] = int(count)
                 if bucket[word] < 1:

@@ -294,6 +294,32 @@ def test_config_value_outside_choices_names_its_line(corpus_dir, tmp_path, capsy
 
 
 @pytest.mark.parametrize(
+    "command, setting, reason",
+    [
+        ("generate", "topk = 0", "--topk must be at least 1, got 0"),
+        ("sportscast", "topk = -3", "--topk must be at least 1, got -3"),
+        ("pair", "window_ms = -5", "window_ms must not be negative, got -5"),
+        ("train", "window_ms = -1", "window_ms must not be negative, got -1"),
+    ],
+)
+def test_config_value_check_names_its_line(
+    corpus_dir, train_dir, tmp_path, capsys, command, setting, reason
+):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"json = false\n{setting}\n")
+    inputs = {
+        "generate": [str(train_dir / "model.tsv"), str(tmp_path / "mrs.txt")],
+        "sportscast": [str(train_dir / "model.tsv"), str(tmp_path / "strategic.tsv")],
+    }.get(command, [])
+    manifest = [] if command == "generate" else ["--manifest", str(corpus_dir / "manifest.tsv")]
+    out = tmp_path / "out"
+    argv = [command, *inputs, "--config", str(config), *manifest, "--out", str(out)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {config}:2: {reason}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "bad, reason",
     [
         ("junk", "could not convert string to float: 'junk'"),
@@ -735,6 +761,28 @@ def test_malformed_model_names_file_and_line(tmp_path, capsys, line, bad):
     sentences.write_text("pink1 kicks\n")
     assert run(["parse", str(model_path), str(sentences)]) == 2
     assert f"model.tsv:{line}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line, repeated, reason",
+    [
+        (3, "[alignment]", "duplicate section [alignment] (first at line 1)"),
+        (3, "pink1\tpink1\t0.5", "duplicate alignment entry pink1 'pink1' (first at line 2)"),
+        (5, "S\tkick\t0.5\t<1> kicks", "duplicate S line for kick '<1> kicks' (first at line 4)"),
+        (7, "<s> <s>\tpink1\t2",
+         "duplicate LM count for 'pink1' after '<s> <s>' (first at line 6)"),
+    ],
+)
+def test_repeated_model_line_names_both_lines(tmp_path, capsys, line, repeated, reason):
+    lines = ["[alignment]", "pink1\tpink1\t1", "[templates]",
+             "S\tkick\t1\t<1> kicks", "[lm]", "<s> <s>\tpink1\t1"]
+    lines.insert(line - 1, repeated)
+    model_path = tmp_path / "model.tsv"
+    model_path.write_text("".join(entry + "\n" for entry in lines))
+    sentences = tmp_path / "s.txt"
+    sentences.write_text("pink1 kicks\n")
+    assert run(["parse", str(model_path), str(sentences)]) == 2
+    assert capsys.readouterr().err == f"error: {model_path}:{line}: {reason}\n"
 
 
 @pytest.mark.parametrize(
