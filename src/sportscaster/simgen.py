@@ -82,8 +82,8 @@ class Prng:
     __slots__ = ("_origin", "_pos", "_end", "_floats")
 
     def __init__(self, seed: int) -> None:
-        # state = _origin + golden * _pos; _floats[i] is draw _origin + i + 1
-        # for i < _end, and _floats is unset until the first block
+        # state = _origin + golden * _pos; for i < _end, _floats[i] is the
+        # float of draw i + 1 past _origin (unset until the first block)
         self._origin = seed & _MASK
         self._pos = self._end = 0
 
@@ -228,7 +228,8 @@ def simulate_events(config: WorldConfig) -> list[GameEvent]:
     Events that draw the same predicate and arguments share one MR object."""
     prng = Prng(config.seed)
     duration_ms = config.duration_ms
-    log_keep = _log_keep(config.mean_event_gap_ms)
+    gap = config.mean_event_gap_ms
+    log_keep = math.log(1.0 - 1.0 / gap) if gap > 1 else None
     by_sort = {
         sort: [c for c in mrl.CONSTANTS if c.sort == sort] for sort in (mrl.PLAYER, mrl.PLAYMODE)
     }
@@ -255,14 +256,10 @@ def simulate_events(config: WorldConfig) -> list[GameEvent]:
     return events
 
 
-def _log_keep(mean_gap_ms: int) -> float | None:
-    """log(1 - 1/mean_gap_ms), the geometric gap's log failure rate; None
-    where every gap is 1 ms."""
-    return math.log(1.0 - 1.0 / mean_gap_ms) if mean_gap_ms > 1 else None
-
-
 def _geometric_gap(u: float, log_keep: float | None) -> int:
-    # math.log, not np.log: a last-bit difference would move a gap by 1 ms
+    """Geometric gap for the uniform draw u, where log_keep is
+    log(1 - 1/mean gap), or None when every gap is 1 ms.  math.log, not
+    np.log: a last-bit difference would move a gap by 1 ms."""
     if log_keep is None:
         return 1
     return 1 + int(math.log(1.0 - u) / log_keep)
