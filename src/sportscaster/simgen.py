@@ -227,7 +227,6 @@ def simulate_events(config: WorldConfig) -> list[GameEvent]:
 
     Events that draw the same predicate and arguments share one MR object."""
     prng = Prng(config.seed)
-    duration_ms = config.duration_ms
     gap = config.mean_event_gap_ms
     log_keep = math.log(1.0 - 1.0 / gap) if gap > 1 else None
     by_sort = {
@@ -242,7 +241,7 @@ def simulate_events(config: WorldConfig) -> list[GameEvent]:
     t = 0
     while True:
         t += _geometric_gap(prng.uniform(), log_keep)
-        if t >= duration_ms:
+        if t >= config.duration_ms:
             break
         index = prng.cumulative_index(totals)
         predicate, constants = choices[index]
@@ -302,7 +301,6 @@ def commentate(
     prng = Prng(profile.seed)
     lag_lo, lag_hi = profile.lag_ms_range
     duration_ms = events[-1].time_ms + 1 if events else 1
-    comment_prob = profile.comment_prob
     # each template and surface list as its phrases and the running totals
     # of their weights, added left to right as Prng.weighted_index adds them
     lexicon = {
@@ -313,7 +311,7 @@ def commentate(
     drafted: list[tuple[int, list[str], mrl.MeaningRepresentation | None]] = []
     for event in events:
         name = event.mr.predicate.name
-        if prng.uniform() >= comment_prob.get(name, 0.0):
+        if prng.uniform() >= profile.comment_prob.get(name, 0.0):
             continue
         lag = prng.uniform_int(lag_lo, lag_hi)
         templates, totals = lexicon[name]
