@@ -320,7 +320,8 @@ def _check_topk(topk: int) -> None:
 
 # Value checks that a --config line gets at its line; a flag's value gets
 # the same check where the command reads it.
-_VALUE_CHECKS = {"topk": _check_topk, "window_ms": corpus.check_window}
+_VALUE_CHECKS = {"topk": _check_topk, "window_ms": corpus.check_window,
+                 "max_iter": strategic.check_max_iter}
 
 
 def _cmd_generate(args, sub: _Parser) -> int:
@@ -399,7 +400,7 @@ def _cmd_evaluate(args, sub: _Parser) -> int:
     # each MR's score is computed once, and each sentence's n-grams counted once.
     closest: dict[str, float] = {}
     profiles = metrics.NistProfiles()
-    nist_total = 0.0
+    segment_nist = []
     for key in sorted(gold_mrs):
         mr = gold_mrs[key]
         if mr is None:
@@ -415,12 +416,12 @@ def _cmd_evaluate(args, sub: _Parser) -> int:
             closest[surface] = max(
                 metrics.nist(generated, ref, profiles) for ref in references[surface]
             )
-        nist_total += closest[surface]
+        segment_nist.append(closest[surface])
     bleu = metrics.bleu_document(segments) if segments else 0.0
     reports.append(metrics.EvalReport(
         task="generation",
         bleu=bleu,
-        nist=nist_total / len(segments) if segments else 0.0,
+        nist=corpus.ordered_sum(segment_nist) / len(segments) if segments else 0.0,
         counts={"segments": len(segments), "no_template": no_template},
     ))
 
@@ -518,12 +519,14 @@ def _coerce(value: str, default) -> object:
 def _load_cli_config(path, sub: _Parser) -> dict:
     """The `key = value` settings of a --config file, each coerced to its
     default's type and held to its argument's choices and value check at
-    its line."""
+    its line.  A key is set on one line only."""
     actions = {action.dest: action for action in _settings(sub) if action.dest != "config"}
     overrides = {}
-    for lineno, key, value in corpus.key_values(corpus.read_lines(path), path):
+    first_at: dict[str, int] = {}
+    for lineno, key, value in corpus.key_values(path):
         if key not in actions:
             raise corpus.FormatError(str(path), lineno, f"unknown key {key!r}")
+        corpus.check_unique(first_at, key, path, lineno, f"key {key!r}")
         action = actions[key]
         with corpus.at_line(path, lineno):
             overrides[key] = _coerce(value, action.default)

@@ -12,11 +12,14 @@ The file helpers here (fmt, write_lines, read_text, read_lines,
 read_records) are shared by every module that reads or writes files, and
 at_line is the one rule for reporting a bad line: every reader wraps the
 work on a line in it, so an error there reads `<file>:<line>: <reason>`.
+ordered_sum is the one float sum.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
+import operator
 import unicodedata
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -30,15 +33,12 @@ DEFAULT_WINDOW_MS = 5000
 
 
 class FormatError(ValueError):
-    """A bad line: `<file>:<line>: <reason>`, or `line <line>: <reason>` for
-    text that came from no file."""
+    """A bad line: `<file>:<line>: <reason>`."""
 
-    def __init__(self, file: str | Path | None, line: int, reason: str) -> None:
-        where = f"line {line}" if file is None else f"{file}:{line}"
-        super().__init__(f"{where}: {reason}")
+    def __init__(self, file: str | Path, line: int, reason: str) -> None:
+        super().__init__(f"{file}:{line}: {reason}")
         self.file = file
         self.line = line
-        self.reason = reason
 
 
 class DanglingGoldReference(FormatError):
@@ -109,7 +109,7 @@ def read_records(path, n: int) -> list[tuple[int, list[str]]]:
 
 @contextmanager
 def at_line(
-    path: str | Path | None, lineno: int, reason: Callable[[Exception], str] = str
+    path: str | Path, lineno: int, reason: Callable[[Exception], str] = str
 ) -> Iterator[None]:
     """Report a ValueError or OSError raised in the block as
     FormatError(path, lineno, reason(error)); a FormatError passes through
@@ -119,7 +119,7 @@ def at_line(
     except FormatError:
         raise
     except (ValueError, OSError) as err:
-        raise FormatError(path if path is None else str(path), lineno, reason(err)) from None
+        raise FormatError(str(path), lineno, reason(err)) from None
 
 
 def check_unique(first_at: dict, key, path, lineno: int, what: str) -> None:
@@ -133,19 +133,25 @@ def check_unique(first_at: dict, key, path, lineno: int, what: str) -> None:
     first_at[key] = lineno
 
 
-def key_values(
-    lines: Iterable[tuple[int, str]], path: str | Path | None = None
-) -> Iterator[tuple[int, str, str]]:
+def key_values(path) -> Iterator[tuple[int, str, str]]:
     """(line number, key, value) for each `key = value` line of a settings
     file; `#` starts a comment, and lines left empty are skipped."""
-    for lineno, line in lines:
+    for lineno, line in read_lines(path):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise FormatError(path, lineno, "expected key = value")
+            raise FormatError(str(path), lineno, "expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
         yield lineno, key, value
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """The values added one at a time, left to right, from 0.0: the float
+    sum every module takes.  Builtin sum did the same up to Python 3.11;
+    from 3.12 it compensates its rounding, and the last bit may differ, so
+    a score written or compared for equality goes through here."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 @dataclass(frozen=True)
@@ -256,12 +262,7 @@ def candidate_stats(counts: Sequence[int]) -> dict:
     """Summary of per-comment candidate counts (population stddev)."""
     n = len(counts)
     mean = sum(counts) / n if n else 0.0
-    # Added left to right on every Python version (from 3.12 builtin sum
-    # compensates its rounding).
-    squares = 0.0
-    for c in counts:
-        squares += (c - mean) ** 2
-    var = squares / n if n else 0.0
+    var = ordered_sum((c - mean) ** 2 for c in counts) / n if n else 0.0
     return {
         "with_candidates": n,
         "max_candidates": max(counts, default=0),

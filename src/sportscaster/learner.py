@@ -57,7 +57,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import metrics, mrl, strategic, translator
-from .corpus import GameEvent, GameExample, at_line, read_records
+from .corpus import GameEvent, GameExample, at_line, ordered_sum, read_records
 from .simgen import Prng
 
 Key = tuple[str, int]
@@ -105,11 +105,6 @@ class Matching:
 
     def event_ids(self) -> dict[Key, int]:
         return {key: event_id for key, (event_id, _) in self.assignments.items()}
-
-    def __eq__(self, other):
-        if not isinstance(other, Matching):
-            return NotImplemented
-        return self.event_ids() == other.event_ids()
 
 
 @dataclass
@@ -356,8 +351,7 @@ def _retrain(
     """retrain_loop up to its last training: the result and the pairs its
     model trained on.  Under a strategy whose picks read only the alignment
     that model is the AlignmentModel, not yet completed."""
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    strategic.check_max_iter(max_iter)
     if not examples:
         raise EmptyTrainingSet("no ambiguous examples")
 
@@ -463,7 +457,7 @@ def validation_split(examples: Sequence[GameExample]) -> tuple[list[GameExample]
     for ex in examples:
         game, comment_id = ex.key
         seed = (zlib.crc32(game.encode("utf-8")) << 32) ^ comment_id
-        if Prng(seed).uniform() < VALIDATION_FRACTION:
+        if Prng(seed).next() / 2**64 < VALIDATION_FRACTION:
             validation.append(ex)
         else:
             train.append(ex)
@@ -499,7 +493,7 @@ def _validation_score(
     counts = Counter(word for tokens in pruned for word in tokens)
     denominator = sum(counts.values()) + translator.SMOOTHING_K * (len(counts) + 1)
     share = len(pruned) / len(assigned)
-    total = 0.0
+    terms = []
     scores = translator.score_corpus(
         [ex.example.comment.tokens for ex in validation],
         [[c.mr for c in ex.example.candidates] for ex in validation],
@@ -510,20 +504,16 @@ def _validation_score(
         best = max(candidate_scores)
         # a very long sentence can underflow the per-token score to 0
         described = len(tokens) * math.log(best) if best > 0.0 else -math.inf
-        if not pruned:
-            total += described
-            continue
-        # Added left to right on every Python version (from 3.12 builtin
-        # sum compensates its rounding).
-        chatter = 0.0
-        for word in tokens:
-            chatter += math.log((counts[word] + translator.SMOOTHING_K) / denominator)
-        total += float(
-            np.logaddexp(
-                math.log1p(-share) + described, math.log(share) + chatter
+        if pruned:
+            chatter = ordered_sum(
+                math.log((counts[word] + translator.SMOOTHING_K) / denominator)
+                for word in tokens
             )
-        )
-    return total
+            described = float(
+                np.logaddexp(math.log1p(-share) + described, math.log(share) + chatter)
+            )
+        terms.append(described)
+    return ordered_sum(terms)
 
 
 def superfluous_cv(

@@ -19,12 +19,13 @@ used by the learning loops and reports:
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from . import mrl
-from .corpus import Game, gold_event_mrs
+from .corpus import Game, gold_event_mrs, ordered_sum
 
 Tokens = Sequence[str]
 
@@ -154,8 +155,12 @@ def _parse_outcome(parse: mrl.MeaningRepresentation, gold: mrl.MeaningRepresenta
     return "wrong_arguments"
 
 
-def _ngram_counts(tokens: Tokens, n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _ngrams(tokens: Tokens, max_n: int) -> Counter:
+    """Each n-gram of tokens, n = 1..max_n, as a tuple, with its count."""
+    tokens = tuple(tokens)
+    return Counter(
+        tokens[i : i + n] for n in range(1, max_n + 1) for i in range(len(tokens) - n + 1)
+    )
 
 
 def bleu_document(
@@ -165,59 +170,46 @@ def bleu_document(
     """Corpus BLEU over (candidate, references) segments pooled as one document.
 
     Segments often share one reference list (every segment of an MR), so the
-    lengths and clip tables of each distinct list are built once
-    (_clip_tables)."""
+    lengths and clip table of each distinct list are built once
+    (_clip_table)."""
     matched = [0] * max_n
     total = [0] * max_n
     candidate_len = 0
     reference_len = 0
-    tables: dict[tuple[tuple[str, ...], ...], tuple[set[int], list[dict]]] = {}
+    tables: dict[tuple[tuple[str, ...], ...], tuple[set[int], dict]] = {}
     for candidate, references in segments:
         key = tuple(map(tuple, references))
         if not key:
             raise EmptyReferences("segment has no reference sentences")
         if key not in tables:
-            tables[key] = _clip_tables(key, max_n)
-        lengths, clips = tables[key]
+            tables[key] = _clip_table(key, max_n)
+        lengths, clip = tables[key]
         candidate_len += len(candidate)
         # Closest reference length; ties prefer the shorter reference.
         reference_len += min((abs(length - len(candidate)), length) for length in lengths)[1]
-        for n, clip in enumerate(clips, start=1):
-            cand_counts = _ngram_counts(candidate, n)
-            if not cand_counts:
-                continue
-            total[n - 1] += sum(cand_counts.values())
-            matched[n - 1] += sum(
-                min(count, clip.get(gram, 0)) for gram, count in cand_counts.items()
-            )
+        for gram, count in _ngrams(candidate, max_n).items():
+            total[len(gram) - 1] += count
+            matched[len(gram) - 1] += min(count, clip.get(gram, 0))
     if candidate_len == 0 or any(m == 0 for m in matched) or any(t == 0 for t in total):
         return 0.0
-    # Added left to right on every Python version (from 3.12 builtin sum
-    # compensates its rounding).
-    log_precision = 0.0
-    for m, t in zip(matched, total):
-        log_precision += math.log(m / t)
-    log_precision /= max_n
+    log_precision = ordered_sum(math.log(m / t) for m, t in zip(matched, total)) / max_n
     brevity = math.exp(min(0.0, 1.0 - reference_len / candidate_len))
     return brevity * math.exp(log_precision)
 
 
-def _clip_tables(
+def _clip_table(
     references: Sequence[tuple[str, ...]], max_n: int
-) -> tuple[set[int], list[dict]]:
-    """A reference list's distinct sentence lengths, and for n = 1..max_n its
-    clip table: each n-gram's largest count in any one sentence.  A maximum
+) -> tuple[set[int], dict]:
+    """A reference list's distinct sentence lengths, and its clip table: each
+    n-gram's (n = 1..max_n) largest count in any one sentence.  A maximum
     ignores repeats, so each distinct sentence is counted once."""
     distinct = set(references)
-    clips = []
-    for n in range(1, max_n + 1):
-        clip: dict[tuple[str, ...], int] = {}
-        for reference in distinct:
-            for gram, count in _ngram_counts(reference, n).items():
-                if count > clip.get(gram, 0):
-                    clip[gram] = count
-        clips.append(clip)
-    return {len(reference) for reference in distinct}, clips
+    clip: dict[tuple[str, ...], int] = {}
+    for reference in distinct:
+        for gram, count in _ngrams(reference, max_n).items():
+            if count > clip.get(gram, 0):
+                clip[gram] = count
+    return {len(reference) for reference in distinct}, clip
 
 
 class NistProfiles(dict):
@@ -226,9 +218,7 @@ class NistProfiles(dict):
     first use and kept."""
 
     def __missing__(self, tokens: tuple[str, ...]) -> tuple[int, Counter]:
-        sizes = range(1, min(len(tokens), _NIST_MAX_N) + 1)
-        counts = Counter(tokens[i : i + n] for n in sizes for i in range(len(tokens) - n + 1))
-        profile = self[tokens] = (len(tokens), counts)
+        profile = self[tokens] = (len(tokens), _ngrams(tokens, _NIST_MAX_N))
         return profile
 
 
@@ -246,9 +236,8 @@ def nist(candidate: Tokens, reference: Tokens, profiles: NistProfiles | None = N
     get = reference_counts.get
     for gram, count in candidate_counts.items():
         matched[len(gram) - 1] += min(count, get(gram, 0))
-    score = 0.0
-    for n, m in enumerate(matched, start=1):
-        score += m / (length - n + 1)
+    # the n-gram precisions: n-grams matched over the length - n + 1 n-grams
+    score = ordered_sum(map(operator.truediv, matched, range(length, 0, -1)))
     ratio = min(1.0, length / reference_length)
     return score * math.exp(_NIST_BETA * math.log(ratio) ** 2)
 

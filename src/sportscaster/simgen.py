@@ -16,8 +16,10 @@ platform.  The draw order is part of the contract:
 splitmix64 is counter-based: draw k of a stream depends only on its seed and
 k.  So Prng computes its floats a block at a time in one numpy pass and
 serves them in order; the draws, their order and the bytes written are the
-ones a one-draw-at-a-time generator gives.  Each call works out its
-per-game constants (weight totals, constant lists, the gap's log rate) once.
+ones a one-draw-at-a-time generator gives.  A caller that draws once from
+a fresh stream (derive_seed, learner.validation_split) reads next(), which
+builds no block.  Each call works out its per-game constants (weight
+totals, constant lists, the gap's log rate) once.
 """
 
 from __future__ import annotations
@@ -42,13 +44,12 @@ from .corpus import (
     event_window,
     key_values,
     make_comment,
-    read_text,
+    ordered_sum,
     resolve_gold_event,
 )
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_SCALAR_DRAWS = 8
 _BLOCK = 256
 # golden * k mod 2**64 for k = 1.._BLOCK: a block's counters past its origin
 _BLOCK_STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
@@ -60,7 +61,7 @@ class EmptyLexicon(ValueError):
 
 class InvalidSetting(ValueError):
     """A WorldConfig or CommentatorProfile value that its check rejects;
-    settings are the parse_config keys whose values the check read."""
+    settings are the load_config keys whose values the check read."""
 
     def __init__(self, message: str, *settings: str) -> None:
         super().__init__(message)
@@ -74,9 +75,7 @@ class Prng:
     mix((s + k * golden) mod 2**64), and state is the sum after the draws
     taken.  next() and uniform() advance one counter, so they mix freely.
     uniform() serves its floats from blocks of _BLOCK draws, each computed in
-    one numpy uint64 pass that rounds exactly as int / 2**64 does; the first
-    _SCALAR_DRAWS draws of a stream are computed one at a time, so that a
-    stream drawn once or twice builds no block.
+    one numpy uint64 pass that rounds exactly as next() / 2**64 does.
     """
 
     __slots__ = ("_origin", "_pos", "_end", "_floats")
@@ -103,8 +102,6 @@ class Prng:
         if pos < self._end:
             self._pos = pos + 1
             return self._floats[pos]
-        if pos < _SCALAR_DRAWS:
-            return self.next() / 2**64
         self._origin = origin = self.state
         z = _BLOCK_STEPS + np.uint64(origin)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
@@ -121,9 +118,8 @@ class Prng:
 
     def weighted_index(self, weights: list[float]) -> int:
         """An index drawn in proportion to its weight (weights >= 0), by
-        cumulative_index over the running totals.  They are added left to
-        right, as builtin sum did up to Python 3.11 (from 3.12 it
-        compensates its rounding)."""
+        cumulative_index over the running totals, added left to right as
+        corpus.ordered_sum adds them."""
         return self.cumulative_index(list(itertools.accumulate(weights)))
 
     def cumulative_index(self, totals: list[float]) -> int:
@@ -158,13 +154,12 @@ def _check_weights(weights: list[tuple[str, float]], what: str) -> None:
     """(setting, weight) pairs that one weighted draw reads: each weight must
     be finite and nonnegative, and their total, added left to right as
     Prng.weighted_index adds it, positive and finite."""
-    total = 0.0
     for setting, weight in weights:
         if not math.isfinite(weight):
             raise InvalidSetting(f"{what} weights must be finite, got {weight}", setting)
         if weight < 0:
             raise InvalidSetting(f"{what} weights must be nonnegative", setting)
-        total += weight
+    total = ordered_sum(weight for _, weight in weights)
     settings = [setting for setting, _ in weights]
     if total <= 0:
         raise InvalidSetting(f"at least one {what} weight must be positive", *settings)
@@ -457,16 +452,16 @@ class SimulationSpec:
     name_prefix: str = "game"
 
 
-def parse_config(text: str, path: str | Path | None = None) -> SimulationSpec:
-    """Parse a `key = value` configuration; later lines override earlier ones.
+def load_config(path: str | Path) -> SimulationSpec:
+    """Read a `key = value` configuration file; later lines override earlier
+    ones.
 
     `template.<pred>` and `surface.<token>` lines accumulate; the first such
     line for a key replaces that key's default list.  Template and surface
     values are word sequences, optionally followed by `| weight`; a template
-    must name each slot <1>..<arity> once (mrl.check_template).  Lines end
-    at LF, as corpus.read_text leaves them.  A bad line raises FormatError
-    naming `path` (the file the text came from) and line; a value that only
-    the WorldConfig or CommentatorProfile check rejects is reported at the
+    must name each slot <1>..<arity> once (mrl.check_template).  A bad line
+    raises FormatError naming the file and line; a value that only the
+    WorldConfig or CommentatorProfile check rejects is reported at the
     last line that set one of the keys the check read.
     """
     world = default_world()
@@ -484,7 +479,7 @@ def parse_config(text: str, path: str | Path | None = None) -> SimulationSpec:
     constant_tokens = {c.token for c in mrl.CONSTANTS}
     lines: dict[str, int] = {}
 
-    for lineno, key, value in key_values(enumerate(text.split("\n"), start=1), path):
+    for lineno, key, value in key_values(path):
         lines[key] = lineno
         with at_line(path, lineno):
             if key == "seed":
@@ -563,6 +558,3 @@ def _parse_weighted_words(value: str) -> Template:
         raise ValueError("empty phrase")
     return words, weight
 
-
-def load_config(path: str | Path) -> SimulationSpec:
-    return parse_config(read_text(path), path)

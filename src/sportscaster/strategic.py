@@ -54,8 +54,7 @@ class StrategicModel:
 
 
 def count_event_types(events: Iterable[GameEvent]) -> dict[str, int]:
-    counts: Counter = Counter(e.mr.predicate.name for e in events)
-    return dict(counts)
+    return dict(Counter(e.mr.predicate.name for e in events))
 
 
 def _split(weighted: np.ndarray) -> np.ndarray:
@@ -65,6 +64,12 @@ def _split(weighted: np.ndarray) -> np.ndarray:
     # not (total <= 0), as a scalar test reads it: a NaN total still divides
     divides = ~(totals <= 0.0)
     return np.divide(weighted, totals, out=np.zeros_like(weighted), where=divides)
+
+
+def check_max_iter(max_iter: int) -> None:
+    """Reject an iteration cap below 1, for igsl and the retraining loop."""
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
 
 def igsl(
@@ -80,8 +85,7 @@ def igsl(
     With no example every probability is 0, and with no event type either
     the model is empty.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    check_max_iter(max_iter)
     sentences: list[tuple[str, ...]] = []
     for example in examples:
         if not example.candidates:
@@ -138,12 +142,8 @@ def select_event(
     if not events:
         raise EmptyCandidates("no co-occurring events to select from")
     weights = [model.probability(e.mr.predicate.name) for e in events]
-    # Added left to right on every Python version (from 3.12 builtin sum
-    # compensates its rounding), as Prng.weighted_index adds them.
-    normalizer = 0.0
-    for weight in weights:
-        normalizer += weight
-    if normalizer <= 0.0:
+    # probabilities are never negative: the normalizer is 0 only if each is
+    if not any(weights):
         return None
     pick = prng.weighted_index(weights)
     if prng.uniform() < weights[pick]:
@@ -183,10 +183,8 @@ def assemble_sportscast(
             skipped.append(chosen.mr.predicate.name)
             continue
         scores = [score for _, score in candidates]
-        total = 0.0
-        for score in scores:
-            total += score
-        if total > 0.0:
+        # generation scores are never negative, as select_event's weights
+        if any(scores):
             sentence = candidates[prng.weighted_index(scores)][0]
         else:
             sentence = candidates[0][0]

@@ -88,6 +88,7 @@ from .corpus import (
     at_line,
     check_unique,
     fmt,
+    ordered_sum,
     read_lines,
     split_fields,
     write_lines,
@@ -238,17 +239,14 @@ class LanguageModel:
         return self.floors.get(context, self.unseen) if p is None else p
 
     def sentence_logprob(self, tokens: Tokens) -> float:
-        """Sum of log probability() over the padded sentence, read from its
-        tables.  The terms are added one at a time, left to right, so the
-        order of addition is the same on every Python version (from 3.12
-        builtin sum compensates its rounding)."""
+        """The ordered_sum of log probability() over the padded sentence,
+        read from its tables."""
         padded = [_START] * (LM_ORDER - 1) + list(tokens) + [_END]
-        grams, floors, unseen, log = self.grams, self.floors, self.unseen, math.log
-        total = 0.0
-        for gram in zip(*(padded[i:] for i in range(LM_ORDER))):
-            p = grams.get(gram)
-            total += log(floors.get(gram[:-1], unseen) if p is None else p)
-        return total
+        grams, floors, unseen = self.grams, self.floors, self.unseen
+        return ordered_sum(map(math.log, [
+            floors.get(gram[:-1], unseen) if (p := grams.get(gram)) is None else p
+            for gram in zip(*(padded[i:] for i in range(LM_ORDER)))
+        ]))
 
     def sentence_prob(self, tokens: Tokens) -> float:
         return math.exp(self.sentence_logprob(tokens))
@@ -451,9 +449,8 @@ def train_alignment(pairs: Sequence[Pair], iterations: int = 25) -> AlignmentMod
     axis slowly.  One np.bincount adds the expected counts into the table
     from 0.0 in corpus order.  A second np.bincount takes each production's
     row total from 0.0, adding its cells' expected counts in first-reach
-    order, the order a dict per row would hold them in.  That equals builtin
-    sum up to Python 3.11; from 3.12 builtin sum compensates float rounding,
-    and the two may differ in the last bit.
+    order, the order a dict per row would hold them in.  Both add as
+    corpus.ordered_sum does.
     """
     if not pairs:
         raise EmptyTrainingSet("no (sentence, mr) pairs to train on")

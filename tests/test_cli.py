@@ -300,6 +300,8 @@ def test_config_value_outside_choices_names_its_line(corpus_dir, tmp_path, capsy
         ("sportscast", "topk = -3", "--topk must be at least 1, got -3"),
         ("pair", "window_ms = -5", "window_ms must not be negative, got -5"),
         ("train", "window_ms = -1", "window_ms must not be negative, got -1"),
+        ("train", "max_iter = 0", "max_iter must be at least 1, got 0"),
+        ("igsl", "max_iter = 0", "max_iter must be at least 1, got 0"),
     ],
 )
 def test_config_value_check_names_its_line(
@@ -316,6 +318,19 @@ def test_config_value_check_names_its_line(
     argv = [command, *inputs, "--config", str(config), *manifest, "--out", str(out)]
     assert run(argv) == 2
     assert capsys.readouterr().err == f"error: {config}:2: {reason}\n"
+    assert not out.exists()
+
+
+def test_config_key_set_twice_names_its_second_line(corpus_dir, tmp_path, capsys):
+    config = tmp_path / "train.cfg"
+    config.write_text("strategy = nist_igsl\njson = false\nstrategy = parse_score\n")
+    out = tmp_path / "out"
+    argv = ["train", "--config", str(config), "--manifest", str(corpus_dir / "manifest.tsv"),
+            "--out", str(out)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {config}:3: duplicate key 'strategy' (first at line 1)\n"
+    )
     assert not out.exists()
 
 

@@ -15,6 +15,7 @@ from sportscaster.corpus import (
     event_window,
     load_corpus,
     make_comment,
+    ordered_sum,
     pair_with_window,
     pooled_examples,
     pooled_gold,
@@ -99,6 +100,22 @@ def _reference_candidate_stats(counts):
 @given(st.lists(st.integers(0, 10**6), max_size=60))
 def test_candidate_stats_matches_reference(counts):
     assert candidate_stats(counts) == _reference_candidate_stats(counts)
+
+
+def test_ordered_sum_adds_left_to_right():
+    # from Python 3.12 builtin sum compensates its rounding and gives 1.0
+    assert ordered_sum([1e16, 1.0, -1e16]) == 0.0
+    assert ordered_sum([]) == 0.0
+    assert ordered_sum(iter([1, 2])) == 3.0
+
+
+@settings(max_examples=300)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False)))
+def test_ordered_sum_matches_a_loop(values):
+    total = 0.0
+    for value in values:
+        total += value
+    assert ordered_sum(values) == total
 
 
 _times = st.lists(st.integers(0, 60_000), min_size=1, max_size=25)

@@ -136,7 +136,7 @@ def _reference_retrain_loop(
         history.append(learner.IterationRecord(
             iteration, changed, _score_f1(new_matching, gold)
         ))
-        if matching is not None and new_matching == matching:
+        if matching is not None and new_matching.event_ids() == matching.event_ids():
             break
         matching = new_matching
         kept = learner._prune_keys(matching, prune_fraction)
@@ -490,14 +490,6 @@ def test_retrain_loop_fits_one_lm_per_sentence_list(
     )
 
 
-def test_matching_equality_ignores_scores():
-    a = Matching({("g", 1): (4, 0.5)})
-    b = Matching({("g", 1): (4, 0.9)})
-    c = Matching({("g", 1): (5, 0.5)})
-    assert a == b
-    assert a != c
-
-
 @pytest.mark.parametrize("kind", ["parse_score", "nist_gen", "meteor_gen"])
 def test_retrain_recovers_gold_matching(clean, kind):
     _, examples, gold, _ = clean
@@ -609,7 +601,7 @@ def test_retrain_stops_on_stable_matching(clean):
     truncated = learner.retrain_loop(
         examples, ScoringStrategy("parse_score"), max_iter=result.iterations_run
     )
-    assert truncated.matching == result.matching
+    assert truncated.matching.event_ids() == result.matching.event_ids()
 
 
 def test_retrain_is_deterministic(clean, tmp_path):
@@ -691,7 +683,7 @@ def test_random_strategy_is_one_shot_and_seeded(clean):
     b = learner.retrain_loop(examples, ScoringStrategy("random", seed=3))
     assert a.iterations_run == 1
     assert len(a.history) == 1
-    assert a.matching == b.matching
+    assert a.matching.event_ids() == b.matching.event_ids()
     by_key = {ex.key: ex for ex in examples}
     for key, (event_id, _) in a.matching.assignments.items():
         assert event_id in {c.id for c in by_key[key].example.candidates}

@@ -390,6 +390,11 @@ def test_bleu_range(candidate, references):
     assert 0.0 <= metrics.bleu_document([(candidate, references)]) <= 1.0
 
 
+def _ngram_counts(tokens, n):
+    """The n-grams of tokens, as tuples, with their counts."""
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
 def _reference_bleu_document(segments, max_n=4):
     """bleu_document as it was first written: each segment's clip table built
     from every one of its references."""
@@ -406,12 +411,12 @@ def _reference_bleu_document(segments, max_n=4):
             (abs(len(r) - len(candidate)), len(r)) for r in references
         )[1]
         for n in range(1, max_n + 1):
-            cand_counts = metrics._ngram_counts(candidate, n)
+            cand_counts = _ngram_counts(candidate, n)
             if not cand_counts:
                 continue
             clip = Counter()
             for r in references:
-                for gram, count in metrics._ngram_counts(r, n).items():
+                for gram, count in _ngram_counts(r, n).items():
                     clip[gram] = max(clip[gram], count)
             total[n - 1] += sum(cand_counts.values())
             matched[n - 1] += sum(
@@ -454,11 +459,11 @@ def _reference_nist(candidate, reference):
         raise ValueError("candidate and reference must be nonempty")
     score = 0.0
     for n in range(1, metrics._NIST_MAX_N + 1):
-        cand_counts = metrics._ngram_counts(candidate, n)
+        cand_counts = _ngram_counts(candidate, n)
         n_cand = sum(cand_counts.values())
         if n_cand == 0:
             continue
-        ref_counts = metrics._ngram_counts(reference, n)
+        ref_counts = _ngram_counts(reference, n)
         matched = sum(min(c, ref_counts[g]) for g, c in cand_counts.items())
         score += matched / n_cand
     ratio = min(1.0, len(candidate) / len(reference))

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import re
+import zlib
 from collections import Counter
 from dataclasses import replace
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sportscaster import cli, corpus, mrl, simgen
+from sportscaster import cli, corpus, learner, mrl, simgen
 from sportscaster.simgen import (
     CommentatorProfile,
     EmptyLexicon,
@@ -19,7 +21,6 @@ from sportscaster.simgen import (
     default_world,
     derive_seed,
     load_config,
-    parse_config,
     simulate_corpus,
     simulate_events,
 )
@@ -154,17 +155,22 @@ def test_prng_uniform_matches_reference_over_long_streams():
         assert prng.state == reference.state
 
 
-def test_a_fresh_stream_draws_its_first_values_without_numpy(monkeypatch):
-    # derive_seed and validation_split draw once from a fresh stream: a
-    # numpy block there would cost more than the draw
-    reference = _ReferencePrng(77)
-    expected = [reference.uniform() for _ in range(8)]
+def test_derive_seed_and_validation_split_draw_without_numpy(monkeypatch):
+    # both draw once from each fresh stream: a numpy block there would cost
+    # more than the draw
+    examples = corpus.pooled_examples(simulate_corpus(default_world(), default_profile(), 1).games)
+    expected = [
+        _ReferencePrng((zlib.crc32(b"game1") << 32) ^ ex.example.comment.id).uniform()
+        < learner.VALIDATION_FRACTION
+        for ex in examples
+    ]
     monkeypatch.setattr(simgen, "np", None)
-    prng = Prng(77)
-    assert [prng.uniform() for _ in range(8)] == expected
     assert derive_seed(3, 1, 0) == _ReferencePrng((3 + 0x9E3779B97F4A7C15) & (2**64 - 1)).next()
+    train, validation = learner.validation_split(examples)
+    assert validation == [ex for ex, held in zip(examples, expected) if held]
+    assert train == [ex for ex, held in zip(examples, expected) if not held]
     with pytest.raises(AttributeError):
-        prng.uniform()  # the ninth draw starts the first block
+        Prng(77).uniform()  # uniform() reads numpy blocks
 
 
 # sha256 of each file `simulate --seed 5 --games 3 --out corpus` writes.
@@ -398,31 +404,34 @@ def test_simulate_corpus_derives_independent_games():
     assert sim == again
 
 
-def test_parse_config_defaults():
-    spec = parse_config("")
+def _config_file(tmp_path, text):
+    path = tmp_path / "sim.cfg"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def test_parse_config_defaults(tmp_path):
+    spec = load_config(_config_file(tmp_path, ""))
     assert spec == SimulationSpec(default_world(), default_profile())
 
 
-def test_parse_config_overrides_and_comments():
-    spec = parse_config(
-        "\n".join(
-            [
-                "# world",
-                "seed = 99",
-                "duration_ms = 30000",
-                "mean_event_gap_ms = 700",
-                "weight.pass = 5  # inline comment",
-                "commentator_seed = 7",
-                "superfluous_rate = 0.1",
-                "lag_ms_min = 100",
-                "lag_ms_max = 900",
-                "superfluous_words = foo bar baz",
-                "comment_prob.kick = 0.5",
-                "games = 2",
-                "name_prefix = match",
-            ]
-        )
-    )
+def test_parse_config_overrides_and_comments(tmp_path):
+    lines = [
+        "# world",
+        "seed = 99",
+        "duration_ms = 30000",
+        "mean_event_gap_ms = 700",
+        "weight.pass = 5  # inline comment",
+        "commentator_seed = 7",
+        "superfluous_rate = 0.1",
+        "lag_ms_min = 100",
+        "lag_ms_max = 900",
+        "superfluous_words = foo bar baz",
+        "comment_prob.kick = 0.5",
+        "games = 2",
+        "name_prefix = match",
+    ]
+    spec = load_config(_config_file(tmp_path, "\n".join(lines)))
     assert spec.world.seed == 99
     assert spec.world.duration_ms == 30000
     assert spec.world.mean_event_gap_ms == 700
@@ -435,15 +444,15 @@ def test_parse_config_overrides_and_comments():
     assert (spec.games, spec.name_prefix) == (2, "match")
 
 
-def test_parse_config_template_lines_replace_then_accumulate():
-    spec = parse_config(
-        "template.kick = <1> kicks | 2\ntemplate.kick = <1> boots it\n"
-    )
+def test_parse_config_template_lines_replace_then_accumulate(tmp_path):
+    spec = load_config(_config_file(
+        tmp_path, "template.kick = <1> kicks | 2\ntemplate.kick = <1> boots it\n"
+    ))
     assert spec.profile.lexicon["kick"] == [
         (("<1>", "kicks"), 2.0),
         (("<1>", "boots", "it"), 1.0),
     ]
-    spec = parse_config("surface.pink1 = the pink keeper\n")
+    spec = load_config(_config_file(tmp_path, "surface.pink1 = the pink keeper\n"))
     assert spec.profile.lexicon["pink1"] == [(("the", "pink", "keeper"), 1.0)]
 
 
@@ -469,9 +478,14 @@ def test_parse_config_template_lines_replace_then_accumulate():
          f"line {len(mrl.PREDICATES)}: at least one event weight must be positive"),
     ],
 )
-def test_parse_config_rejects_bad_lines(text, fragment):
-    with pytest.raises(ValueError, match=fragment):
-        parse_config(text)
+def test_parse_config_rejects_bad_lines(tmp_path, text, fragment):
+    """The error names the file and line: a fragment's `line N` reads
+    `<file>:N` there, and a fragment without a line is on line 1."""
+    path = _config_file(tmp_path, text)
+    if not fragment.startswith("line "):
+        fragment = f"line 1: .*{fragment}"
+    with pytest.raises(corpus.FormatError, match=re.escape(f"{path}:") + fragment[5:]):
+        load_config(path)
 
 
 def test_load_config_reads_file(tmp_path):
