@@ -195,10 +195,12 @@ def _alignment_lines(examples, matching: learner.Matching) -> list[str]:
     return lines
 
 
-def _load_matching(path) -> dict[tuple[str, int], int]:
+def _load_matching(path, games) -> dict[tuple[str, int], int]:
     """(game, comment id) -> event id from a matching TSV that `train` wrote;
     a bad line, or a second line for one comment, raises FormatError naming
-    its file and line."""
+    its file and line, and a comment or event that games lack raises
+    DanglingGoldReference."""
+    event_counts = {(g.name, c.id): len(g.events) for g in games for c in g.comments}
     predicted: dict[tuple[str, int], int] = {}
     first_at: dict[tuple[str, int], int] = {}
     for lineno, (game, comment_id, event_id, score) in corpus.read_records(path, 4):
@@ -212,6 +214,13 @@ def _load_matching(path) -> dict[tuple[str, int], int]:
         corpus.check_unique(
             first_at, key, path, lineno, f"comment {key[1]} of game {game!r}"
         )
+        if key not in event_counts:
+            dangling = f"comment {key[1]} of game {game!r} not in corpus"
+        elif not 0 <= predicted[key] < event_counts[key]:
+            dangling = f"event {predicted[key]} of game {game!r} not in corpus"
+        else:
+            continue
+        raise corpus.DanglingGoldReference(str(path), lineno, dangling)
     return predicted
 
 
@@ -378,7 +387,7 @@ def _cmd_evaluate(args, sub: _Parser) -> int:
 
     reports = []
     if args.matching:
-        predicted = _load_matching(args.matching)
+        predicted = _load_matching(args.matching, loaded.games)
         reports.append(metrics.matching_f1(predicted, gold))
 
     parses: dict[tuple[str, int], mrl.MeaningRepresentation | None] = {}

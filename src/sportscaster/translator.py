@@ -55,16 +55,10 @@ in whole-array passes.  score_candidates (one sentence) and the learner's
 parse-scored loop and validation scorer (the corpus) are views of it.
 parse_sentence gathers the sentence's rows of the full-space table, which
 _word_scores fills, so its scores can never disagree with score_corpus's.
-It ranks all of enumerate_mrs() in passes that run no Python frame per MR:
-one object array of the surfaces, mapped through serialize_mr (a C getter
-of the cached surface), and its stable argsort, by Python's <; one stable
-argsort of the negated scores in that order; and one gather each of a
-cached object array of the MRs and of the scores.  The result is a
-Ranking, a sequence view over those two arrays: it makes no (mr, score)
-pair until one is read.  Each parse still serializes and sorts every MR,
-because the tie order is defined by serialize_mr and the benchmark's
-serve workload checks that a full-space parse makes one serialize_mr call
-per MR.
+It returns a Ranking, which sorts the MRs by score only when a rank past
+the first is read.  Each parse still serializes every MR and sorts their
+surfaces: the tie order is defined by serialize_mr, and the benchmark's
+serve workload checks one serialize_mr call per MR.
 """
 
 from __future__ import annotations
@@ -637,15 +631,6 @@ def _full_space_arrays() -> tuple[np.ndarray, np.ndarray]:
     return _candidate_arrays(mrl.enumerate_mrs())
 
 
-@lru_cache(maxsize=1)
-def _full_space_mrs() -> np.ndarray:
-    """enumerate_mrs() as one object array, the same objects in its order."""
-    mrs = mrl.enumerate_mrs()
-    out = np.empty(len(mrs), dtype=object)
-    out[:] = mrs
-    return out
-
-
 def _word_scores(
     smoothed: np.ndarray, words, index: np.ndarray, widths: np.ndarray
 ) -> np.ndarray:
@@ -678,16 +663,10 @@ def score_corpus(
     alignment: AlignmentModel,
 ) -> list[list[float]]:
     """Per-token-normalized Model-1 likelihood of each sentence under each of
-    its candidate MRs.
-
-    A word's score under an MR (_word_scores) is the mean of its add-k t
-    values over the derivation's productions and NULL, added in derivation
-    order; a sentence's score (_sentence_scores) is the product of its
-    words' scores raised to one over its length, and an empty sentence
-    scores null_floor.  The (sentence, candidate) pairs are grouped by
-    sentence length, and each group is one (tokens x pairs) array pass with
-    a scalar root.
-    """
+    its candidate MRs: _word_scores, then _sentence_scores; an empty
+    sentence scores null_floor.  The (sentence, candidate) pairs are grouped
+    by sentence length, and each group is one (tokens x pairs) array pass
+    with a scalar root."""
     smoothed = alignment.smoothed
     counts = [len(mrs) for mrs in candidates]
     floor = null_floor(alignment)
@@ -720,26 +699,40 @@ def score_candidates(
 
 
 class Ranking(collections.abc.Sequence):
-    """parse_sentence's result: the MRs in rank order, as an object array of
-    the enumerate_mrs() objects, and their scores, a float64 array in the
-    same order.  ranking[i] is (mrs[i], float(scores[i])) for an int i,
-    negative counting from the end; iteration zips the two arrays' lists."""
+    """parse_sentence's result, built from the MRs' indices into
+    enumerate_mrs() in tie order and their scores in that order.  ranking[i]
+    (an int, negative from the end) is (mr, score), the enumerate_mrs()
+    object and a Python float.  ranking[0] is the first argmax of the
+    scores, which a stable sort of the negated scores puts first; that rank
+    order is built, and kept, on the first read past 0 or iteration."""
 
-    __slots__ = ("mrs", "scores")
+    __slots__ = ("_order", "_scores", "_ranked")
 
-    def __init__(self, mrs: np.ndarray, scores: np.ndarray) -> None:
-        self.mrs = mrs
-        self.scores = scores
+    def __init__(self, order: np.ndarray, scores: np.ndarray) -> None:
+        self._order = order
+        self._scores = scores
+        self._ranked: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
-        return len(self.mrs)
+        return len(self._scores)
 
     def __getitem__(self, i: int) -> tuple[mrl.MeaningRepresentation, float]:
         i = operator.index(i)  # no slices
-        return self.mrs[i], float(self.scores[i])
+        if i == 0 and len(self._scores):
+            best = self._scores.argmax()
+            return mrl.enumerate_mrs()[self._order[best]], float(self._scores[best])
+        order, scores = self._rank()
+        return mrl.enumerate_mrs()[order[i]], float(scores[i])
 
     def __iter__(self) -> Iterator[tuple[mrl.MeaningRepresentation, float]]:
-        return zip(self.mrs.tolist(), self.scores.tolist())
+        order, scores = self._rank()
+        return zip(map(mrl.enumerate_mrs().__getitem__, order.tolist()), scores.tolist())
+
+    def _rank(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._ranked is None:
+            rank = np.argsort(-self._scores, kind="stable")
+            self._ranked = (self._order[rank], self._scores[rank])
+        return self._ranked
 
 
 def parse_sentence(tokens: Tokens, model: TranslationModel) -> Ranking:
@@ -749,19 +742,17 @@ def parse_sentence(tokens: Tokens, model: TranslationModel) -> Ranking:
     sentence, or when even the best MR scores at the all-NULL floor, i.e.
     the sentence shares nothing with the model."""
     if not tokens:
-        return Ranking(np.empty(0, dtype=object), np.empty(0))
+        return Ranking(np.empty(0, dtype=np.intp), np.empty(0))
     per_word = model.alignment.full_space.take(_word_columns(tokens, model.alignment), axis=0)
     values = _sentence_scores(per_word)
     if values.max() <= null_floor(model.alignment) * (1.0 + 1e-9):
-        return Ranking(np.empty(0, dtype=object), np.empty(0))
-    # Two stable sorts, the secondary key first: the surface forms (an
-    # object array sorts by Python's <; the surfaces are unique), then the
-    # negated scores taken in that order.
+        return Ranking(np.empty(0, dtype=np.intp), np.empty(0))
+    # The tie order: a stable sort of the surface forms (an object array
+    # sorts by Python's <; the surfaces are unique).
     mrs = mrl.enumerate_mrs()
     surfaces = np.fromiter(map(mrl.serialize_mr, mrs), dtype=object, count=len(mrs))
     order = surfaces.argsort(kind="stable")
-    order = order[np.argsort(-values[order], kind="stable")]
-    return Ranking(_full_space_mrs()[order], values[order])
+    return Ranking(order, values[order])
 
 
 # Relative slack on the generation bound.  The bound is a product of

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 
@@ -354,6 +355,33 @@ def test_malformed_matching_names_file_and_line(
     else:
         fields[3] = bad
         lines[2] = "\t".join(fields)
+    matching = tmp_path / "matching.tsv"
+    matching.write_text("".join(line + "\n" for line in lines))
+    assert run(["evaluate", str(train_dir / "model.tsv"),
+                "--manifest", str(corpus_dir / "manifest.tsv"),
+                "--matching", str(matching)]) == 2
+    assert capsys.readouterr().err == f"error: {matching}:3: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "column, value, reason",
+    [
+        (0, "game9", "comment {comment} of game 'game9' not in corpus"),
+        (1, "999", "comment 999 of game 'game1' not in corpus"),
+        (2, "999", "event 999 of game 'game1' not in corpus"),
+        (2, "-1", "event -1 of game 'game1' not in corpus"),
+    ],
+    ids=["unknown-game", "unknown-comment", "unknown-event", "negative-event"],
+)
+def test_matching_row_the_corpus_lacks_names_its_line(
+    corpus_dir, train_dir, tmp_path, capsys, column, value, reason
+):
+    lines = (train_dir / "matching.tsv").read_text().splitlines()
+    fields = lines[2].split("\t")
+    assert fields[0] == "game1"
+    reason = reason.format(comment=fields[1])
+    fields[column] = value
+    lines[2] = "\t".join(fields)
     matching = tmp_path / "matching.tsv"
     matching.write_text("".join(line + "\n" for line in lines))
     assert run(["evaluate", str(train_dir / "model.tsv"),
@@ -986,3 +1014,122 @@ def test_command_line_positionals_override_config(train_dir, tmp_path, capsys):
     assert _echoed(out)["input"] == str(sentences)
     assert run(["parse", model, "--config", str(config)]) == 0
     assert capsys.readouterr().out == expected
+
+
+# The README quick start, every train strategy, and the two --superfluous-cv
+# runs: each file's sha256, by path under the run directory.
+QUICK_START_SHA256 = {
+    "cast/run_config.txt": "951d3e484b6e0a57889337a2f10e139f1a0d2968e892d4efde75e9b5e355be7a",
+    "cast/sportscast.tsv": "8491bc5d241f11afde103373bb9175b8133cca81687727ce06645882ea3ed129",
+    "cast/transcript.tsv": "1aafeb93d4d0772e0bcd69aba42567d58bfc0d4cd07803ade75739540ab4ebbf",
+    "corpus/game1.comments.tsv": "07e7f27ed529cd8e64ea5d3e958163ccdc9543425c9884141a47f8cfd06d33b4",
+    "corpus/game1.events.tsv": "3dfc0331bfceb0a8e3e9711781110a6803dc457a1dcabf9dfe11177986c7c51b",
+    "corpus/game1.gold.tsv": "aed4594dea053b74f0c59ecd52aaf7c0e2d5126d39e4beea72e9b4ae5a84eb48",
+    "corpus/game2.comments.tsv": "aaf648a613808217c41f0c5d10b4ed56b1cf7f1ac01fce1d2de41982051c31ac",
+    "corpus/game2.events.tsv": "0919b6968fffba4648d4137982176749f0b250de2aa51a6bad2f4bc0f1c59871",
+    "corpus/game2.gold.tsv": "79c1d45ef48f36da230834987ce677ffcb9124929312bb5c99e9224e2c5d2fd9",
+    "corpus/game3.comments.tsv": "1d569c682476cf4e1efd3cf222ee4a8ed75bd51887fec3ce5d06367b08976a6e",
+    "corpus/game3.events.tsv": "d3858772f3b2ae1dde61dc4bfd1da1a13ca52a3639be1875121f9de1fc888f74",
+    "corpus/game3.gold.tsv": "2a64d6cb271ec8affb430dcb0fbf4f7d92552aaf421cab3edfd4d57f36414e1a",
+    "corpus/manifest.tsv": "6a18862e7165f47c7e7e1c2b003e1b4aae347d109d35ca83e9cb1209f425119b",
+    "corpus/run_config.txt": "5642830965303240ff7983737c29e61b66ddafc17638d29a680655637eeaaffa",
+    "parse/parses.tsv": "4650470fd0d513616d9ef1b91576181f49753cca6f2bdb96a65351d46320d843",
+    "parse/run_config.txt": "e0aa05179a3f0250526486e20cb2af01fc26c3ef31d91ec9ee2b45318fed1bec",
+    "report/report_generation.tsv": "32d32fa0773670f32f118277b027d7be86c7b73f5f6ff71c5d7c2d893af52d5c",
+    "report/report_matching.tsv": "0988b1fed0630723b7a17242a21924ad5b8ba36d768320d089952848564b4b4e",
+    "report/report_parsing.tsv": "86ebb2b94f3fe4fd1e87844540d8dec31cf0dffe4d5492a88951ecccfa2714de",
+    "report/run_config.txt": "943c90b568655bea70413dfc735fe764a92717fac75b54c9b6f6fef00df29306",
+    "train/gold/alignment.tsv": "2e4b548fa3a30968f188c407deb3e69e359e15c3c5897b854cfd834bb81287a4",
+    "train/gold/history.tsv": "9e038734ae0eaaf84f78e50cdab8b850e5df47556cbc0cb318047625b81f32bf",
+    "train/gold/matching.tsv": "3518b68f1dd1aeccf45013355cfad5e5f22b8ddf3f6c6730b1f4be7a7827d37e",
+    "train/gold/model.tsv": "2f0921b0b0c4d5ce2ea6f10e60c8561b8244d3795c975be3266ca1ad33b986f4",
+    "train/gold/run_config.txt": "eac98ac381e910fa1e906d24b18029efcbee6f6e8f6facd0dc17f7022d1c8bb0",
+    "train/gold/summary.tsv": "21f059c52d8ccbe8a17f303bc7afbbaf3546b26a02b29491f2917d823b23e040",
+    "train/meteor_gen/alignment.tsv": "d0c5141ed28db5b3211ed48094e834eeadd13d79f58ab3fa4129ad097b78eab0",
+    "train/meteor_gen/history.tsv": "f2eddabe9a42cdf6152d01dd1d2b3b580f2472ebd70a033ef51e031ed558b42c",
+    "train/meteor_gen/matching.tsv": "768bb0d3dad1724143223d958fee2197fedaa9dc4dc753134f086afa647384d6",
+    "train/meteor_gen/model.tsv": "c4cb790cc7be640b4a4bd48b268ba10e07e2035b440f3d679fb5300b003fd6a1",
+    "train/meteor_gen/run_config.txt": "c65cd84f861cd9c8703b1ecb661e156547809ef936e806c531964217b655448c",
+    "train/meteor_gen/summary.tsv": "073c8e8ef8543b8cac5316f67c168aaa0eb932c10db67c9443ecdf6f2ffefe17",
+    "train/meteor_igsl/alignment.tsv": "356d42b97370f03b6810bba13eb55499a8033579c3a95641fbba7d2f1cd0fc10",
+    "train/meteor_igsl/history.tsv": "1bf35b684fa910159bec262a08addb22f382170f8225bf30caaa2543a8daaffb",
+    "train/meteor_igsl/matching.tsv": "77ff96ade9907f583e3dabc379e936f26ed360e70a9d69c1678eefb1acf19169",
+    "train/meteor_igsl/model.tsv": "b9bd56e0a259665feff39574ef4a339fad5513fa52973ee26035b9e1e57b3e3a",
+    "train/meteor_igsl/run_config.txt": "b164a0485674da71c1d227ff7df847a798aeb80b168151d50e6e7a9d3210d5b6",
+    "train/meteor_igsl/strategic.tsv": "aae715687653322b0c5d466cbf841cb2d97b862b1347a68283b5436eb94024c0",
+    "train/meteor_igsl/summary.tsv": "90c2d8386e8079faec5bafb7a3bd92cae1ee052a2236950daade5303296444cd",
+    "train/nist_gen/alignment.tsv": "f1520d78cc2c178f70c14e407482c59d839a04ea355c7c03556464ffcdb1804d",
+    "train/nist_gen/history.tsv": "81b38d61942e918d394b193f550d20c60c1d329a30ac73a6c073bde87b514bc2",
+    "train/nist_gen/matching.tsv": "06e970965050f7a3577d8702b303dda71ad0e1f8028a333a33fdb09440fb1d02",
+    "train/nist_gen/model.tsv": "83284b7b5a9f8602b4a26b9b19fba38e6f638d621cfa41284865b4127d1f5cc8",
+    "train/nist_gen/run_config.txt": "f1636561a0ba57cc8c9f8950fef9735d91cee7aa997c109483f0cd9dc73f0573",
+    "train/nist_gen/summary.tsv": "cb1533af2a48098883b597be471a394d777c74c579e7233f5c1ef692492fd81e",
+    "train/nist_igsl-cv/alignment.tsv": "bd789ba6a31c041d2353a6ee98b1ae8c24878daea6daf1067f03639753f44203",
+    "train/nist_igsl-cv/history.tsv": "3131fcee6b8019a1f74bc602698adb13ef0c0b48e6f5c800e5f2a5894737163d",
+    "train/nist_igsl-cv/matching.tsv": "525f886753dada85e3e82817aecdc994c47df4b4d4b4776b2da70e2f7bcf2664",
+    "train/nist_igsl-cv/model.tsv": "49d5c4bf58e6b33fe40a0187cbf286d09890a6786b7007907326275f2643301d",
+    "train/nist_igsl-cv/run_config.txt": "af45184c720b881edbd749ce1aff56b98ba6b58945f59bbe5a6bca53cbde9468",
+    "train/nist_igsl-cv/strategic.tsv": "aae715687653322b0c5d466cbf841cb2d97b862b1347a68283b5436eb94024c0",
+    "train/nist_igsl-cv/summary.tsv": "68680800a439a0b63fdf96e82f07707d3e653b48577d58908c8677b26022c893",
+    "train/nist_igsl/alignment.tsv": "356d42b97370f03b6810bba13eb55499a8033579c3a95641fbba7d2f1cd0fc10",
+    "train/nist_igsl/history.tsv": "1bf35b684fa910159bec262a08addb22f382170f8225bf30caaa2543a8daaffb",
+    "train/nist_igsl/matching.tsv": "7a9404af88559138e57ec1b67fda474a5333bb29a7c89601125a46a07a71fecb",
+    "train/nist_igsl/model.tsv": "b9bd56e0a259665feff39574ef4a339fad5513fa52973ee26035b9e1e57b3e3a",
+    "train/nist_igsl/run_config.txt": "2670aebff1ea568b79399ee92a7866c49f0444ed42ba90a4f0e1e7326a6d3c2e",
+    "train/nist_igsl/strategic.tsv": "aae715687653322b0c5d466cbf841cb2d97b862b1347a68283b5436eb94024c0",
+    "train/nist_igsl/summary.tsv": "7eb5b84c331606fa95c3c823c2dbd77a35f2ad2ed4d97dd5eff33f045eb565cc",
+    "train/parse_score-cv/alignment.tsv": "19b2ee46f62cd7caaced83cce98a5d2c2d551ca8a64cf2dc55b22bf8aecb3c7f",
+    "train/parse_score-cv/history.tsv": "67c37a06e61fa2f1cc4b22cac37419556b3f563173c76ac9fadfd7bb15af1313",
+    "train/parse_score-cv/matching.tsv": "8e83d423c51255abb25c59cb95e521dcc53912b68abdbcae3ac60f3d9998c944",
+    "train/parse_score-cv/model.tsv": "199a5153f8ddd8272d316cfdb12deb358a7f56de3792e7f4aef27aaa960e0af6",
+    "train/parse_score-cv/run_config.txt": "ad9a3f0bbd5963d644fba87c5e1c86eb4a978f10ed67a3ce6bc7d323ee471bff",
+    "train/parse_score-cv/summary.tsv": "cbde801db6da01345869881cc317c0e64a07b36389d46a436c27381c4b97b9de",
+    "train/parse_score/alignment.tsv": "c8e72219b197cd98158e6672c85240812243799d55663f9bf2c48c7529b90bf4",
+    "train/parse_score/history.tsv": "9519dd64454b1c15abf7b04455eee033e1292a3491a6eee3928b478c1f20f66d",
+    "train/parse_score/matching.tsv": "618232c97c4e4a783fcee47e3fc8a60b25dc1018e2366a08b590db3f8dac4de5",
+    "train/parse_score/model.tsv": "31cddd4d68de399d8fe82998b72d1c694116a59b2869837d3dc72a603ed71574",
+    "train/parse_score/run_config.txt": "8b367336c458ad4f48619b75629feb18d780edc8b3e0219ddf444acb64b4a7a6",
+    "train/parse_score/summary.tsv": "fffe1f1ffc9748cd1758ac83ad18b3aaa0c2234fa2c30b3ae53faeade6a72b43",
+    "train/random/alignment.tsv": "6580b333e2db1c0f19c3fa2c0fb3b33309b5806d5d8a57f9ec88d58934fcc6a9",
+    "train/random/history.tsv": "bfca5142630d47bc3f0ea7e367b9d17cb308272abff02e7467ec33481ac16e92",
+    "train/random/matching.tsv": "9b1aa85a18482315303f22c8863a1da7a5753f1e0d3937bb3aa947c27facc2c3",
+    "train/random/model.tsv": "0f94df1fe175afc01124e8efdf3c421ea549e01f5ab9cf07e8f128915b3a2904",
+    "train/random/run_config.txt": "65c1bc01eb7f72fd49315455969d38fe41ee5f94e59a94e52932c922935e74b0",
+    "train/random/summary.tsv": "ba4633e5290f66ea7f732cef3e6bbcdba41f7ed47e8d2543f72572b7a4448696",
+}
+
+
+def _run_quick_start(root):
+    """Run the quick-start pipeline in root, through cli.run, with paths
+    relative to root as run_config.txt echoes them; each written file's
+    sha256 by its path."""
+    manifest = "corpus/manifest.tsv"
+    commands = [["simulate", "--seed", "5", "--games", "3", "--out", "corpus"]]
+    for strategy in learner.STRATEGY_KINDS:
+        commands.append(["train", "--manifest", manifest, "--strategy", strategy,
+                         "--out", f"train/{strategy}"])
+    for strategy in ("parse_score", "nist_igsl"):
+        commands.append(["train", "--manifest", manifest, "--strategy", strategy,
+                         "--superfluous-cv", "--out", f"train/{strategy}-cv"])
+    model = "train/nist_igsl"
+    commands += [
+        ["sportscast", f"{model}/model.tsv", f"{model}/strategic.tsv",
+         "--manifest", manifest, "--seed", "9", "--out", "cast"],
+        ["evaluate", f"{model}/model.tsv", "--manifest", manifest,
+         "--matching", f"{model}/matching.tsv", "--out", "report"],
+        ["parse", f"{model}/model.tsv", "sentences.txt", "--out", "parse"],
+    ]
+    (root / "sentences.txt").write_text(
+        "purple5 passes to purple3\npink1 kicks the ball\nzorp blee\n"
+    )
+    for command in commands:
+        assert run(command) == 0, command
+    return {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*")) if path.is_file() and path.name != "sentences.txt"
+    }
+
+
+def test_quick_start_pipeline_writes_frozen_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _run_quick_start(tmp_path) == QUICK_START_SHA256

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sportscaster import cli, corpus, learner, mrl, simgen, translator
 
@@ -351,17 +351,22 @@ def test_sharp_parse_beats_full_space():
     ]
 
 
-def test_uniform_model_ties_break_canonically():
+def _uniform_model():
+    """Every production translates "left" and "right" alike: every MR of a
+    sentence of those words ties."""
     vocabulary = ("left", "right")
     pad = translator._PAD_COLUMN
     t = np.zeros((pad + 1, len(vocabulary) + 1))
     t[:pad, : len(vocabulary)] = 0.5
-    model = translator.TranslationModel(
+    return translator.TranslationModel(
         alignment=translator.AlignmentModel(t=t, vocabulary=vocabulary),
         lexicon=translator.TemplateLexicon(templates={}, realizations={}),
         lm=translator.LanguageModel.fit([["left", "right"]]),
     )
-    ranked = translator.parse_sentence(["left", "right"], model)
+
+
+def test_uniform_model_ties_break_canonically():
+    ranked = translator.parse_sentence(["left", "right"], _uniform_model())
     assert len(ranked) == 2018
     assert ranked[0][0] == mrl.enumerate_mrs()[0]
     assert ranked[0][1] == ranked[-1][1]
@@ -743,6 +748,50 @@ def test_a_parse_serializes_every_mr_once(sharp_model, noisy_model):
             assert all(type(score) is float for _, score in ranked)
             calls.clear()
             assert len(translator.parse_sentence([], model)) == 0 and calls == []
+
+
+def _assert_rank_zero_reads_before_the_rank_order(tokens, model):
+    """ranking[0], read first on a fresh parse, is the reference's best
+    parse, and builds no rank order; the ranking then reads as the
+    reference does."""
+    reference = _reference_parse_sentence(tokens, model)
+    ranked = translator.parse_sentence(tokens, model)
+    if not reference:
+        with pytest.raises(IndexError):
+            ranked[0]
+        assert len(ranked) == 0 and list(ranked) == []
+        return
+    mr, score = ranked[0]
+    assert mr is reference[0][0] and type(score) is float and score == reference[0][1]
+    assert ranked._ranked is None
+    assert list(ranked) == reference
+    assert all(mr is want for (mr, _), (want, _) in zip(ranked, reference))
+    assert ranked[0] == reference[0] and ranked[1] == reference[1]
+    assert ranked[-1] == reference[-1] and len(ranked) == len(reference)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=999), max_size=6))
+@example([])
+def test_rank_zero_read_first_is_the_best_parse(sharp_model, noisy_model, picks):
+    """Sentences of vocabulary words, unknown words and repeats, and the
+    empty one: each pick is a word of the model's vocabulary or one of two
+    unknown words."""
+    for model in (sharp_model, noisy_model[0]):
+        words = model.alignment.vocabulary + ("zorp", "blee")
+        tokens = [words[pick % len(words)] for pick in picks]
+        _assert_rank_zero_reads_before_the_rank_order(tokens, model)
+
+
+def test_rank_zero_read_first_breaks_ties_canonically(sharp_model):
+    ties = [
+        ("pink1 kicks to pink2".split(), sharp_model, 2),  # an argument permutation
+        (["left", "right"], _uniform_model(), len(mrl.enumerate_mrs())),  # all tie
+    ]
+    for tokens, model, tied in ties:
+        _assert_rank_zero_reads_before_the_rank_order(tokens, model)
+        ranked = translator.parse_sentence(tokens, model)
+        assert sum(score == ranked[0][1] for _, score in ranked) == tied
 
 
 _TIE_POOL = ["pass(pink1,pink2)", "pass(pink2,pink1)", "pass(pink1,pink1)",
