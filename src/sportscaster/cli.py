@@ -239,10 +239,10 @@ def _cmd_train(args, sub: _Parser) -> int:
         e for g in loaded.games for e in g.events
     )
     strategy = learner.ScoringStrategy(args.strategy, seed=args.seed)
-    initial_pairs = None
+    initial_picks = None
     warnings = 0
     if args.init_alignment:
-        initial_pairs, warnings = learner.init_from_external(
+        initial_picks, warnings = learner.init_from_external(
             examples, args.init_alignment
         )
     theta = None
@@ -254,7 +254,7 @@ def _cmd_train(args, sub: _Parser) -> int:
     else:
         result = learner.retrain_loop(
             examples, strategy, args.max_iter,
-            total_count=total, gold=gold, initial_pairs=initial_pairs,
+            total_count=total, gold=gold, initial_picks=initial_picks,
         )
     filtered = result.trained_matching()
 

@@ -34,9 +34,24 @@ and the LM a training lends the next, live only as long as their loop:
 they are not global, so each superfluous_cv threshold run starts fresh
 ones and their memory ends with the run.
 
+Each loop indexes its examples once (_index_examples, a
+translator.CorpusIndex): the sorted vocabulary, each comment's word ids,
+each candidate's derivation columns, the per-length scoring groups, and
+each comment's candidates in tie order (time, surface form, id).  A
+training is an ordered selection of the index's (comment, candidate)
+positions: every candidate first, then the kept picks, or the external
+seed picks in file order.  translator.train_alignment maps a selection to
+its own sorted vocabulary, so each model is the one the selected pairs
+would train.  Python (tokens, MR) pairs are built only for what reads
+them, the template lexicon and the LM.  superfluous_cv indexes each of
+its two folds once, for every threshold run and validation score.
+
 parse_score reads only the alignment, so each of its trainings runs
 alignment EM alone, and the template lexicon and LM are built once, from
-the last training pairs, for the returned model.  The baselines, random
+the last training pairs, for the returned model.  Its picks are the
+first maximum of the index's scores (CorpusIndex.scores) in tie order,
+the one scoring path score_corpus and the validation scorer also take.
+The baselines, random
 (one uniform pick per sentence) and gold (the gold matching), fix their
 picks up front and train on them once.
 
@@ -61,7 +76,6 @@ from .corpus import GameEvent, GameExample, at_line, ordered_sum, read_records
 from .simgen import Prng
 
 Key = tuple[str, int]
-Pair = tuple[tuple[str, ...], mrl.MeaningRepresentation]
 # (comment tokens, generated tokens) -> the metric's value between them
 MetricCache = dict[tuple[tuple[str, ...], tuple[str, ...]], float]
 
@@ -135,16 +149,42 @@ class DisambiguationResult:
         })
 
 
-def initial_training_set(examples: Sequence[GameExample]) -> list[Pair]:
-    """Every sentence with every candidate, sentence-major, candidates in
-    time order."""
+@dataclass(frozen=True)
+class _LoopIndex:
+    """A loop's examples and the translator.CorpusIndex over them, built
+    once by _index_examples: a position is one (example, candidate) pair,
+    numbered example by example, candidates in time order, and each
+    example's positions are in tie order (time, surface form, id) in
+    index.order.  candidates holds each position's event, and positions
+    maps (key, event id) to the first position of that event."""
+
+    examples: Sequence[GameExample]
+    index: translator.CorpusIndex
+    candidates: list[GameEvent]
+    positions: dict[tuple[Key, int], int]
+
+
+def _index_examples(examples: Sequence[GameExample]) -> _LoopIndex:
     if not examples:
         raise EmptyTrainingSet("no ambiguous examples")
-    return [
-        (ex.example.comment.tokens, candidate.mr)
-        for ex in examples
-        for candidate in ex.example.candidates
-    ]
+    candidates: list[GameEvent] = []
+    order: list[int] = []
+    positions: dict[tuple[Key, int], int] = {}
+    for ex in examples:
+        key, events = ex.key, ex.example.candidates
+        start = len(candidates)
+        candidates.extend(events)
+        for position, event in enumerate(events, start):
+            positions.setdefault((key, event.id), position)
+        order.extend(sorted(range(start, len(candidates)), key=lambda p: (
+            candidates[p].time_ms, mrl.serialize_mr(candidates[p].mr), candidates[p].id
+        )))
+    index = translator.CorpusIndex(
+        [ex.example.comment.tokens for ex in examples],
+        [[c.mr for c in ex.example.candidates] for ex in examples],
+        order,
+    )
+    return _LoopIndex(examples, index, candidates, positions)
 
 
 def evaluate_candidate(
@@ -181,36 +221,35 @@ def evaluate_candidate(
     return score
 
 
+def _parse_picks(loop: _LoopIndex, alignment: translator.AlignmentModel) -> Matching:
+    """Each example's best candidate by (-score, time, surface form, id)
+    under the parse likelihood: the first maximum of the index's scores in
+    its tie order."""
+    positions, scores = loop.index.best(loop.index.scores(alignment))
+    examples, candidates = loop.examples, loop.candidates
+    return Matching({
+        examples[number].key: (candidates[position].id, score)
+        for number, position, score in zip(
+            loop.index.owners[positions].tolist(), positions.tolist(), scores.tolist()
+        )
+    })
+
+
 def _assign_best(
     examples: Sequence[GameExample],
-    model: translator.AlignmentModel | translator.TranslationModel,
+    model: translator.TranslationModel,
     strategy: ScoringStrategy,
     strategic_model: strategic.StrategicModel | None,
     metric_cache: MetricCache,
     profiles: metrics.NistProfiles | None = None,
 ) -> Matching:
-    """Each example's best candidate by (-score, time, surface form, id).
-    parse_score scores the whole corpus in one translator.score_corpus call
-    and reads an AlignmentModel; the generation-scored strategies read a
-    TranslationModel and score only the candidates that can win
-    (_contenders)."""
-    if _SCORED_KINDS[strategy.kind][0] is None:
-        candidate_sets = [ex.example.candidates for ex in examples]
-        scores = translator.score_corpus(
-            [ex.example.comment.tokens for ex in examples],
-            [[c.mr for c in candidates] for candidates in candidate_sets],
-            model,
-        )
-        scored = [list(zip(row, candidates)) for row, candidates in zip(scores, candidate_sets)]
-    else:
-        scored = [
-            _contenders(ex, model, strategy, strategic_model, metric_cache, profiles)
-            for ex in examples
-        ]
+    """Each example's best candidate by (-score, time, surface form, id)
+    under a generation-scored strategy, scoring only the candidates that
+    can win (_contenders)."""
     assignments: dict[Key, tuple[int, float]] = {}
-    for ex, contenders in zip(examples, scored):
+    for ex in examples:
         score, candidate = min(
-            contenders,
+            _contenders(ex, model, strategy, strategic_model, metric_cache, profiles),
             key=lambda scored: (
                 -scored[0],
                 scored[1].time_ms,
@@ -261,17 +300,14 @@ def _contenders(
     return contenders
 
 
-def _pairs_from_matching(
-    examples: Sequence[GameExample], matching: Matching, kept: frozenset[Key]
-) -> list[Pair]:
-    pairs = []
-    for ex in examples:
-        if ex.key not in kept:
-            continue
-        event_id, _ = matching.assignments[ex.key]
-        event = next(c for c in ex.example.candidates if c.id == event_id)
-        pairs.append((ex.example.comment.tokens, event.mr))
-    return pairs
+def _kept_training(
+    loop: _LoopIndex, matching: Matching, kept: frozenset[Key]
+) -> translator.Selection:
+    """The kept examples' picks, in example order."""
+    assigned, positions = matching.assignments, loop.positions
+    return loop.index.select(
+        positions[ex.key, assigned[ex.key][0]] for ex in loop.examples if ex.key in kept
+    )
 
 
 def _prune_keys(matching: Matching, prune_fraction: float) -> frozenset[Key]:
@@ -321,40 +357,41 @@ def retrain_loop(
     *,
     total_count: Mapping[str, int] | None = None,
     gold: Mapping[Key, int | None] | None = None,
-    initial_pairs: Sequence[Pair] | None = None,
+    initial_picks: Mapping[Key, int] | None = None,
     prune_fraction: float = 0.0,
 ) -> DisambiguationResult:
     """The retraining disambiguation loop (see module docstring).
 
     gold serves two roles: the `gold` strategy trains on it directly, and for
     all strategies it fills the per-iteration F1 column of the history.
-    initial_pairs replaces the all-candidates first training of a scored
-    strategy; the baselines never read it.
+    initial_picks (comment key -> candidate event id, as init_from_external
+    reads them) replaces the all-candidates first training of a scored
+    strategy with one on those pairs, in their order; the baselines never
+    read it.
     """
-    result, pairs = _retrain(
-        examples, strategy, max_iter, total_count, gold, initial_pairs, prune_fraction
+    result, training = _retrain(
+        _index_examples(examples), strategy, max_iter, total_count, gold, initial_picks,
+        prune_fraction,
     )
     if isinstance(result.model, translator.AlignmentModel):
-        result.model = translator.complete(pairs, result.model)
+        result.model = translator.complete(training.pairs(), result.model)
     return result
 
 
 def _retrain(
-    examples: Sequence[GameExample],
+    loop: _LoopIndex,
     strategy: ScoringStrategy,
     max_iter: int,
     total_count: Mapping[str, int] | None,
     gold: Mapping[Key, int | None] | None,
-    initial_pairs: Sequence[Pair] | None,
+    initial_picks: Mapping[Key, int] | None,
     prune_fraction: float,
-) -> tuple[DisambiguationResult, Sequence[Pair]]:
+) -> tuple[DisambiguationResult, translator.Selection]:
     """retrain_loop up to its last training: the result and the pairs its
     model trained on.  Under a strategy whose picks read only the alignment
     that model is the AlignmentModel, not yet completed."""
     strategic.check_max_iter(max_iter)
-    if not examples:
-        raise EmptyTrainingSet("no ambiguous examples")
-
+    examples = loop.examples
     fixed: Matching | None = None
     model = strategic_model = None
     if strategy.kind == "random":
@@ -373,8 +410,11 @@ def _retrain(
     # Picks that read only the alignment train only the alignment.
     alignment_only = fixed is None and _SCORED_KINDS[strategy.kind][0] is None
     if fixed is None:
-        pairs = initial_training_set(examples) if initial_pairs is None else initial_pairs
-        model = _fit(pairs, alignment_only)
+        training = loop.index.select(
+            range(len(loop.candidates)) if initial_picks is None
+            else (loop.positions[pick] for pick in initial_picks.items())
+        )
+        model = _fit(training, alignment_only)
 
     matching = Matching()
     kept: frozenset[Key] = frozenset()
@@ -383,11 +423,14 @@ def _retrain(
     metric_cache: MetricCache = {}
     profiles = metrics.NistProfiles()
     for iteration in range(1, max_iter + 1):
-        picked = (
-            _assign_best(examples, model, strategy, strategic_model, metric_cache, profiles)
-            if fixed is None
-            else fixed
-        )
+        if fixed is not None:
+            picked = fixed
+        elif alignment_only:
+            picked = _parse_picks(loop, model)
+        else:
+            picked = _assign_best(
+                examples, model, strategy, strategic_model, metric_cache, profiles
+            )
         event_ids = picked.event_ids()
         changed = sum(
             1 for key, event_id in event_ids.items() if previous.get(key) != event_id
@@ -398,40 +441,41 @@ def _retrain(
             break
         matching, previous = picked, event_ids
         kept = _prune_keys(matching, prune_fraction)
-        earlier = None if model is None else (pairs, model)
-        pairs = _pairs_from_matching(examples, matching, kept)
-        model = _fit(pairs, alignment_only, earlier)
+        earlier = None if model is None else (training, model)
+        training = _kept_training(loop, matching, kept)
+        model = _fit(training, alignment_only, earlier)
         if fixed is not None:
             break
     result = DisambiguationResult(matching, model, strategic_model, history, trained_on=kept)
-    return result, pairs
+    return result, training
 
 
 def _fit(
-    pairs: Sequence[Pair],
+    training: translator.Selection,
     alignment_only: bool,
-    earlier: tuple[Sequence[Pair], translator.TranslationModel] | None = None,
+    earlier: tuple[translator.Selection, translator.TranslationModel] | None = None,
 ) -> translator.AlignmentModel | translator.TranslationModel:
     """A training of the loop: the alignment alone, or the whole model.
     earlier, the loop's previous training (its pairs and model), lends the
     new model its LM when it trained on the same sentences in the same
     order: the LM reads nothing else."""
     if alignment_only:
-        return translator.train_alignment(pairs)
+        return translator.train_alignment(training)
     lm = None
-    if earlier is not None and [t for t, _ in earlier[0]] == [t for t, _ in pairs]:
+    if earlier is not None and earlier[0].sentences() == training.sentences():
         lm = earlier[1].lm
-    return translator.train(pairs, lm)
+    return translator.train(training, lm)
 
 
-def init_from_external(
-    examples: Sequence[GameExample], path
-) -> tuple[list[Pair], int]:
-    """Externally disambiguated pairs for iteration 0, plus a warning count.
+def init_from_external(examples: Sequence[GameExample], path) -> tuple[dict[Key, int], int]:
+    """Externally disambiguated picks for iteration 0, plus a warning count.
 
     File lines: `<game>\t<comment-id>\t<mr-surface>`.  Lines naming an
     unknown comment, or an MR that is not among the comment's candidates,
-    are skipped and counted.  Later lines override earlier ones.
+    are skipped and counted.  Later lines override earlier ones.  The picks
+    map each comment key, in the order of its first line, to the id of its
+    first candidate event with the MR.  Raises EmptyTrainingSet, naming
+    the file, when no line is left.
     """
     wanted: dict[Key, mrl.MeaningRepresentation] = {}
     warnings = 0
@@ -440,14 +484,22 @@ def init_from_external(
             key: Key = (game, int(comment_id))
             wanted[key] = mrl.parse_mr(surface)
     by_key = {ex.key: ex.example for ex in examples}
-    pairs: list[Pair] = []
+    picks: dict[Key, int] = {}
     for key, mr in wanted.items():
         example = by_key.get(key)
-        if example is None or all(c.mr != mr for c in example.candidates):
+        event = None if example is None else next(
+            (c for c in example.candidates if c.mr == mr), None
+        )
+        if event is None:
             warnings += 1
             continue
-        pairs.append((example.comment.tokens, mr))
-    return pairs, warnings
+        picks[key] = event.id
+    if not picks:
+        raise EmptyTrainingSet(
+            f"{path}: no line names a corpus comment and one of its candidate MRs "
+            f"({warnings} skipped)"
+        )
+    return picks, warnings
 
 
 def validation_split(examples: Sequence[GameExample]) -> tuple[list[GameExample], list[GameExample]]:
@@ -467,7 +519,7 @@ def validation_split(examples: Sequence[GameExample]) -> tuple[list[GameExample]
 def _validation_score(
     result: DisambiguationResult,
     train: Sequence[GameExample],
-    validation: Sequence[GameExample],
+    validation: _LoopIndex,
 ) -> float:
     """Held-out log-likelihood of the validation sentences under a mixture.
 
@@ -475,7 +527,8 @@ def _validation_score(
     weight is the share of the training fold's assigned pairs that pruning
     dropped.  The described component is the pruned run's Model-1
     likelihood of the sentence under its best-scoring candidate (the
-    per-token score raised to the sentence length).  The chatter component
+    per-token score raised to the sentence length), read from the
+    validation fold's index.  The chatter component
     is an add-k unigram model (k = translator.SMOOTHING_K) fit on the pruned
     training sentences.  Pruning real descriptions costs described
     likelihood and fits the chatter component to event vocabulary; pruning
@@ -494,14 +547,10 @@ def _validation_score(
     denominator = sum(counts.values()) + translator.SMOOTHING_K * (len(counts) + 1)
     share = len(pruned) / len(assigned)
     terms = []
-    scores = translator.score_corpus(
-        [ex.example.comment.tokens for ex in validation],
-        [[c.mr for c in ex.example.candidates] for ex in validation],
-        alignment,
-    )
-    for ex, candidate_scores in zip(validation, scores):
-        tokens = ex.example.comment.tokens
-        best = max(candidate_scores)
+    index = validation.index
+    positions, scores = index.best(index.scores(alignment))
+    for number, best in zip(index.owners[positions].tolist(), scores.tolist()):
+        tokens = index.sentences[number]
         # a very long sentence can underflow the per-token score to 0
         described = len(tokens) * math.log(best) if best > 0.0 else -math.inf
         if pruned:
@@ -549,10 +598,12 @@ def superfluous_cv(
         )
     grid = sorted(thresholds)
     best_theta, best_score = grid[0], -math.inf
+    # Each fold is indexed once, for every threshold.
+    fold, held_out = _index_examples(train), _index_examples(validation)
     for theta in grid:
         # The scorer reads only the alignment, so the run is not completed.
-        result, _ = _retrain(train, strategy, max_iter, total_count, None, None, theta)
-        score = _validation_score(result, train, validation)
+        result, _ = _retrain(fold, strategy, max_iter, total_count, None, None, theta)
+        score = _validation_score(result, train, held_out)
         if score > best_score:
             best_theta, best_score = theta, score
     final = retrain_loop(

@@ -49,10 +49,17 @@ enforces that.
 
 Scoring reads only the alignment and has two rules: a word's score under
 an MR (_word_scores) and a sentence's score from its words' scores
-(_sentence_scores).  score_corpus scores candidate sets: many sentences,
-each with its own candidate MRs, grouped by sentence length, each group
-in whole-array passes.  score_candidates (one sentence) and the learner's
-parse-scored loop and validation scorer (the corpus) are views of it.
+(_sentence_scores).  CorpusIndex holds a corpus of sentences, each with
+its own candidate MRs, as arrays built once from the tokens: the sorted
+vocabulary, word ids, derivation columns, and groups by sentence length,
+and CorpusIndex.scores scores every (sentence, candidate) pair, one
+whole-array pass per group.  It is the one corpus scorer: score_corpus
+(a fresh index), score_candidates (one sentence) and the learner's
+parse-scored picks and validation scorer (an index kept for the loop)
+are views of it.  train_alignment trains on a list of pairs or on a
+Selection of an index's pairs, mapped to the selection's own sorted
+vocabulary, so a loop that retrains on its picks never goes back to the
+tokens.
 parse_sentence gathers the sentence's rows of the full-space table, which
 _word_scores fills, so its scores can never disagree with score_corpus's.
 It returns a Ranking, which sorts the MRs by score only when a rank past
@@ -433,8 +440,148 @@ class TranslationModel:
         return plans
 
 
-def train_alignment(pairs: Sequence[Pair], iterations: int = 25) -> AlignmentModel:
-    """Model-1 EM: uniform init, then expected-count renormalization.
+class CorpusIndex:
+    """The arrays scoring and training read about a corpus of sentences,
+    each with its candidate MRs, built once from the Python tokens.
+
+    A position is one (sentence, candidate) pair, numbered sentence by
+    sentence, candidates in the order given.  The index holds the sorted
+    vocabulary of all sentences (vocabulary), each sentence's words as
+    vocabulary ids (words, from word_starts, lengths long), each
+    position's sentence (owners) and derivation columns and width
+    (derivations, widths), and each sentence's first position (starts, one
+    more entry at the end).  order lists the positions sentence by
+    sentence, each sentence's in the order that breaks its score ties:
+    the order given unless the caller passes one.  The per-length scoring
+    groups are built on the first scores() and kept."""
+
+    def __init__(
+        self,
+        sentences: Sequence[Tokens],
+        candidates: Sequence[Sequence[mrl.MeaningRepresentation]],
+        order: Sequence[int] | None = None,
+    ) -> None:
+        self.sentences = sentences
+        self.vocabulary = tuple(sorted({w for tokens in sentences for w in tokens}))
+        column = {word: i for i, word in enumerate(self.vocabulary)}
+        self.lengths = np.fromiter(map(len, sentences), dtype=np.intp, count=len(sentences))
+        self.words = np.fromiter(
+            (column[w] for tokens in sentences for w in tokens),
+            dtype=np.intp, count=int(self.lengths.sum()),
+        )
+        self.word_starts = np.cumsum(self.lengths) - self.lengths
+        counts = np.fromiter(map(len, candidates), dtype=np.intp, count=len(candidates))
+        self.starts = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
+        self.owners = np.repeat(np.arange(len(sentences), dtype=np.intp), counts)
+        self.mrs = [mr for mrs in candidates for mr in mrs]
+        self.derivations, self.widths = _candidate_arrays(self.mrs)
+        self.order = np.arange(len(self.mrs), dtype=np.intp) if order is None else (
+            np.array(order, dtype=np.intp)
+        )
+
+    def select(self, positions: Iterable[int]) -> "Selection":
+        return Selection(self, np.fromiter(positions, dtype=np.intp))
+
+    @cached_property
+    def _groups(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """Per sentence length but 0: the positions of that length's
+        sentences, their words ((length, positions) vocabulary ids), and
+        their derivation columns and widths."""
+        lengths = self.lengths[self.owners]
+        groups = []
+        for length in np.flatnonzero(np.bincount(lengths, minlength=1)[1:]).tolist():
+            length += 1
+            positions = np.flatnonzero(lengths == length)
+            first = self.word_starts[self.owners[positions]]
+            words = self.words[first + np.arange(length, dtype=np.intp)[:, None]]
+            groups.append(
+                (positions, words, self.derivations[positions], self.widths[positions])
+            )
+        return groups
+
+    def scores(self, alignment: AlignmentModel) -> np.ndarray:
+        """Each position's per-token-normalized Model-1 likelihood
+        (_word_scores, then _sentence_scores), one (tokens x positions)
+        array pass per sentence length; an empty sentence scores
+        null_floor.  The index's vocabulary maps to the alignment's columns
+        once per call."""
+        columns, unknown = alignment.columns, len(alignment.vocabulary)
+        remap = np.fromiter(
+            (columns.get(w, unknown) for w in self.vocabulary),
+            dtype=np.intp, count=len(self.vocabulary),
+        )
+        smoothed = alignment.smoothed
+        scores = np.full(len(self.mrs), null_floor(alignment))
+        for positions, words, derivations, widths in self._groups:
+            per_word = _word_scores(smoothed, remap.take(words), derivations, widths)
+            scores[positions] = _sentence_scores(per_word)
+        return scores
+
+    def best(self, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For each sentence with a candidate, in sentence order: the first
+        position in order whose score is the sentence's largest, and that
+        score."""
+        counts = np.diff(self.starts)
+        runs = self.starts[:-1][counts > 0]
+        ordered = scores[self.order]
+        top = np.maximum.reduceat(ordered, runs) if len(runs) else ordered[:0]
+        hits = np.flatnonzero(ordered == np.repeat(top, counts[counts > 0]))
+        first = hits[np.searchsorted(hits, runs)]
+        return self.order[first], ordered[first]
+
+
+@dataclass(frozen=True)
+class Selection:
+    """An ordered selection of a CorpusIndex's positions: the (sentence,
+    MR) pairs one training reads, by reference."""
+
+    index: CorpusIndex
+    positions: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def sentences(self) -> list[Tokens]:
+        sentences = self.index.sentences
+        return [sentences[n] for n in self.index.owners[self.positions].tolist()]
+
+    def pairs(self) -> list[Pair]:
+        mrs = self.index.mrs
+        return list(zip(self.sentences(), [mrs[p] for p in self.positions.tolist()]))
+
+    def words(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+        """The selection's own sorted vocabulary, each of its tokens' column
+        in it, pair after pair, and each pair's token count."""
+        index = self.index
+        sentences = index.owners[self.positions]
+        lengths = index.lengths[sentences]
+        ends = np.cumsum(lengths)
+        # token i of pair j is word (its sentence's first) + (i - pair j's first)
+        offsets = np.repeat(index.word_starts[sentences] - ends + lengths, lengths)
+        tokens = index.words[offsets + np.arange(len(offsets), dtype=np.intp)]
+        seen = np.zeros(len(index.vocabulary), dtype=bool)
+        seen[tokens] = True
+        present = np.flatnonzero(seen)
+        if len(present) == len(index.vocabulary):
+            return index.vocabulary, tokens, lengths
+        vocabulary = tuple(index.vocabulary[i] for i in present.tolist())
+        return vocabulary, (np.cumsum(seen) - 1).take(tokens), lengths
+
+
+def _selection(training: Sequence[Pair] | Selection) -> Selection:
+    """training itself, or an index of its pairs selecting each in order."""
+    if isinstance(training, Selection):
+        return training
+    index = CorpusIndex([tokens for tokens, _ in training], [[mr] for _, mr in training])
+    return index.select(range(len(training)))
+
+
+def train_alignment(
+    training: Sequence[Pair] | Selection, iterations: int = 25
+) -> AlignmentModel:
+    """Model-1 EM: uniform init, then expected-count renormalization, on
+    the pairs in order: a list of them, or a Selection of an index's
+    positions, whose words map to the selection's own sorted vocabulary.
 
     The corpus is flattened once into (token, production slot) cells of the
     table.  Each E-step gathers them and adds each token's four slot values
@@ -446,26 +593,27 @@ def train_alignment(pairs: Sequence[Pair], iterations: int = 25) -> AlignmentMod
     order, the order a dict per row would hold them in.  Both add as
     corpus.ordered_sum does.
     """
-    if not pairs:
+    if not len(training):
         raise EmptyTrainingSet("no (sentence, mr) pairs to train on")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    vocabulary = tuple(sorted({w for tokens, _ in pairs for w in tokens}))
+    selection = _selection(training)
+    vocabulary, words, lengths = selection.words()
     if not vocabulary:
         raise EmptyTrainingSet("training pairs contain no words")
     size = len(vocabulary)
     stride = size + 1  # t's row stride: the vocabulary, then unknown words
-    column = {word: i for i, word in enumerate(vocabulary)}
-    index, widths = _candidate_arrays([mr for _, mr in pairs])
-    lengths = [len(tokens) for tokens, _ in pairs]
-    words = np.array([column[w] for tokens, _ in pairs for w in tokens], dtype=np.intp)
-    rows = np.repeat(index, lengths, axis=0)
-    width = np.repeat(widths, lengths)
+    index, positions = selection.index, selection.positions
+    rows = np.repeat(index.derivations[positions], lengths, axis=0)
+    width = np.repeat(index.widths[positions], lengths)
     cells = rows * stride + words[:, None]  # flat (row, word) cell per token slot
-    # Trained rows' cells in first-reach order and each cell's row.  A stable
-    # sort and bincount, not np.unique, kept peak RSS 0.7 MB lower.
-    reached, first = np.unique(cells[rows != _PAD_COLUMN], return_index=True)
-    reached = reached[np.argsort(first, kind="stable")]
+    # Trained rows' cells in first-reach order, from each cell's first index
+    # in corpus order, and each cell's row.
+    slots = cells[rows != _PAD_COLUMN]
+    first = np.full((_PAD_COLUMN + 1) * stride, len(slots), dtype=np.intp)
+    np.minimum.at(first, slots, np.arange(len(slots), dtype=np.intp))
+    reached = np.flatnonzero(first < len(slots))
+    reached = reached[first[reached].argsort()]
     owners = reached // stride
     trained = np.flatnonzero(np.bincount(owners))
     # The pad row stays zero, so padded slots add nothing, and no token
@@ -590,10 +738,14 @@ def complete(
     return TranslationModel(alignment=alignment, lexicon=lexicon, lm=lm)
 
 
-def train(pairs: Sequence[Pair], lm: LanguageModel | None = None) -> TranslationModel:
+def train(
+    training: Sequence[Pair] | Selection, lm: LanguageModel | None = None
+) -> TranslationModel:
     """Alignment EM, template extraction, and LM fit (unless lm is given,
-    as complete takes it) in one call."""
-    return complete(pairs, train_alignment(pairs), lm)
+    as complete takes it) in one call, on pairs as train_alignment takes
+    them."""
+    pairs = training.pairs() if isinstance(training, Selection) else training
+    return complete(pairs, train_alignment(training), lm)
 
 
 def null_floor(alignment: AlignmentModel) -> float:
@@ -663,30 +815,11 @@ def score_corpus(
     alignment: AlignmentModel,
 ) -> list[list[float]]:
     """Per-token-normalized Model-1 likelihood of each sentence under each of
-    its candidate MRs: _word_scores, then _sentence_scores; an empty
-    sentence scores null_floor.  The (sentence, candidate) pairs are grouped
-    by sentence length, and each group is one (tokens x pairs) array pass
-    with a scalar root."""
-    smoothed = alignment.smoothed
-    counts = [len(mrs) for mrs in candidates]
-    floor = null_floor(alignment)
-    scores = [[] if tokens else [floor] * count for tokens, count in zip(sentences, counts)]
-    by_length: dict[int, list[int]] = defaultdict(list)
-    for number, (tokens, count) in enumerate(zip(sentences, counts)):
-        if tokens and count:
-            by_length[len(tokens)].append(number)
-    for length, numbers in by_length.items():
-        # (length, sentences) word columns, then one column per pair.
-        words = _word_columns([w for n in numbers for w in sentences[n]], alignment)
-        words = words.reshape(len(numbers), length).T
-        words = np.repeat(words, [counts[n] for n in numbers], axis=1)
-        index, widths = _candidate_arrays([mr for n in numbers for mr in candidates[n]])
-        group = _sentence_scores(_word_scores(smoothed, words, index, widths)).tolist()
-        start = 0
-        for n in numbers:
-            scores[n] = group[start : start + counts[n]]
-            start += counts[n]
-    return scores
+    its candidate MRs: CorpusIndex.scores of the sentences' index."""
+    index = CorpusIndex(sentences, candidates)
+    scores = index.scores(alignment).tolist()
+    bounds = index.starts.tolist()
+    return [scores[start:end] for start, end in zip(bounds, bounds[1:])]
 
 
 def score_candidates(

@@ -183,7 +183,11 @@ def test_criterion_05_em_likelihood_and_concentration():
         ("kick pink2".split(), mrl.parse_mr("kick ( pink2 )")),
     ]
     sim = simgen.simulate_corpus(simgen.default_world(3), simgen.default_profile(4), 2)
-    cartesian = learner.initial_training_set(corpus.pooled_examples(sim.games))
+    cartesian = [
+        (ex.example.comment.tokens, c.mr)
+        for ex in corpus.pooled_examples(sim.games)
+        for c in ex.example.candidates
+    ]
 
     monotone = True
     for pairs in (sharp, kick_pair, cartesian):
@@ -268,15 +272,15 @@ def test_criterion_07_external_initialization_benefit(tmp_path):
         pairs_ok = pairs_ok and 0.85 <= accuracy <= 0.95
         path = tmp_path / f"external{seed}.tsv"
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-        initial_pairs, warnings = learner.init_from_external(examples, path)
-        pairs_ok = pairs_ok and warnings == 0 and len(initial_pairs) == len(lines)
+        initial_picks, warnings = learner.init_from_external(examples, path)
+        pairs_ok = pairs_ok and warnings == 0 and len(initial_picks) == len(lines)
 
         unseeded = learner.retrain_loop(
             examples, strategy, total_count=totals, gold=gold
         )
         seeded = learner.retrain_loop(
             examples, strategy, total_count=totals, gold=gold,
-            initial_pairs=initial_pairs,
+            initial_picks=initial_picks,
         )
         deltas.append(_f1(seeded, gold) - _f1(unseeded, gold))
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import shutil
 
 import pytest
@@ -405,6 +406,26 @@ def test_alignment_output_reingests(corpus_dir, train_dir, tmp_path):
     assert summary["alignment_warnings"] == "0"
 
 
+@pytest.mark.parametrize("lines, skipped", [
+    ("game1\t999\tpass ( purple5 , purple3 )\n", 1),  # no such comment
+    ("game1\t999\tkick ( pink1 )\ngame1\t0\tsteal ( purple9 )\n", 2),  # nor such an MR
+    ("", 0),
+])
+def test_init_alignment_without_a_usable_line_names_the_file(
+    corpus_dir, tmp_path, capsys, lines, skipped
+):
+    seeds = tmp_path / "seeds.tsv"
+    seeds.write_text(lines)
+    out = tmp_path / "out"
+    assert run(["train", "--manifest", str(corpus_dir / "manifest.tsv"),
+                "--init-alignment", str(seeds), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {seeds}: no line names a corpus comment and one of its candidate MRs "
+        f"({skipped} skipped)\n"
+    )
+    assert not out.exists()
+
+
 def test_igsl_report(corpus_dir, tmp_path):
     out = tmp_path / "igsl"
     rc = run(["igsl", "--manifest", str(corpus_dir / "manifest.tsv"), "--out", str(out)])
@@ -751,6 +772,50 @@ def test_data_error_names_file_and_line(corpus_dir, train_dir, tmp_path, capsys)
         file.write_text("\n".join(lines))
         assert run(argv) == 2, reader
         assert capsys.readouterr().err == f"error: {file}:2: {reason}\n"
+
+
+def _separator(reader):
+    return "=" if reader == "config" else "\t"
+
+
+# Mutation name -> the lines of a file with its line i mutated, given the
+# reader's field separator.
+_LINE_MUTATIONS = {
+    "drop-separator": lambda lines, i, sep: lines[:i] + [lines[i].replace(sep, "", 1)]
+    + lines[i + 1:],
+    "empty-field": lambda lines, i, sep: lines[:i] + [
+        sep.join(field if n != 1 else "" for n, field in enumerate(lines[i].split(sep)))
+        if sep in lines[i] else ""
+    ] + lines[i + 1:],
+    "repeat-line": lambda lines, i, sep: lines[:i + 1] + lines[i:],
+    "non-utf8-byte": lambda lines, i, sep: lines[:i] + [lines[i] + b"\xff".decode("latin-1")]
+    + lines[i + 1:],
+    "empty-line": lambda lines, i, sep: lines[:i] + [""] + lines[i:],
+}
+_MUTATED_READERS = ["manifest", "events", "comments", "gold", "model", "strategic",
+                    "config", "matching", "init-alignment", "parse-input"]
+
+
+def test_mutated_reader_lines_exit_0_or_name_file_and_line(
+    corpus_dir, train_dir, tmp_path, capsys
+):
+    """Each mutation of line 2 of each file a reader takes: the command
+    exits 0, or exits 2 naming `<file>:<line>:` (the mutated file, or one
+    whose lines no longer agree with it); it never raises."""
+    unexpected = []
+    for reader in _MUTATED_READERS:
+        for name, mutate in _LINE_MUTATIONS.items():
+            copies = tmp_path / f"{reader}-{name}"
+            file, argv = _reader_files(corpus_dir, train_dir, copies)[reader]
+            lines = file.read_bytes().decode("latin-1").split("\n")
+            mutated = mutate(lines, 1, _separator(reader))
+            file.write_bytes("\n".join(mutated).encode("latin-1"))
+            status = run(argv)
+            err = capsys.readouterr().err
+            named = re.match(rf"error: {re.escape(str(copies))}/\S+:\d+: ", err)
+            if not (status == 0 or status == 2 and named):
+                unexpected.append((reader, name, status, err))
+    assert unexpected == []
 
 
 @pytest.mark.parametrize(

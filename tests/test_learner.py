@@ -33,7 +33,11 @@ _COUPLES = {
 }
 
 
-def _build_games(noise=False):
+def _build_games(noise=False, edge=False, blank=False):
+    """The couples as games.  noise adds a chatter comment after each couple
+    of game1.  edge repeats game1's kicks, each 0.5 s after the first, so an
+    MR occurs twice among a comment's candidates and the two tie.  blank
+    adds a comment with no tokens after each of game1's kicks."""
     games = []
     for name, game_couples in _COUPLES.items():
         events, comments, gold = [], [], {}
@@ -49,6 +53,12 @@ def _build_games(noise=False):
             gold[cid] = kick.id
             gold[cid + 1] = pas.id
             cid += 2
+            if edge and name == "game1":
+                events.insert(-1, corpus.GameEvent(t + 500, kick.mr, 100 + eid))
+            if blank and name == "game1":
+                comments.insert(-1, corpus.Comment(t + 1600, (), "", "en", cid))
+                gold[cid] = None
+                cid += 1
             if noise and name == "game1":
                 comments.append(
                     corpus.make_comment(t + 3000, "zorp blee grum nak", "en", cid)
@@ -78,21 +88,119 @@ def noisy():
     return games, corpus.pooled_examples(games), corpus.pooled_gold(games)
 
 
+@pytest.fixture(scope="module")
+def edge():
+    games = _build_games(edge=True)
+    return games, corpus.pooled_examples(games), corpus.pooled_gold(games)
+
+
+@pytest.fixture(scope="module")
+def blank():
+    games = _build_games(edge=True, blank=True)
+    return games, corpus.pooled_examples(games), corpus.pooled_gold(games)
+
+
 def _score_f1(matching, gold):
     return None if gold is None else metrics.matching_f1(matching.event_ids(), gold).f1
+
+
+def _reference_initial_training_set(examples):
+    """Every sentence with every candidate, sentence-major, candidates in
+    time order: the first training's pairs."""
+    return [
+        (ex.example.comment.tokens, candidate.mr)
+        for ex in examples
+        for candidate in ex.example.candidates
+    ]
+
+
+def _reference_pairs_from_matching(examples, matching, kept):
+    """The kept examples' picked pairs, in example order."""
+    pairs = []
+    for ex in examples:
+        if ex.key not in kept:
+            continue
+        event_id, _ = matching.assignments[ex.key]
+        event = next(c for c in ex.example.candidates if c.id == event_id)
+        pairs.append((ex.example.comment.tokens, event.mr))
+    return pairs
+
+
+def _reference_train_alignment(pairs, iterations=25):
+    """Model-1 EM on Python pairs, each training building its own
+    vocabulary, word columns and candidate arrays from the tokens, and its
+    first-reach cell order from np.unique."""
+    vocabulary = tuple(sorted({w for tokens, _ in pairs for w in tokens}))
+    if not vocabulary:
+        raise translator.EmptyTrainingSet("training pairs contain no words")
+    size = len(vocabulary)
+    stride = size + 1
+    column = {word: i for i, word in enumerate(vocabulary)}
+    index, widths = translator._candidate_arrays([mr for _, mr in pairs])
+    lengths = [len(tokens) for tokens, _ in pairs]
+    words = np.array([column[w] for tokens, _ in pairs for w in tokens], dtype=np.intp)
+    rows = np.repeat(index, lengths, axis=0)
+    width = np.repeat(widths, lengths)
+    cells = rows * stride + words[:, None]
+    reached, first = np.unique(cells[rows != translator._PAD_COLUMN], return_index=True)
+    reached = reached[np.argsort(first, kind="stable")]
+    owners = reached // stride
+    trained = np.flatnonzero(np.bincount(owners))
+    t = np.zeros((translator._PAD_COLUMN + 1, stride), dtype=np.float64)
+    t[trained, :size] = 1.0 / size
+    history = []
+    for step in range(iterations + 1):
+        gathered = t.take(cells)
+        denominators = gathered[:, 0] + gathered[:, 1]
+        denominators += gathered[:, 2]
+        denominators += gathered[:, 3]
+        history.append(float(np.log(denominators / width).sum()))
+        if step == iterations:
+            break
+        gathered /= denominators[:, None]
+        expected = np.bincount(cells.ravel(), weights=gathered.ravel(), minlength=t.size)
+        totals = np.bincount(owners, weights=expected.take(reached), minlength=len(t))
+        t[trained] = expected.reshape(t.shape)[trained] / totals[trained, None]
+    return translator.AlignmentModel(t=t, vocabulary=vocabulary, log_likelihoods=tuple(history))
+
+
+def _reference_train(pairs):
+    return translator.complete(pairs, _reference_train_alignment(pairs))
+
+
+def _reference_parse_picks(examples, alignment):
+    """parse_score picks from one translator.score_corpus call, each
+    example's best by min over (-score, time, surface form, id)."""
+    candidate_sets = [ex.example.candidates for ex in examples]
+    scores = translator.score_corpus(
+        [ex.example.comment.tokens for ex in examples],
+        [[c.mr for c in candidates] for candidates in candidate_sets],
+        alignment,
+    )
+    assignments = {}
+    for ex, row, candidates in zip(examples, scores, candidate_sets):
+        score, candidate = min(
+            zip(row, candidates),
+            key=lambda scored: (
+                -scored[0], scored[1].time_ms, mrl.serialize_mr(scored[1].mr), scored[1].id,
+            ),
+        )
+        assignments[ex.key] = (candidate.id, score)
+    return Matching(assignments)
 
 
 def _reference_retrain_loop(
     examples, strategy, max_iter=learner.DEFAULT_MAX_ITER, *,
     total_count=None, gold=None, initial_pairs=None, prune_fraction=0.0,
 ):
-    """The loop as it was written with one branch per baseline, kept to pin
-    the shared loop to it: (matching, model, strategic model, iterations,
-    history, trained-on keys)."""
+    """The loop on Python pairs, with one branch per baseline, kept to pin
+    the indexed loop to it: every training on the pairs it picked, every
+    parse_score pick by _reference_parse_picks; (matching, model, strategic
+    model, iterations, history, trained-on keys)."""
     if strategy.kind == "random":
         matching = learner._random_matching(examples, strategy.seed)
         kept = learner._prune_keys(matching, prune_fraction)
-        model = translator.train(learner._pairs_from_matching(examples, matching, kept))
+        model = _reference_train(_reference_pairs_from_matching(examples, matching, kept))
         record = learner.IterationRecord(
             1, len(matching.assignments), _score_f1(matching, gold)
         )
@@ -100,7 +208,7 @@ def _reference_retrain_loop(
     if strategy.kind == "gold":
         matching = learner._gold_matching(examples, gold)
         kept = frozenset(matching.assignments)
-        model = translator.train(learner._pairs_from_matching(examples, matching, kept))
+        model = _reference_train(_reference_pairs_from_matching(examples, matching, kept))
         record = learner.IterationRecord(
             1, len(matching.assignments), _score_f1(matching, gold)
         )
@@ -111,18 +219,18 @@ def _reference_retrain_loop(
         strategic_model = strategic.igsl([ex.example for ex in examples], total_count)
     pairs = (
         list(initial_pairs) if initial_pairs is not None
-        else learner.initial_training_set(examples)
+        else _reference_initial_training_set(examples)
     )
-    model = translator.train(pairs)
+    model = _reference_train(pairs)
     matching = None
     kept = frozenset()
     history = []
     iterations = 0
     for iteration in range(1, max_iter + 1):
-        new_matching = learner._assign_best(
-            examples, model.alignment if strategy.kind == "parse_score" else model,
-            strategy, strategic_model, {},
-        )
+        if strategy.kind == "parse_score":
+            new_matching = _reference_parse_picks(examples, model.alignment)
+        else:
+            new_matching = learner._assign_best(examples, model, strategy, strategic_model, {})
         iterations = iteration
         if matching is None:
             changed = len(new_matching.assignments)
@@ -140,7 +248,7 @@ def _reference_retrain_loop(
             break
         matching = new_matching
         kept = learner._prune_keys(matching, prune_fraction)
-        model = translator.train(learner._pairs_from_matching(examples, matching, kept))
+        model = _reference_train(_reference_pairs_from_matching(examples, matching, kept))
     return matching, model, strategic_model, iterations, history, kept
 
 
@@ -151,7 +259,7 @@ def _model_text(model, path):
 
 @pytest.mark.parametrize("max_iter", [1, learner.DEFAULT_MAX_ITER])
 @pytest.mark.parametrize("prune_fraction", [0.0, 0.2])
-@pytest.mark.parametrize("fixture", ["clean", "noisy"])
+@pytest.mark.parametrize("fixture", ["clean", "noisy", "edge", "simulated"])
 @pytest.mark.parametrize("kind", learner.STRATEGY_KINDS)
 def test_retrain_loop_matches_reference(
     request, tmp_path, kind, fixture, prune_fraction, max_iter
@@ -174,6 +282,84 @@ def test_retrain_loop_matches_reference(
     )
 
 
+@pytest.mark.parametrize("prune_fraction", [0.0, 0.2])
+@pytest.mark.parametrize("kind", ["random", "parse_score", "gold"])
+def test_retrain_loop_matches_reference_with_comments_without_tokens(
+    blank, tmp_path, kind, prune_fraction
+):
+    """A comment with no tokens scores the null floor under every candidate,
+    so its pick is its first candidate in tie order, and it adds nothing to
+    a training.  (A generation-scored strategy cannot score it: NIST and
+    METEOR need a nonempty sentence.)"""
+    games, examples, gold = blank
+    assert any(not ex.example.comment.tokens for ex in examples)
+    strategy = ScoringStrategy(kind, seed=5)
+    kwargs = dict(gold=gold, prune_fraction=prune_fraction)
+    result = learner.retrain_loop(examples, strategy, **kwargs)
+    matching, model, _, iterations, history, kept = _reference_retrain_loop(
+        examples, strategy, **kwargs
+    )
+    assert result.matching.assignments == matching.assignments
+    assert (result.history, result.trained_on) == (history, kept)
+    assert _model_text(result.model, tmp_path / "a.tsv") == _model_text(
+        model, tmp_path / "b.tsv"
+    )
+
+
+@pytest.mark.parametrize("kind", learner.STRATEGY_KINDS)
+def test_retrain_loop_on_comments_without_words_raises(blank, kind):
+    games, examples, gold = blank
+    empty = [ex for ex in examples if not ex.example.comment.tokens]
+    total = strategic.count_event_types(e for g in games for e in g.events)
+    with pytest.raises(learner.EmptyTrainingSet):
+        learner.retrain_loop(empty, ScoringStrategy(kind), total_count=total, gold=gold)
+
+
+@pytest.mark.parametrize("prune_fraction", [0.0, 0.2])
+@pytest.mark.parametrize("kind", ["parse_score", "nist_gen"])
+def test_external_picks_match_reference_pairs(edge, tmp_path, kind, prune_fraction):
+    """A key read twice keeps the place of its first line and the MR of
+    its last, and an MR that two candidates share picks the first of them:
+    the loop seeded with the picks is the reference seeded with the pairs
+    they name, in file order."""
+    games, examples, gold = edge
+    by_key = {ex.key: ex.example for ex in examples}
+    repeated = next(
+        key for key, example in by_key.items()
+        if len({c.mr for c in example.candidates}) < len(example.candidates)
+    )
+    candidates = by_key[repeated].candidates
+    kick = next(c for c in candidates if c.id == gold[repeated])
+    other = next(c for c in candidates if c.mr != kick.mr)
+    lines = [(repeated, other.mr)] + [
+        (key, next(c for c in by_key[key].candidates if c.id == event_id).mr)
+        for key, event_id in gold.items()
+        if event_id is not None
+    ]
+    path = tmp_path / "seed.tsv"
+    path.write_text("".join(
+        f"{game}\t{comment}\t{mrl.serialize_mr(mr)}\n" for (game, comment), mr in lines
+    ), encoding="utf-8")
+    picks, warnings = learner.init_from_external(examples, path)
+    assert warnings == 0
+    final = dict(lines)  # each key in the place of its first line, with its last MR
+    assert list(picks) == list(final)
+    twins = [c.id for c in candidates if c.mr == kick.mr]
+    assert len(twins) == 2 and picks[repeated] == twins[0]
+    pairs = [(by_key[key].comment.tokens, mr) for key, mr in final.items()]
+    strategy = ScoringStrategy(kind)
+    kwargs = dict(gold=gold, prune_fraction=prune_fraction)
+    result = learner.retrain_loop(examples, strategy, initial_picks=picks, **kwargs)
+    matching, model, _, _, history, kept = _reference_retrain_loop(
+        examples, strategy, initial_pairs=pairs, **kwargs
+    )
+    assert result.matching.assignments == matching.assignments
+    assert (result.history, result.trained_on) == (history, kept)
+    assert _model_text(result.model, tmp_path / "a.tsv") == _model_text(
+        model, tmp_path / "b.tsv"
+    )
+
+
 @pytest.fixture(scope="module")
 def sharp_model(clean):
     _, examples, gold, _ = clean
@@ -191,7 +377,9 @@ def test_strategy_kind_validated():
         ScoringStrategy("bogus")
 
 
-def test_initial_training_set_is_cartesian_sentence_major():
+def test_initial_training_set_is_cartesian_sentence_major(monkeypatch):
+    """A scored loop's first training reads every sentence with every
+    candidate, sentence-major, candidates in time order."""
     def ev(t, s, i):
         return corpus.GameEvent(t, _mr(s), i)
 
@@ -202,7 +390,16 @@ def test_initial_training_set_is_cartesian_sentence_major():
         corpus.GameExample("g", corpus.AmbiguousExample(c[1], (e1, e2, e3))),
         corpus.GameExample("g", corpus.AmbiguousExample(c[2], (e3,))),
     ]
-    pairs = learner.initial_training_set(examples)
+    trainings = []
+    real = translator.train_alignment
+
+    def recording(training):
+        trainings.append(training.pairs())
+        return real(training)
+
+    monkeypatch.setattr(translator, "train_alignment", recording)
+    learner.retrain_loop(examples, ScoringStrategy("parse_score"), max_iter=1)
+    pairs = trainings[0]
     assert len(pairs) == 6
     assert [tokens for tokens, _ in pairs] == [
         c[0].tokens, c[0].tokens, c[1].tokens, c[1].tokens, c[1].tokens, c[2].tokens
@@ -212,8 +409,8 @@ def test_initial_training_set_is_cartesian_sentence_major():
 
 
 def test_initial_training_set_empty_raises():
-    with pytest.raises(learner.EmptyTrainingSet):
-        learner.initial_training_set([])
+    with pytest.raises(learner.EmptyTrainingSet, match="no ambiguous examples"):
+        learner._index_examples([])
 
 
 def test_evaluate_nist_gen_matches_manual(sharp_model):
@@ -337,14 +534,15 @@ def _reference_validation_score(result, train, validation):
 def test_parse_score_kernel_matches_per_candidate_scores(request, fixture):
     examples = request.getfixturevalue(fixture)[1]
     strategy = ScoringStrategy("parse_score")
-    model = translator.train(learner.initial_training_set(examples))
+    model = translator.train(_reference_initial_training_set(examples))
     for current in (model, learner.retrain_loop(examples, strategy).model):
-        matching = learner._assign_best(examples, current.alignment, strategy, None, {})
+        matching = learner._parse_picks(learner._index_examples(examples), current.alignment)
         assert matching.assignments == _reference_parse_matching(examples, current)
     train, validation = learner.validation_split(examples)
+    held_out = learner._index_examples(validation)
     for prune_fraction in (0.0, 0.2):
         result = learner.retrain_loop(train, strategy, prune_fraction=prune_fraction)
-        assert learner._validation_score(result, train, validation) == (
+        assert learner._validation_score(result, train, held_out) == (
             _reference_validation_score(result, train, validation)
         )
 
@@ -371,7 +569,7 @@ def test_validation_score_matches_reference_for_any_pruned_set(pruned_run, data)
         ))
         for ex in validation
     ]
-    assert learner._validation_score(result, train, validation) == (
+    assert learner._validation_score(result, train, learner._index_examples(validation)) == (
         _reference_validation_score(result, train, validation)
     )
 
@@ -418,7 +616,7 @@ def _assert_assign_best_matches_reference(examples, total, model):
 def test_assign_best_matches_reference(request, fixture, sharp_model):
     games, examples = request.getfixturevalue(fixture)[:2]
     total = strategic.count_event_types(e for g in games for e in g.events)
-    iteration0 = translator.train(learner.initial_training_set(examples))
+    iteration0 = translator.train(_reference_initial_training_set(examples))
     for model in (iteration0, sharp_model):
         _assert_assign_best_matches_reference(examples, total, model)
 
@@ -438,7 +636,7 @@ def test_assign_best_skips_candidates_that_cannot_win(simulated, monkeypatch):
     to reach their comment's best score: they are never scored, and the
     picks and scores are those of scoring them all."""
     _, examples, _, total = simulated
-    model = translator.train(learner.initial_training_set(examples))
+    model = translator.train(_reference_initial_training_set(examples))
     _assert_assign_best_matches_reference(examples, total, model)
     calls = []
     real = learner.evaluate_candidate
@@ -484,7 +682,7 @@ def test_retrain_loop_fits_one_lm_per_sentence_list(
     monkeypatch.undo()
     assert len(fits) == 2 * fits_per_loop
     assert results[1].model.lm is fits[-1] is not results[0].model.lm
-    pairs = learner._pairs_from_matching(examples, results[1].matching, results[1].trained_on)
+    pairs = _reference_pairs_from_matching(examples, results[1].matching, results[1].trained_on)
     assert _model_text(results[1].model, tmp_path / "loop.tsv") == _model_text(
         translator.train(pairs), tmp_path / "train.tsv"
     )
@@ -552,7 +750,7 @@ def test_retrain_loop_builds_only_what_it_reads(noisy, monkeypatch, tmp_path, ki
     assert calls["train_alignment"] == trainings
     built = 1 if kind == "parse_score" else trainings
     assert calls["extract_templates"] == calls["fit"] == built
-    pairs = learner._pairs_from_matching(examples, result.matching, result.trained_on)
+    pairs = _reference_pairs_from_matching(examples, result.matching, result.trained_on)
     assert _model_text(result.model, tmp_path / "loop.tsv") == _model_text(
         translator.train(pairs), tmp_path / "train.tsv"
     )
@@ -722,11 +920,11 @@ def test_external_pairs_seed_first_iteration(clean, tmp_path):
         lines.append(f"{key[0]}\t{key[1]}\t{mrl.serialize_mr(event.mr)}\n")
     path = tmp_path / "seed.tsv"
     path.write_text("".join(lines), encoding="utf-8")
-    pairs, warnings = learner.init_from_external(examples, path)
+    picks, warnings = learner.init_from_external(examples, path)
     assert warnings == 0
-    assert len(pairs) == len(examples)
+    assert len(picks) == len(examples)
     result = learner.retrain_loop(
-        examples, ScoringStrategy("parse_score"), gold=gold, initial_pairs=pairs
+        examples, ScoringStrategy("parse_score"), gold=gold, initial_picks=picks
     )
     assert result.history[0].matching_f1 == 1.0
 
@@ -742,9 +940,9 @@ def test_external_skips_bad_lines_with_warnings(clean, tmp_path):
         f"game1\t{ex.example.comment.id}\t{mrl.serialize_mr(good.mr)}\n",
         encoding="utf-8",
     )
-    pairs, warnings = learner.init_from_external(examples, path)
+    picks, warnings = learner.init_from_external(examples, path)
     assert warnings == 1          # later line overrides the rejected middle one
-    assert pairs == [(ex.example.comment.tokens, good.mr)]
+    assert picks == {ex.key: good.id}
 
 
 def test_external_rejects_malformed_lines(clean, tmp_path):
@@ -865,9 +1063,10 @@ def test_superfluous_cv_completes_only_the_final_parse_score_model(noisy, monkey
     grid = [0.0, 0.1, 0.2, 0.3]
     strategy = ScoringStrategy("parse_score")
     train, validation = learner.validation_split(examples)
+    held_out = learner._index_examples(validation)
     scores = [
         learner._validation_score(
-            learner.retrain_loop(train, strategy, prune_fraction=theta), train, validation
+            learner.retrain_loop(train, strategy, prune_fraction=theta), train, held_out
         )
         for theta in grid
     ]
@@ -887,4 +1086,54 @@ def test_superfluous_cv_completes_only_the_final_parse_score_model(noisy, monkey
     final = learner.retrain_loop(examples, strategy, gold=gold, prune_fraction=theta)
     assert _model_text(result.model, tmp_path / "cv.tsv") == _model_text(
         final.model, tmp_path / "final.tsv"
+    )
+
+
+def _reference_superfluous_cv(examples, grid, strategy, total_count, gold):
+    """superfluous_cv on the reference loop: (threshold, each threshold's
+    validation score, the final run as _reference_retrain_loop returns it)."""
+    train, validation = learner.validation_split(examples)
+    scores = []
+    for theta in grid:
+        matching, model, _, _, history, kept = _reference_retrain_loop(
+            train, strategy, total_count=total_count, prune_fraction=theta
+        )
+        result = learner.DisambiguationResult(matching, model, None, history, kept)
+        scores.append(_reference_validation_score(result, train, validation))
+    theta = grid[scores.index(max(scores))]
+    final = _reference_retrain_loop(
+        examples, strategy, total_count=total_count, gold=gold, prune_fraction=theta
+    )
+    return theta, scores, final
+
+
+@pytest.mark.parametrize("kind", ["parse_score", "nist_igsl"])
+def test_superfluous_cv_matches_reference(noisy, monkeypatch, tmp_path, kind):
+    """Each fold is indexed once for every threshold: the same validation
+    score at each threshold, the same threshold and the same final run as
+    the reference."""
+    games, examples, gold = noisy
+    total = strategic.count_event_types(e for g in games for e in g.events)
+    grid = [0.0, 0.1, 0.2, 0.3]
+    strategy = ScoringStrategy(kind)
+    scores = []
+    real = learner._validation_score
+
+    def recording(*args):
+        scores.append(real(*args))
+        return scores[-1]
+
+    monkeypatch.setattr(learner, "_validation_score", recording)
+    theta, result = learner.superfluous_cv(examples, grid, strategy, total_count=total, gold=gold)
+    monkeypatch.undo()
+    reference_theta, reference_scores, final = _reference_superfluous_cv(
+        examples, grid, strategy, total, gold
+    )
+    matching, model, _, _, history, kept = final
+    assert scores == reference_scores
+    assert theta == reference_theta > 0.0
+    assert result.matching.assignments == matching.assignments
+    assert (result.history, result.trained_on) == (history, kept)
+    assert _model_text(result.model, tmp_path / "a.tsv") == _model_text(
+        model, tmp_path / "b.tsv"
     )

@@ -33,6 +33,12 @@ def _sharp_pairs():
     ]
 
 
+def _all_candidate_pairs(examples):
+    """Every (comment, candidate MR) pair, comment-major: a loop's first
+    training."""
+    return [(ex.example.comment.tokens, c.mr) for ex in examples for c in ex.example.candidates]
+
+
 def _train_briefly(pairs):
     """translator.train with 3 EM iterations: a model far from converged."""
     return translator.complete(pairs, translator.train_alignment(pairs, 3))
@@ -151,7 +157,7 @@ def test_train_alignment_matches_both_references_on_a_simulated_corpus():
     world = replace(simgen.default_world(), seed=3)
     profile = replace(simgen.default_profile(), seed=1003, superfluous_rate=1 / 9)
     games = simgen.simulate_corpus(world, profile, 2).games
-    pairs = learner.initial_training_set(corpus.pooled_examples(games))
+    pairs = _all_candidate_pairs(corpus.pooled_examples(games))
     assert len({len(mrl.derivation(mr)) for _, mr in pairs}) == 3  # arity 0, 1 and 2
     _assert_matches_references(pairs, 25)
 
@@ -866,7 +872,7 @@ def noisy_model():
     profile = replace(simgen.default_profile(), seed=1000, superfluous_rate=1 / 9)
     games = simgen.simulate_corpus(world, profile, 8).games
     examples = corpus.pooled_examples(games)
-    model = translator.train(learner.initial_training_set(examples))
+    model = translator.train(_all_candidate_pairs(examples))
     mrs = {c.mr for ex in examples for c in ex.example.candidates}
     return model, sorted(mrs, key=mrl.serialize_mr)
 
