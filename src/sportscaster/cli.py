@@ -173,6 +173,9 @@ def _cmd_pair(args, sub: _Parser) -> int:
     return 0
 
 
+_MATCHING_COLUMNS = ("game", "comment_id", "event_id", "score")
+
+
 def _matching_table(matching: learner.Matching) -> Table:
     rows = tuple(
         (game, comment_id, event_id, score)
@@ -180,7 +183,7 @@ def _matching_table(matching: learner.Matching) -> Table:
             matching.assignments.items()
         )
     )
-    return Table(("game", "comment_id", "event_id", "score"), rows)
+    return Table(_MATCHING_COLUMNS, rows)
 
 
 def _alignment_lines(examples, matching: learner.Matching) -> list[str]:
@@ -196,15 +199,16 @@ def _alignment_lines(examples, matching: learner.Matching) -> list[str]:
 
 
 def _load_matching(path, games) -> dict[tuple[str, int], int]:
-    """(game, comment id) -> event id from a matching TSV that `train` wrote;
-    a bad line, or a second line for one comment, raises FormatError naming
+    """(game, comment id) -> event id from a matching TSV that `train` wrote,
+    its header line skipped where it is the first; a bad line (any other
+    header too), or a second line for one comment, raises FormatError naming
     its file and line, and a comment or event that games lack raises
     DanglingGoldReference."""
     event_counts = {(g.name, c.id): len(g.events) for g in games for c in g.comments}
     predicted: dict[tuple[str, int], int] = {}
     first_at: dict[tuple[str, int], int] = {}
     for lineno, (game, comment_id, event_id, score) in corpus.read_records(path, 4):
-        if lineno == 1 and game == "game":
+        if lineno == 1 and (game, comment_id, event_id, score) == _MATCHING_COLUMNS:
             continue
         with corpus.at_line(path, lineno):
             key = (game, int(comment_id))

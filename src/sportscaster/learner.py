@@ -19,10 +19,12 @@ training fit one on the same sentences: without pruning, every training
 from the third on takes its predecessor's.  A candidate's best generation
 comes from translator.generate_topk, which keeps each result for the
 model's life: an iteration searches each distinct candidate MR once, and
-the next iteration's retrained model starts with none kept.  A comment's
-candidates are scored in descending order of their cap, the metric's
-ceiling times the IGSL weight, and scoring stops once no candidate left
-can win or tie (_contenders).  Each of their loops also keeps two caches.
+the next iteration's retrained model starts with none kept.  A
+candidate's cap is the metric's ceiling times its IGSL weight, and IGSL
+runs once per loop, so each loop puts every comment's candidates in
+descending cap order once; an iteration scores them in that order and
+stops once no candidate left can win or tie (_generation_scores).  Each of
+their loops also keeps two caches.
 The metric cache maps (comment tokens, generated tokens) to the metric's
 raw value, before the IGSL weight.  The metric is a pure function of the
 two token tuples, so an iteration that meets a pair again (the same
@@ -37,8 +39,11 @@ ones and their memory ends with the run.
 Each loop indexes its examples once (_index_examples, a
 translator.CorpusIndex): the sorted vocabulary, each comment's word ids,
 each candidate's derivation columns, the per-length scoring groups, and
-each comment's candidates in tie order (time, surface form, id).  A
-training is an ordered selection of the index's (comment, candidate)
+each comment's candidates in tie order (time, surface form, id).  Every
+scored strategy picks by one rule: each comment's first maximum in tie
+order of one score per (comment, candidate) position (CorpusIndex.best).
+An iteration's picks are one position per picked comment, in comment
+order, with its score.  A training is an ordered selection of the index's
 positions: every candidate first, then the kept picks, or the external
 seed picks in file order.  translator.train_alignment maps a selection to
 its own sorted vocabulary, so each model is the one the selected pairs
@@ -48,12 +53,12 @@ its two folds once, for every threshold run and validation score.
 
 parse_score reads only the alignment, so each of its trainings runs
 alignment EM alone, and the template lexicon and LM are built once, from
-the last training pairs, for the returned model.  Its picks are the
-first maximum of the index's scores (CorpusIndex.scores) in tie order,
-the one scoring path score_corpus and the validation scorer also take.
-The baselines, random
-(one uniform pick per sentence) and gold (the gold matching), fix their
-picks up front and train on them once.
+the last training pairs, for the returned model.  Its scores are the
+index's (CorpusIndex.scores), the one scoring path score_corpus and the
+validation scorer also take; a generation-scored strategy's are
+evaluate_candidate's, -inf where a candidate cannot win.  The baselines,
+random (one uniform pick per sentence) and gold (the gold matching), fix
+their picks up front, each scoring 1, and train on them once.
 
 superfluous_cv picks the pruning fraction by internal cross-validation, so
 sentences that describe nothing (superfluous commentary) stop polluting the
@@ -67,12 +72,12 @@ import math
 import zlib
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import metrics, mrl, strategic, translator
-from .corpus import GameEvent, GameExample, at_line, ordered_sum, read_records
+from .corpus import GameExample, at_line, ordered_sum, read_records
 from .simgen import Prng
 
 Key = tuple[str, int]
@@ -155,36 +160,38 @@ class _LoopIndex:
     once by _index_examples: a position is one (example, candidate) pair,
     numbered example by example, candidates in time order, and each
     example's positions are in tie order (time, surface form, id) in
-    index.order.  candidates holds each position's event, and positions
-    maps (key, event id) to the first position of that event."""
+    index.order.  event_ids holds each position's event id."""
 
     examples: Sequence[GameExample]
     index: translator.CorpusIndex
-    candidates: list[GameEvent]
-    positions: dict[tuple[Key, int], int]
+    event_ids: list[int]
+
+    def position(self, number: int, event_id: int | None) -> int | None:
+        """The first position of example number's event event_id, None if
+        it is not one of the example's candidates."""
+        start, end = self.index.starts[number:number + 2].tolist()
+        ids = self.event_ids[start:end]
+        return start + ids.index(event_id) if event_id in ids else None
 
 
 def _index_examples(examples: Sequence[GameExample]) -> _LoopIndex:
     if not examples:
         raise EmptyTrainingSet("no ambiguous examples")
-    candidates: list[GameEvent] = []
-    order: list[int] = []
-    positions: dict[tuple[Key, int], int] = {}
-    for ex in examples:
-        key, events = ex.key, ex.example.candidates
-        start = len(candidates)
-        candidates.extend(events)
-        for position, event in enumerate(events, start):
-            positions.setdefault((key, event.id), position)
-        order.extend(sorted(range(start, len(candidates)), key=lambda p: (
-            candidates[p].time_ms, mrl.serialize_mr(candidates[p].mr), candidates[p].id
-        )))
+    candidates = [c for ex in examples for c in ex.example.candidates]
+    counts = [len(ex.example.candidates) for ex in examples]
+    # the tie order: by example, then time, surface form and id
+    order = np.lexsort((
+        np.array([c.id for c in candidates]),
+        np.array([mrl.serialize_mr(c.mr) for c in candidates]),
+        np.array([c.time_ms for c in candidates]),
+        np.repeat(np.arange(len(examples)), counts),
+    ))
     index = translator.CorpusIndex(
         [ex.example.comment.tokens for ex in examples],
         [[c.mr for c in ex.example.candidates] for ex in examples],
         order,
     )
-    return _LoopIndex(examples, index, candidates, positions)
+    return _LoopIndex(examples, index, [c.id for c in candidates])
 
 
 def evaluate_candidate(
@@ -221,93 +228,50 @@ def evaluate_candidate(
     return score
 
 
-def _parse_picks(loop: _LoopIndex, alignment: translator.AlignmentModel) -> Matching:
-    """Each example's best candidate by (-score, time, surface form, id)
-    under the parse likelihood: the first maximum of the index's scores in
-    its tie order."""
-    positions, scores = loop.index.best(loop.index.scores(alignment))
-    examples, candidates = loop.examples, loop.candidates
-    return Matching({
-        examples[number].key: (candidates[position].id, score)
-        for number, position, score in zip(
-            loop.index.owners[positions].tolist(), positions.tolist(), scores.tolist()
-        )
-    })
-
-
-def _assign_best(
-    examples: Sequence[GameExample],
-    model: translator.TranslationModel,
+def _generation_scores(
+    loop: _LoopIndex,
     strategy: ScoringStrategy,
     strategic_model: strategic.StrategicModel | None,
-    metric_cache: MetricCache,
-    profiles: metrics.NistProfiles | None = None,
-) -> Matching:
-    """Each example's best candidate by (-score, time, surface form, id)
-    under a generation-scored strategy, scoring only the candidates that
-    can win (_contenders)."""
-    assignments: dict[Key, tuple[int, float]] = {}
-    for ex in examples:
-        score, candidate = min(
-            _contenders(ex, model, strategy, strategic_model, metric_cache, profiles),
-            key=lambda scored: (
-                -scored[0],
-                scored[1].time_ms,
-                mrl.serialize_mr(scored[1].mr),
-                scored[1].id,
-            ),
-        )
-        assignments[ex.key] = (candidate.id, score)
-    return Matching(assignments)
-
-
-def _contenders(
-    ex: GameExample,
-    model: translator.TranslationModel,
-    strategy: ScoringStrategy,
-    strategic_model: strategic.StrategicModel | None,
-    metric_cache: MetricCache,
-    profiles: metrics.NistProfiles | None,
-) -> list[tuple[float, GameEvent]]:
-    """(score, candidate) for the example's candidates that can still win
-    under a generation-scored strategy, by evaluate_candidate with
-    metric_cache and profiles.
+) -> Callable[[translator.TranslationModel], np.ndarray]:
+    """A generation-scored strategy's scorer for one loop: each position's
+    score under a model, by evaluate_candidate with the loop's metric cache
+    and NIST profiles, and -inf where the candidate cannot win.
 
     A candidate's score is at most its cap: the metric's ceiling for the
-    comment times the candidate's IGSL weight (1 unweighted).  Candidates
-    are scored in descending cap order, and once the next cap is strictly
-    below the best score so far, no candidate left can win or tie, so none
-    is scored.  Unweighted, all caps are equal and every candidate is."""
+    comment times the candidate's IGSL weight (1 unweighted).  Each
+    comment's candidates are put in descending cap order once, and scored
+    in that order until the next cap is strictly below the best score so
+    far: no candidate left can win or tie, so none is scored.  Unweighted,
+    all caps are equal and every candidate is."""
     metric, weighted = _SCORED_KINDS[strategy.kind]
-    if weighted and strategic_model is None:
-        raise MissingStrategicModel(f"{strategy.kind} needs a strategic model")
-    tokens = ex.example.comment.tokens
-    ceiling = metrics.nist_ceiling(tokens) if metric == "nist" else metrics.METEOR_CEILING
-    capped = [
-        (ceiling * strategic_model.probability(c.mr.predicate.name) if weighted else ceiling, c)
-        for c in ex.example.candidates
-    ]
-    contenders: list[tuple[float, GameEvent]] = []
-    best = -math.inf
-    for cap, candidate in sorted(capped, key=lambda item: -item[0]):
-        if cap < best:
-            break
-        score = evaluate_candidate(
-            tokens, candidate.mr, model, strategy, strategic_model, metric_cache, profiles
-        )
-        contenders.append((score, candidate))
-        best = max(best, score)
-    return contenders
+    weight = strategic_model.probability if weighted else (lambda name: 1.0)
+    index = loop.index
+    starts = index.starts.tolist()
+    capped = []
+    for tokens, start, end in zip(index.sentences, starts, starts[1:]):
+        ceiling = metrics.nist_ceiling(tokens) if metric == "nist" else metrics.METEOR_CEILING
+        capped.append(sorted(
+            ((ceiling * weight(index.mrs[p].predicate.name), p) for p in range(start, end)),
+            key=lambda item: -item[0],
+        ))
+    metric_cache: MetricCache = {}
+    profiles = metrics.NistProfiles()
 
+    def scores(model: translator.TranslationModel) -> np.ndarray:
+        scored = np.full(len(index.mrs), -math.inf)
+        for tokens, candidates in zip(index.sentences, capped):
+            best = -math.inf
+            for cap, position in candidates:
+                if cap < best:
+                    break
+                scored[position] = score = evaluate_candidate(
+                    tokens, index.mrs[position], model, strategy, strategic_model,
+                    metric_cache, profiles,
+                )
+                best = max(best, score)
+        return scored
 
-def _kept_training(
-    loop: _LoopIndex, matching: Matching, kept: frozenset[Key]
-) -> translator.Selection:
-    """The kept examples' picks, in example order."""
-    assigned, positions = matching.assignments, loop.positions
-    return loop.index.select(
-        positions[ex.key, assigned[ex.key][0]] for ex in loop.examples if ex.key in kept
-    )
+    return scores
 
 
 def _prune_keys(matching: Matching, prune_fraction: float) -> frozenset[Key]:
@@ -321,33 +285,27 @@ def _prune_keys(matching: Matching, prune_fraction: float) -> frozenset[Key]:
     )
 
 
-def _random_matching(examples: Sequence[GameExample], seed: int) -> Matching:
-    """One uniform draw per example, in pooled example order."""
-    prng = Prng(seed)
-    assignments = {}
-    for ex in examples:
-        candidates = ex.example.candidates
-        pick = candidates[prng.uniform_int(0, len(candidates) - 1)]
-        assignments[ex.key] = (pick.id, 1.0)
-    return Matching(assignments)
-
-
-def _gold_matching(
-    examples: Sequence[GameExample], gold: Mapping[Key, int | None] | None
-) -> Matching:
-    """Each example's gold event, where it is one of the candidates."""
-    if gold is None:
-        raise ValueError("gold strategy requires the gold matching")
-    assignments = {}
-    for ex in examples:
-        event_id = gold.get(ex.key)
-        if event_id is None:
-            continue
-        if any(c.id == event_id for c in ex.example.candidates):
-            assignments[ex.key] = (event_id, 1.0)
-    if not assignments:
-        raise EmptyTrainingSet("gold matching covers no example")
-    return Matching(assignments)
+def _fixed_picks(
+    loop: _LoopIndex, strategy: ScoringStrategy, gold: Mapping[Key, int | None] | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """A baseline's picks, each scoring 1: under random one uniform draw per
+    example, in example order; under gold each example's gold event, where
+    it is one of the candidates."""
+    if strategy.kind == "random":
+        prng = Prng(strategy.seed)
+        starts = loop.index.starts.tolist()
+        positions = [
+            start + prng.uniform_int(0, end - start - 1)
+            for start, end in zip(starts, starts[1:])
+        ]
+    else:
+        if gold is None:
+            raise ValueError("gold strategy requires the gold matching")
+        picks = (loop.position(n, gold.get(ex.key)) for n, ex in enumerate(loop.examples))
+        positions = [p for p in picks if p is not None]
+        if not positions:
+            raise EmptyTrainingSet("gold matching covers no example")
+    return np.array(positions, dtype=np.intp), np.ones(len(positions))
 
 
 def retrain_loop(
@@ -391,13 +349,11 @@ def _retrain(
     model trained on.  Under a strategy whose picks read only the alignment
     that model is the AlignmentModel, not yet completed."""
     strategic.check_max_iter(max_iter)
-    examples = loop.examples
-    fixed: Matching | None = None
+    index, examples = loop.index, loop.examples
+    fixed: tuple[np.ndarray, np.ndarray] | None = None
     model = strategic_model = None
-    if strategy.kind == "random":
-        fixed = _random_matching(examples, strategy.seed)
-    elif strategy.kind == "gold":
-        fixed = _gold_matching(examples, gold)
+    if strategy.kind not in _SCORED_KINDS:
+        fixed = _fixed_picks(loop, strategy, gold)
     elif _SCORED_KINDS[strategy.kind][1]:
         if total_count is None:
             raise MissingStrategicModel(
@@ -410,27 +366,29 @@ def _retrain(
     # Picks that read only the alignment train only the alignment.
     alignment_only = fixed is None and _SCORED_KINDS[strategy.kind][0] is None
     if fixed is None:
-        training = loop.index.select(
-            range(len(loop.candidates)) if initial_picks is None
-            else (loop.positions[pick] for pick in initial_picks.items())
-        )
+        if initial_picks is None:
+            training = index.select(range(len(index.mrs)))
+        else:
+            numbers = {ex.key: n for n, ex in enumerate(examples)}
+            training = index.select(
+                loop.position(numbers[key], event_id) for key, event_id in initial_picks.items()
+            )
         model = _fit(training, alignment_only)
+        scores = index.scores if alignment_only else (
+            _generation_scores(loop, strategy, strategic_model)
+        )
 
     matching = Matching()
     kept: frozenset[Key] = frozenset()
     previous: dict[Key, int] = {}
     history: list[IterationRecord] = []
-    metric_cache: MetricCache = {}
-    profiles = metrics.NistProfiles()
     for iteration in range(1, max_iter + 1):
-        if fixed is not None:
-            picked = fixed
-        elif alignment_only:
-            picked = _parse_picks(loop, model)
-        else:
-            picked = _assign_best(
-                examples, model, strategy, strategic_model, metric_cache, profiles
-            )
+        # one pick rule: each example's first maximum in tie order
+        positions, picked_scores = fixed if fixed is not None else index.best(scores(model))
+        keys = [examples[n].key for n in index.owners[positions].tolist()]
+        picked = Matching(dict(zip(
+            keys, zip([loop.event_ids[p] for p in positions.tolist()], picked_scores.tolist())
+        )))
         event_ids = picked.event_ids()
         changed = sum(
             1 for key, event_id in event_ids.items() if previous.get(key) != event_id
@@ -442,7 +400,9 @@ def _retrain(
         matching, previous = picked, event_ids
         kept = _prune_keys(matching, prune_fraction)
         earlier = None if model is None else (training, model)
-        training = _kept_training(loop, matching, kept)
+        training = index.select(
+            p for p, key in zip(positions.tolist(), keys) if key in kept
+        )
         model = _fit(training, alignment_only, earlier)
         if fixed is not None:
             break

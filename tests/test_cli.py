@@ -391,6 +391,34 @@ def test_matching_row_the_corpus_lacks_names_its_line(
     assert capsys.readouterr().err == f"error: {matching}:3: {reason}\n"
 
 
+def test_matching_without_header_keeps_a_first_row_for_a_game_named_game(tmp_path):
+    """Line 1 is skipped only when it is the header `train` writes, so a
+    header-less file whose first row is for a game named `game` keeps it."""
+    games = [corpus.Game(
+        "game",
+        (corpus.GameEvent(0, mrl.parse_mr("kick ( pink1 )"), 0),),
+        tuple(corpus.make_comment(100 * i, "pink1 kicks", "en", i) for i in (1, 2)),
+    )]
+    rows = "game\t1\t0\t0.5\ngame\t2\t0\t0.25\n"
+    matching = tmp_path / "matching.tsv"
+    for text in (rows, "game\tcomment_id\tevent_id\tscore\n" + rows):
+        matching.write_text(text)
+        assert cli._load_matching(matching, games) == {("game", 1): 0, ("game", 2): 0}
+
+
+def test_matching_with_another_header_names_line_1(corpus_dir, train_dir, tmp_path, capsys):
+    lines = (train_dir / "matching.tsv").read_text().splitlines()
+    lines[0] = "game\tcomment\tevent\tscore"
+    matching = tmp_path / "matching.tsv"
+    matching.write_text("".join(line + "\n" for line in lines))
+    assert run(["evaluate", str(train_dir / "model.tsv"),
+                "--manifest", str(corpus_dir / "manifest.tsv"),
+                "--matching", str(matching)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {matching}:1: invalid literal for int() with base 10: 'comment'\n"
+    )
+
+
 def test_alignment_output_reingests(corpus_dir, train_dir, tmp_path):
     out = tmp_path / "seeded"
     rc = run([

@@ -189,16 +189,56 @@ def _reference_parse_picks(examples, alignment):
     return Matching(assignments)
 
 
+def _reference_random_matching(examples, seed):
+    """One uniform draw per example, in pooled example order."""
+    prng = simgen.Prng(seed)
+    assignments = {}
+    for ex in examples:
+        candidates = ex.example.candidates
+        pick = candidates[prng.uniform_int(0, len(candidates) - 1)]
+        assignments[ex.key] = (pick.id, 1.0)
+    return Matching(assignments)
+
+
+def _reference_gold_matching(examples, gold):
+    """Each example's gold event, where it is one of the candidates."""
+    if gold is None:
+        raise ValueError("gold strategy requires the gold matching")
+    assignments = {}
+    for ex in examples:
+        event_id = gold.get(ex.key)
+        if event_id is None:
+            continue
+        if any(c.id == event_id for c in ex.example.candidates):
+            assignments[ex.key] = (event_id, 1.0)
+    if not assignments:
+        raise learner.EmptyTrainingSet("gold matching covers no example")
+    return Matching(assignments)
+
+
+def _picks(loop, scores):
+    """The loop's pick rule on one score per position: each example's first
+    maximum in tie order, as a Matching."""
+    positions, best = loop.index.best(scores)
+    return Matching({
+        loop.examples[number].key: (loop.event_ids[position], score)
+        for number, position, score in zip(
+            loop.index.owners[positions].tolist(), positions.tolist(), best.tolist()
+        )
+    })
+
+
 def _reference_retrain_loop(
     examples, strategy, max_iter=learner.DEFAULT_MAX_ITER, *,
     total_count=None, gold=None, initial_pairs=None, prune_fraction=0.0,
 ):
     """The loop on Python pairs, with one branch per baseline, kept to pin
     the indexed loop to it: every training on the pairs it picked, every
-    parse_score pick by _reference_parse_picks; (matching, model, strategic
-    model, iterations, history, trained-on keys)."""
+    parse_score pick by _reference_parse_picks and every other scored pick
+    by _reference_assign_best; (matching, model, strategic model,
+    iterations, history, trained-on keys)."""
     if strategy.kind == "random":
-        matching = learner._random_matching(examples, strategy.seed)
+        matching = _reference_random_matching(examples, strategy.seed)
         kept = learner._prune_keys(matching, prune_fraction)
         model = _reference_train(_reference_pairs_from_matching(examples, matching, kept))
         record = learner.IterationRecord(
@@ -206,7 +246,7 @@ def _reference_retrain_loop(
         )
         return matching, model, None, 1, [record], kept
     if strategy.kind == "gold":
-        matching = learner._gold_matching(examples, gold)
+        matching = _reference_gold_matching(examples, gold)
         kept = frozenset(matching.assignments)
         model = _reference_train(_reference_pairs_from_matching(examples, matching, kept))
         record = learner.IterationRecord(
@@ -230,7 +270,7 @@ def _reference_retrain_loop(
         if strategy.kind == "parse_score":
             new_matching = _reference_parse_picks(examples, model.alignment)
         else:
-            new_matching = learner._assign_best(examples, model, strategy, strategic_model, {})
+            new_matching = _reference_assign_best(examples, model, strategy, strategic_model, {})
         iterations = iteration
         if matching is None:
             changed = len(new_matching.assignments)
@@ -536,7 +576,8 @@ def test_parse_score_kernel_matches_per_candidate_scores(request, fixture):
     strategy = ScoringStrategy("parse_score")
     model = translator.train(_reference_initial_training_set(examples))
     for current in (model, learner.retrain_loop(examples, strategy).model):
-        matching = learner._parse_picks(learner._index_examples(examples), current.alignment)
+        loop = learner._index_examples(examples)
+        matching = _picks(loop, loop.index.scores(current.alignment))
         assert matching.assignments == _reference_parse_matching(examples, current)
     train, validation = learner.validation_split(examples)
     held_out = learner._index_examples(validation)
@@ -575,8 +616,9 @@ def test_validation_score_matches_reference_for_any_pruned_set(pruned_run, data)
 
 
 def _reference_assign_best(examples, model, strategy, strategic_model, metric_cache):
-    """_assign_best of the generation-scored strategies as it was written
-    before it skipped candidates: every candidate scored."""
+    """The generation-scored strategies' picks as they were written before
+    they skipped candidates: every candidate scored, each example's best by
+    min over (-score, time, surface form, id)."""
     assignments = {}
     for ex in examples:
         candidates = ex.example.candidates
@@ -600,14 +642,18 @@ def _reference_assign_best(examples, model, strategy, strategic_model, metric_ca
 _GENERATION_KINDS = ("nist_gen", "meteor_gen", "nist_igsl", "meteor_igsl")
 
 
+def _generation_picks(examples, model, strategy, strategic_model):
+    """The loop's picks under a generation-scored strategy and one model."""
+    loop = learner._index_examples(examples)
+    return _picks(loop, learner._generation_scores(loop, strategy, strategic_model)(model))
+
+
 def _assert_assign_best_matches_reference(examples, total, model):
     """The same picks with the same scores, key by key, in the same order."""
     strategic_model = strategic.igsl([ex.example for ex in examples], total)
     for kind in _GENERATION_KINDS:
         strategy = ScoringStrategy(kind)
-        picked = learner._assign_best(
-            examples, model, strategy, strategic_model, {}, metrics.NistProfiles()
-        )
+        picked = _generation_picks(examples, model, strategy, strategic_model)
         reference = _reference_assign_best(examples, model, strategy, strategic_model, {})
         assert list(picked.assignments.items()) == list(reference.assignments.items())
 
@@ -649,9 +695,50 @@ def test_assign_best_skips_candidates_that_cannot_win(simulated, monkeypatch):
     strategic_model = strategic.igsl([ex.example for ex in examples], total)
     for kind, pruned in (("nist_igsl", True), ("nist_gen", False)):
         calls.clear()
-        learner._assign_best(examples, model, ScoringStrategy(kind), strategic_model, {})
+        _generation_picks(examples, model, ScoringStrategy(kind), strategic_model)
         candidates = sum(len(ex.example.candidates) for ex in examples)
         assert (len(calls) < candidates) if pruned else (len(calls) == candidates)
+
+
+def _same_time_example(*candidates):
+    """One comment whose candidates all happen at 500 ms, listed as given."""
+    comment = corpus.make_comment(1000, "pink1 boots it", "en", 1)
+    events = tuple(corpus.GameEvent(500, _mr(surface), i) for surface, i in candidates)
+    return [corpus.GameExample("g", corpus.AmbiguousExample(comment, events))]
+
+
+@pytest.mark.parametrize("kind", ["parse_score", *_GENERATION_KINDS])
+def test_exact_ties_go_to_the_first_candidate_by_time_surface_and_id(sharp_model, kind):
+    """Same-time candidates listed in reverse tie order whose scores tie
+    exactly: the pick is the first by (time, surface form, id), as the
+    references pick.  Simulated games never put two events at one
+    millisecond, so no other fixture reaches the surface part of the key.
+    Under parse_score one MR appears twice with different ids; under the
+    generation strategies no candidate's predicate has a template, so every
+    one scores 0.0."""
+    if kind == "parse_score":
+        examples = _same_time_example(
+            ("pass ( pink1 , pink2 )", 2), ("kick ( pink1 )", 9), ("kick ( pink1 )", 3)
+        )
+        loop = learner._index_examples(examples)
+        picked = _picks(loop, loop.index.scores(sharp_model.alignment))
+        reference = _reference_parse_picks(examples, sharp_model.alignment)
+        first = 3
+    else:
+        examples = _same_time_example(
+            ("steal ( pink2 )", 1), ("steal ( pink1 )", 5), ("steal ( pink1 )", 4)
+        )
+        total = strategic.count_event_types(c for c in examples[0].example.candidates)
+        strategic_model = strategic.igsl([examples[0].example], total)
+        strategy = ScoringStrategy(kind)
+        picked = _generation_picks(examples, sharp_model, strategy, strategic_model)
+        reference = _reference_assign_best(examples, sharp_model, strategy, strategic_model, {})
+        first = 4
+    [(event_id, score)] = picked.assignments.values()
+    assert event_id == first
+    assert picked.assignments == reference.assignments
+    if kind != "parse_score":
+        assert score == 0.0
 
 
 @pytest.mark.parametrize("prune_fraction, fits_per_loop", [(0.0, 2), (0.2, 3)])
